@@ -20,7 +20,6 @@ from .freealg import (
     homogeneous_parts,
     monomial,
     one,
-    poly_mul,
     valuation,
     variable,
     words_of_degree,
@@ -41,7 +40,6 @@ from .graded import (
     GradedIdeal,
     HilbertTable,
     generators_to_json,
-    ideal_component_basis,
     ideal_from_json,
     nilpotency_bound,
     normal_form,

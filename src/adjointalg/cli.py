@@ -3,7 +3,9 @@
 One executable, `adjointalg`, with a subcommand per capability.  Outputs
 are deterministic: the same invocation always writes byte-identical
 payloads to stdout (or --out), with timing on stderr only.  Exit codes:
-0 on success, 1 when a checked property fails to hold, 2 on usage errors.
+0 on success, 1 when a checked property fails to hold, 2 on usage errors,
+3 when an internal invariant check fails (a bug, reported as one
+``internal error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -202,11 +204,8 @@ def build_parser():
     sp = sub.add_parser("gs-check", parents=[common], help="exact series evaluation at tau")
     sp.add_argument("--tau", default="3/4", help="rational evaluation point in (0,1), e.g. 3/4")
     sp.add_argument(
-        "--tail-bound",
-        action="store_true",
-        help="use the built-in closed-form tail census (the default)",
+        "--census-file", help="JSON census to evaluate instead of the built-in tail census"
     )
-    sp.add_argument("--census-file", help="JSON census to evaluate instead")
     sp.set_defaults(handler=_cmd_gs_check)
 
     sp = sub.add_parser("torsion", parents=[common], help="orders of homogeneous classes mod I + J")
@@ -258,6 +257,9 @@ def main(argv=None):
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(rendered)

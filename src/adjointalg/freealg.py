@@ -255,11 +255,6 @@ def monomial(word, p, cap, coeff=1):
     return TruncatedPoly(p, cap, {word: coeff})
 
 
-def poly_mul(a, b):
-    """Truncated product of two elements (same as ``a * b``)."""
-    return a * b
-
-
 def valuation(a):
     """Least degree carrying a nonzero term; INFINITY for the zero element."""
     if not a._terms:

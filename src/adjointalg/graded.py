@@ -33,11 +33,11 @@ def encode_part(part, degree):
     """Coefficient vector of a homogeneous slice, as a bitmask (p=2) or numpy-ready list."""
     if part.p == 2:
         row = 0
-        for w, _ in part.terms.items():
+        for w in part._terms:
             row |= 1 << word_to_index(w)
         return row
     vec = [0] * (1 << degree)
-    for w, c in part.terms.items():
+    for w, c in part._terms.items():
         vec[word_to_index(w)] = c
     return vec
 
@@ -135,10 +135,6 @@ class GradedIdeal:
         if not 1 <= n <= self.cap:
             raise ValueError(f"degree {n} outside 1..{self.cap}")
         return DegreeBasis(n, self._space(n))
-
-
-def ideal_component_basis(ideal, n):
-    return ideal.component_basis(n)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 Each check exercises one guaranteed behavior of the package at a fixed
 scale, compares against values frozen from independent computations or
-against reference implementations written here from scratch (plain dict
-multiplication, exhaustive span closure, pure-Python group tables), and
-returns a result record with a pass/fail verdict, timing, and a one-line
-detail.  Checks with a stated time budget fail when they exceed it.
+against the package-independent reference routines in :mod:`.oracle`
+(plain dict multiplication, exhaustive span closure, pure-Python group
+tables), and returns a result record with a pass/fail verdict, timing,
+and a one-line detail.  Checks with a stated time budget fail when they
+exceed it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -36,6 +36,14 @@ from .finite import (
 )
 from .freealg import TruncatedPoly, circle_pow
 from .graded import GradedIdeal, quotient_dimensions
+from .oracle import (
+    brute_circle,
+    component_span_vectors,
+    expand_one_plus,
+    naive_add,
+    seeded_terms,
+    span_closure,
+)
 from .series import f_eval, gs_recursion_check, tail_bound_census
 
 DEFAULT_SEED = 20260823
@@ -61,84 +69,6 @@ class CheckResult:
         if self.budget is not None:
             timing += f" (budget {self.budget:.0f}s)"
         return f"{verdict} {self.name} [{timing}] {self.detail}"
-
-
-# ---------------------------------------------------------------------------
-# Reference implementations, deliberately independent of the library internals.
-
-
-def _naive_mul(a, b, p, cap):
-    """Plain double-loop product of term dicts, no bucketing."""
-    out = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            if len(wa) + len(wb) <= cap:
-                w = wa + wb
-                out[w] = (out.get(w, 0) + ca * cb) % p
-    return {w: c for w, c in out.items() if c}
-
-
-def _naive_add(a, b, p):
-    out = dict(a)
-    for w, c in b.items():
-        s = (out.get(w, 0) + c) % p
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
-    return out
-
-
-def _expand_one_plus_factors(factors, p, cap):
-    """Product of (1 + h) over term dicts h, via the naive multiplier."""
-    acc = {"": 1}
-    for h in factors:
-        one_plus = _naive_add(h, {"": 1}, p)
-        acc = _naive_mul(acc, one_plus, p, cap)
-    return acc
-
-
-def _span_closure(vectors, p, limit=300000):
-    """Every F_p-linear combination of the vectors, as a set of tuples."""
-    n = len(vectors[0]) if vectors else 0
-    found = {tuple([0] * n)}
-    for v in vectors:
-        if len(found) * p > limit:
-            raise ValueError("span closure too large for the exhaustive oracle")
-        found = {
-            tuple((a + c * b) % p for a, b in zip(s, v))
-            for s in found
-            for c in range(p)
-        }
-    return found
-
-
-def _brute_circle(rows, p, u, v):
-    """Circle product from nested-list structure constants, pure Python."""
-    k = len(u)
-    prod = [0] * k
-    for i in range(k):
-        ci = u[i]
-        if not ci:
-            continue
-        row = rows[i]
-        for j in range(k):
-            cj = v[j]
-            if not cj:
-                continue
-            ct = row[j]
-            for t in range(k):
-                prod[t] = (prod[t] + ci * cj * ct[t]) % p
-    return tuple((a + b + c) % p for a, b, c in zip(u, v, prod))
-
-
-def _random_element(rng, p, cap, max_degree, max_terms=6):
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        d = rng.randint(1, max_degree)
-        word = "".join(rng.choice("xy") for _ in range(d))
-        terms[word] = (terms.get(word, 0) + rng.randrange(1, p)) % p
-    return TruncatedPoly(p, cap, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +101,12 @@ def check_factorization(seed=DEFAULT_SEED):
     p, cap, m = 2, 10, 10
     failures = 0
     for _ in range(200):
-        a = _random_element(rng, p, cap, max_degree=4)
+        a = TruncatedPoly(p, cap, seeded_terms(rng, p, max_degree=4))
         trace = factor_to_valuation(a, m)
         good = trace.residual_valuation >= m
         good &= all(h.is_homogeneous and not h.is_zero for h in trace.factors)
-        expanded = _expand_one_plus_factors(
-            [h.terms for h in trace.factors], p, cap
-        )
-        expected = _naive_add(
-            _naive_add({"": 1}, a.terms, p), trace.residual.terms, p
-        )
+        expanded = expand_one_plus([h.terms for h in trace.factors], p, cap)
+        expected = naive_add(naive_add({"": 1}, a.terms, p), trace.residual.terms, p)
         good &= expanded == expected
         if not good:
             failures += 1
@@ -193,13 +119,13 @@ def check_frobenius_powers(seed=DEFAULT_SEED):
     failures = 0
     for p in (2, 3):
         for _ in range(100):
-            f = _random_element(rng, p, cap, max_degree=3)
+            f = TruncatedPoly(p, cap, seeded_terms(rng, p, max_degree=3))
             for beta in (1, 2):
                 if circle_pow(f, p**beta) != f ** (p**beta):
                     failures += 1
         big = p ** (5 if p == 2 else 3)  # first p-power beyond the cap
         for _ in range(20):
-            f = _random_element(rng, p, cap, max_degree=3)
+            f = TruncatedPoly(p, cap, seeded_terms(rng, p, max_degree=3))
             if not circle_pow(f, big).is_zero:
                 failures += 1
     return failures == 0, f"100 samples per prime at cap {cap}; {failures} failures"
@@ -290,26 +216,6 @@ def check_cyclic_width(seed=DEFAULT_SEED):
     return all(checks), detail
 
 
-def _independent_component_vectors(gens, p, n):
-    """Spanning vectors of a degree-n component, built from strings alone."""
-    vectors = []
-    for g in gens:
-        d = len(next(iter(g)))
-        if d > n:
-            continue
-        for i in range(n - d + 1):
-            j = n - d - i
-            for u in product("xy", repeat=i):
-                for w in product("xy", repeat=j):
-                    vec = [0] * (2**n)
-                    for word, c in g.items():
-                        full = "".join(u) + word + "".join(w)
-                        bits = "".join("0" if ch == "x" else "1" for ch in full)
-                        vec[int(bits, 2)] = c % p
-                    vectors.append(vec)
-    return vectors
-
-
 def check_independent_routes(seed=DEFAULT_SEED):
     problems = []
 
@@ -323,9 +229,9 @@ def check_independent_routes(seed=DEFAULT_SEED):
         ideal = GradedIdeal(p, cap, [TruncatedPoly(p, cap, g) for g in gen_dicts])
         for n in range(1, cap + 1):
             basis = ideal.component_basis(n)
-            vectors = _independent_component_vectors(gen_dicts, p, n)
+            vectors = component_span_vectors(gen_dicts, p, n)
             closure = (
-                _span_closure(vectors, p) if vectors else {tuple([0] * (2**n))}
+                span_closure(vectors, p) if vectors else {tuple([0] * (2**n))}
             )
             if len(closure) != p**basis.rank:
                 problems.append(f"rank mismatch p={p} cap={cap} degree={n}")
@@ -352,7 +258,7 @@ def check_independent_routes(seed=DEFAULT_SEED):
         index = {e: i for i, e in enumerate(elems)}
         for i, u in enumerate(elems):
             for j, v in enumerate(elems):
-                if table[i, j] != index[_brute_circle(rows, alg.p, u, v)]:
+                if table[i, j] != index[brute_circle(rows, alg.p, u, v)]:
                     problems.append(f"table mismatch in {alg!r} at ({i},{j})")
                     break
         n = group.order

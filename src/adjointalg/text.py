@@ -140,7 +140,7 @@ def _format_term(word, coeff):
 
 def format_poly(a):
     """Canonical text for a: terms in degree-then-lexicographic order with ' + ' separators."""
-    items = a.terms
+    items = a._terms
     if not items:
         return "0"
     return " + ".join(

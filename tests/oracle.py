@@ -1,112 +1,20 @@
-"""Reference implementations used to cross-check the library from the outside.
+"""Hypothesis strategies and seeded inputs shared by the test files.
 
-Everything here is deliberately written without touching the library's
-internals: term dicts are multiplied with a plain double loop, spans are
-closed by exhaustive enumeration, and structure-constant products use
-pure-Python triple loops.  Agreement between these and the library is the
-backbone of the dual-route tests.  The hypothesis strategies for random
-elements live here too so every test file draws from the same shapes.
+The reference routines the suite checks against live in
+:mod:`adjointalg.oracle`, which imports nothing from the package; this
+module only draws random elements, so every test file draws from the
+same shapes.
 """
-
-from itertools import product
 
 from hypothesis import strategies as st
 
 from adjointalg import TruncatedPoly
-
-
-def naive_mul(a, b, p, cap):
-    """Term-dict product via the full double loop, no degree bucketing."""
-    out = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            if len(wa) + len(wb) <= cap:
-                w = wa + wb
-                out[w] = (out.get(w, 0) + ca * cb) % p
-    return {w: c for w, c in out.items() if c}
-
-
-def naive_add(a, b, p):
-    out = dict(a)
-    for w, c in b.items():
-        s = (out.get(w, 0) + c) % p
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
-    return out
-
-
-def expand_one_plus(factors, p, cap):
-    """Product of (1 + h) over term dicts h."""
-    acc = {"": 1}
-    for h in factors:
-        acc = naive_mul(acc, naive_add(h, {"": 1}, p), p, cap)
-    return acc
-
-
-def span_closure(vectors, p, limit=200000):
-    """Every F_p-linear combination of the vectors, as a set of tuples."""
-    n = len(vectors[0]) if vectors else 0
-    found = {tuple([0] * n)}
-    for v in vectors:
-        if len(found) * p > limit:
-            raise ValueError("closure too large for the exhaustive oracle")
-        found = {
-            tuple((a + c * b) % p for a, b in zip(s, v))
-            for s in found
-            for c in range(p)
-        }
-    return found
-
-
-def component_span_vectors(gen_dicts, p, n):
-    """Spanning vectors of the degree-n component of an ideal, built from strings."""
-    vectors = []
-    for g in gen_dicts:
-        d = len(next(iter(g)))
-        if d > n:
-            continue
-        for i in range(n - d + 1):
-            j = n - d - i
-            for u in product("xy", repeat=i):
-                for w in product("xy", repeat=j):
-                    vec = [0] * (2**n)
-                    for word, c in g.items():
-                        full = "".join(u) + word + "".join(w)
-                        bits = "".join("0" if ch == "x" else "1" for ch in full)
-                        vec[int(bits, 2)] = c % p
-                    vectors.append(vec)
-    return vectors
-
-
-def brute_circle(rows, p, u, v):
-    """u + v + u*v from nested-list structure constants, pure Python."""
-    k = len(u)
-    prod = [0] * k
-    for i in range(k):
-        ci = u[i]
-        if not ci:
-            continue
-        row = rows[i]
-        for j in range(k):
-            cj = v[j]
-            if not cj:
-                continue
-            ct = row[j]
-            for t in range(k):
-                prod[t] = (prod[t] + ci * cj * ct[t]) % p
-    return tuple((a + b + c) % p for a, b, c in zip(u, v, prod))
+from adjointalg.oracle import seeded_terms
 
 
 def seeded_poly(rng, p, cap, max_degree, max_terms=6):
     """Random element of the augmentation part from a seeded RNG."""
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        d = rng.randint(1, max_degree)
-        word = "".join(rng.choice("xy") for _ in range(d))
-        terms[word] = (terms.get(word, 0) + rng.randrange(1, p)) % p
-    return TruncatedPoly(p, cap, terms)
+    return TruncatedPoly(p, cap, seeded_terms(rng, p, max_degree, max_terms))
 
 
 def term_dicts(p=2, max_degree=6, max_terms=5, allow_const=True):

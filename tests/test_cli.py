@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from adjointalg import direct_sum, truncated_polynomial_algebra
+from adjointalg import cli, direct_sum, truncated_polynomial_algebra
 from adjointalg.cli import main
 
 
@@ -196,6 +196,17 @@ def test_csv_unavailable_for_gs_check(capsys):
     code, _, err = run_cli(capsys, "gs-check", "--format", "csv")
     assert code == 2
     assert "csv output is not available" in err
+
+
+def test_internal_invariant_failure_exits_three_with_one_line(capsys, monkeypatch):
+    def broken(args):
+        raise AssertionError("correction round failed to raise the residual valuation")
+
+    monkeypatch.setattr(cli, "_cmd_factor", broken)
+    code, out, err = run_cli(capsys, "factor", "--a", "x")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: correction round failed to raise the residual valuation\n"
 
 
 def test_unknown_flag_raises_system_exit(capsys):

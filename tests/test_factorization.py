@@ -16,8 +16,9 @@ from adjointalg import (
     trace_to_json,
 )
 from adjointalg.freealg import homogeneous_parts
+from adjointalg.oracle import expand_one_plus
 
-from oracle import expand_one_plus, polys
+from oracle import polys
 
 
 def test_seed_for_two_slice_target():

@@ -17,8 +17,7 @@ from adjointalg import (
     strictly_upper_triangular_algebra,
     truncated_polynomial_algebra,
 )
-
-from oracle import brute_circle
+from adjointalg.oracle import brute_circle
 
 
 def klein_algebra():

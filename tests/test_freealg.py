@@ -25,8 +25,9 @@ from adjointalg import (
     zero,
 )
 from adjointalg.freealg import index_to_word, word_to_index
+from adjointalg.oracle import naive_mul
 
-from oracle import naive_mul, polys, seeded_poly
+from oracle import polys, seeded_poly
 
 
 def test_rejects_bad_construction():

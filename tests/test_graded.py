@@ -21,7 +21,9 @@ from adjointalg import (
     zero,
 )
 
-from oracle import component_span_vectors, seeded_poly, span_closure
+from adjointalg.oracle import component_span_vectors, span_closure
+
+from oracle import seeded_poly
 
 
 def ideal_of(p, cap, *texts):
