@@ -39,6 +39,7 @@ from .graded import (
     DegreeBasis,
     GradedIdeal,
     HilbertTable,
+    ResourceLimitError,
     generators_to_json,
     ideal_from_json,
     nilpotency_bound,

@@ -68,16 +68,13 @@ class FiniteNilAlgebra:
     def _power_chain(self):
         """Echelon bases of R^1 >= R^2 >= ..., ending with the first zero power."""
         full = ModpRowSpace(self.dim, self.p)
-        for i in range(self.dim):
-            row = np.zeros(self.dim, dtype=np.int64)
-            row[i] = 1
-            full.add(row)
+        full.add(np.eye(self.dim, dtype=np.int64))
         chain = [full]
         while chain[-1].rank > 0:
+            # R^(k+1) is spanned by the products of R^k's basis with every basis element.
+            rows = np.array(chain[-1].rows())
             nxt = ModpRowSpace(self.dim, self.p)
-            for row in chain[-1].rows():
-                for j in range(self.dim):
-                    nxt.add(np.einsum("i,it->t", row, self.table[:, j]) % self.p)
+            nxt.add(np.einsum("ri,ijt->rjt", rows, self.table).reshape(-1, self.dim) % self.p)
             if nxt.rank >= chain[-1].rank:
                 raise NotNilpotentError(
                     f"power chain stalls at rank {nxt.rank}; the algebra is not nilpotent"

@@ -1,12 +1,20 @@
 """Degreewise linear algebra for homogeneous two-sided ideals of the truncated algebra.
 
-A graded ideal is specified by finitely many homogeneous generators.  Its
-degree-n component is spanned by u * g * w over all generators g and all
-word pairs (u, w) with deg u + deg g + deg w = n; the spanning rows are fed
-to an incremental echelon engine, one engine per degree, built lazily and
-cached.  Coordinates at degree n are indexed by the 2^n words via
-:func:`adjointalg.freealg.word_to_index`, so over F_2 a polynomial slice
-is a single integer bitmask and the index of a concatenation is a shift-or.
+A graded ideal is specified by finitely many homogeneous generators, and
+its degree-n component is spanned by u * g * w over all generators g and
+all word pairs (u, w) with deg u + deg g + deg w = n.  Coordinates at
+degree n are indexed by the 2^n words via
+:func:`adjointalg.freealg.word_to_index` (first letter highest bit), and
+each component is an echelon engine, built on first use and cached.
+
+Over F_2 a polynomial slice is a single integer bitmask, and the
+component is spanned by those u * g * w rows directly.  For odd p it is
+built from the degree below:
+I_n = x I_{n-1} + y I_{n-1} + I_{n-1} x + I_{n-1} y + span(generators of degree n).
+The left multiples are two shifted copies of the reduced basis of
+I_{n-1}, already reduced; the right multiples send index j to 2j or
+2j + 1 and are reduced against them in a batch, then the generators are
+added.  :data:`MAX_BLOCK_BYTES` bounds the arrays one degree needs.
 """
 
 from __future__ import annotations
@@ -20,13 +28,25 @@ from .freealg import (
     index_to_word,
     word_to_index,
 )
-from .linalg import row_space
+from .linalg import Gf2RowSpace, ModpRowSpace
 from .text import format_poly, parse_poly
 
 log = logging.getLogger(__name__)
 
 #: Returned by :func:`nilpotency_bound` when no power vanishes within the window.
 NOT_CERTIFIED = None
+
+#: Ceiling on the bytes of the largest arrays built for one odd-p degree
+#: component.  For rank r and f free columns at degree n - 1, degree n starts
+#: from the doubled block (2r x 2f float32) and reduces each half of the right
+#: multiples to a residual (r x 2f float64); both take 4x the bytes of the
+#: degree n - 1 block, and the peak while building degree n is about three
+#: times that.
+MAX_BLOCK_BYTES = 1 << 27
+
+
+class ResourceLimitError(ValueError):
+    """A computation would allocate more memory than the module's ceiling allows."""
 
 
 def encode_part(part, degree):
@@ -100,34 +120,59 @@ class GradedIdeal:
         self._spaces = {}
 
     def _space(self, n):
-        """The echelon engine for the degree-n component, built on first use."""
+        """The echelon engine for the degree-n component, built on first use.
+
+        Over F_2 it is spanned by the sandwiches u * g * w.  For odd p it is
+        built from the degree below (built too if missing), as
+        I_n = x I_{n-1} + y I_{n-1} + I_{n-1} x + I_{n-1} y + span(generators of degree n).
+        """
         space = self._spaces.get(n)
         if space is not None:
             return space
-        space = row_space(1 << n, self.p)
-        gf2 = self.p == 2
-        for d, g in self.generators:
-            sandwich = n - d
-            if sandwich < 0:
-                continue
-            gterms = [(word_to_index(w), c) for w, c in g.terms.items()]
-            for i in range(sandwich + 1):
-                j = sandwich - i
-                shift = d + j
-                for u in range(1 << i):
-                    base = u << shift
-                    for w in range(1 << j):
-                        if gf2:
+        if self.p == 2:
+            space = Gf2RowSpace(1 << n)
+            for d, g in self.generators:
+                sandwich = n - d
+                if sandwich < 0:
+                    continue
+                gterms = [word_to_index(w) for w in g._terms]
+                for i in range(sandwich + 1):
+                    j = sandwich - i
+                    shift = d + j
+                    for u in range(1 << i):
+                        base = u << shift
+                        for w in range(1 << j):
                             row = 0
-                            for t, _ in gterms:
+                            for t in gterms:
                                 row |= 1 << (base | (t << j) | w)
-                        else:
-                            row = [0] * (1 << n)
-                            for t, c in gterms:
-                                row[base | (t << j) | w] = c
-                        space.add(row)
-        log.debug("degree %d component: rank %d of %d", n, space.rank, 1 << n)
-        self._spaces[n] = space
+                            space.add(row)
+            log.debug("degree %d component: rank %d of %d", n, space.rank, 1 << n)
+            self._spaces[n] = space
+            return space
+        low = max((d for d in self._spaces if d < n), default=-1)
+        space = self._spaces.get(low)
+        for m in range(low + 1, n + 1):
+            if space is None:
+                space = ModpRowSpace(1, self.p)
+            else:
+                piv, free, coef = space.echelon()
+                block = 4 * coef.nbytes
+                if block > MAX_BLOCK_BYTES:
+                    raise ResourceLimitError(
+                        f"degree {m} component needs {block} bytes for its doubled"
+                        f" block, over the limit of {MAX_BLOCK_BYTES} bytes"
+                    )
+                # x * I_{m-1} keeps a word's index and y * I_{m-1} adds 2^(m-1); a
+                # right factor appends a bit: index j goes to 2j (x) or 2j + 1 (y).
+                space = space.doubled()
+                if piv.size:
+                    for bit in (0, 1):
+                        space.add(coef, 2 * free + bit, 2 * piv + bit)
+            gens = [encode_part(g, m) for d, g in self.generators if d == m]
+            if gens:
+                space.add(gens)
+            log.debug("degree %d component: rank %d of %d", m, space.rank, 1 << m)
+            self._spaces[m] = space
         return space
 
     def component_basis(self, n):

@@ -1,15 +1,19 @@
 """Incremental row-echelon engines over F_p.
 
-Two implementations share one interface: :class:`Gf2RowSpace` packs each
-row into a single Python integer, coordinate i living at bit i, so row
-reduction is bignum XOR (this is the performance kernel for the large
-degree components over F_2); :class:`ModpRowSpace` keeps dense numpy rows
-for odd primes.  Both maintain a forward echelon basis keyed by pivot
-(the highest nonzero coordinate of each row) and postpone full
-back-substitution until the rows are actually exported, since ranks and
-normal forms do not need it: reducing a vector greedily against distinct
-pivots already yields the unique coset representative supported away
-from the pivots.
+Two implementations share one interface, and both key each basis row by
+its pivot, the highest nonzero coordinate.  :class:`Gf2RowSpace` packs
+each row into a single Python integer, coordinate i living at bit i, so
+row reduction is bignum XOR (the kernel for the large degree components
+over F_2); it keeps a forward echelon basis and reduces it fully only
+when rows are exported.  :class:`ModpRowSpace` always holds its span in
+reduced row-echelon form, stored compactly as the pivot columns, the free
+columns and the rank x free block of coefficients.  Reducing a batch of
+rows against it is one matrix product on the free block; inserting a
+batch reduces it that way, eliminates the small residual, and
+back-substitutes the old rows against the new pivots with one more
+product.  Coefficients are stored as float32 and products run as float64
+BLAS calls, split along the inner dimension so that every partial sum
+stays an exact integer below 2^53; both are exact for p up to 2^24.
 """
 
 from __future__ import annotations
@@ -82,73 +86,252 @@ class Gf2RowSpace:
         return [[(r >> i) & 1 for i in range(self.ncols)] for r in self.rows()]
 
 
+#: Float64 holds every integer below 2^53 exactly.
+_EXACT = 1 << 53
+
+#: The largest modulus the kernel handles: residues are stored as float32,
+#: which holds every integer up to 2^24 exactly.
+MAX_MODULUS = 1 << 24
+
+#: Temporary float64 and int64 arrays are cut into slices of rows of about
+#: this many bytes, but of at least 32 rows.
+_PART_BYTES = 1 << 20
+
+#: Arrays up to this many entries are reduced mod p with one float remainder.
+_SMALL = 512
+
+
+def _part_rows(ncols):
+    """Rows per slice of a temporary array with ncols columns."""
+    return max(32, _PART_BYTES // (8 * ncols + 8))
+
+
+def _mod(x, p):
+    """x mod p in place, for a float array of integers of magnitude below 2^53; returns x.
+
+    Float remainder costs about 24 ns per entry, int64 floor division about
+    5 ns plus a few calls, so only small arrays take the float route.
+    """
+    if x.size <= _SMALL:
+        return np.remainder(x, p, out=x)
+    rows = x.reshape(1, -1) if x.ndim == 1 else x
+    step = _part_rows(rows.shape[1])
+    for top in range(0, rows.shape[0], step):
+        part = rows[top:top + step]
+        whole = part.astype(np.int64)
+        whole -= whole // p * p
+        part[...] = whole
+    return x
+
+
+def _submul(acc, a, b, p, a_cols=None, b_rows=None):
+    """acc <- (acc - a[:, a_cols] @ b[b_rows]) mod p in place; None selects everything.
+
+    acc is float64 with integer entries in [0, 2p); a and b hold residues in
+    [0, p).  The product runs in float64 slices of at most _PART_BYTES, and
+    acc is reduced mod p whenever the next slice could carry a sum past 2^53.
+    """
+    inner = a.shape[1] if a_cols is None else a_cols.size
+    width = _part_rows(b.shape[1])
+    term = p * (p - 1)
+    step = min(width, (_EXACT - 2 * p) // term)
+    bound = 2 * p
+    for lo in range(0, inner, step):
+        part = slice(lo, lo + step)
+        # p - a is -a mod p, with entries in [1, p], so every term is nonnegative.
+        left = p - (a[:, part] if a_cols is None else a[:, a_cols[part]]).astype(np.float64)
+        right = np.asarray(b[part] if b_rows is None else b[b_rows[part]], dtype=np.float64)
+        if bound + left.shape[1] * term > _EXACT:
+            _mod(acc, p)
+            bound = p
+        bound += left.shape[1] * term
+        for top in range(0, acc.shape[0], width):
+            acc[top:top + width] += left[top:top + width] @ right
+    return _mod(acc, p)
+
+
+def _residues(x, p):
+    """x mod p as a new float array (float32 input stays float32), exact for integer input."""
+    x = np.asarray(x)
+    if x.dtype.kind != "f":
+        x = x.astype(np.int64)
+        return (x - x // p * p).astype(np.float64)
+    return _mod(np.array(x, dtype=np.result_type(x.dtype, np.float32)), p)
+
+
+def _eliminate(m, p):
+    """Reduced echelon form of the rows of m (highest nonzero entry leads).
+
+    Returns the lead columns and the rows with those leads, each 1 at its
+    own lead and 0 at every other lead, in the order found.  The nonzero
+    rows of m go in blocks: one product reduces a block against the rows
+    found so far, Gauss-Jordan elimination inside the block finds its new
+    leads, and one more product clears those leads from the earlier rows.
+    """
+    leads, done = [], []
+    height = _part_rows(m.shape[1])
+    live = np.flatnonzero(m.max(axis=1, initial=0))
+    for top in range(0, live.size, height):
+        work = m[live[top:top + height]]
+        for cols, rows in zip(leads, done):
+            _submul(work, work[:, cols], rows, p)
+        cols, new = [], np.empty((0, m.shape[1]))
+        work = work[work.max(axis=1, initial=0) > 0]
+        while work.shape[0]:
+            c = int(work[0].nonzero()[0][-1])
+            row = _mod(work[0, :c + 1] * pow(int(work[0, c]), -1, p), p)
+            # The row's entries past c are 0, so only columns up to c change.
+            work = work[1:]
+            work[:, :c + 1] -= work[:, c, None] * row
+            _mod(work, p)
+            work = work[work.max(axis=1, initial=0) > 0]
+            new[:, :c + 1] -= new[:, c, None] * row
+            _mod(new, p)
+            new = np.concatenate([new, np.zeros((1, new.shape[1]))])
+            new[-1, :c + 1] = row
+            cols.append(c)
+        if cols:
+            cols = np.array(cols, dtype=np.int64)
+            for rows in done:
+                _submul(rows, rows[:, cols], new, p)
+            leads.append(cols)
+            done.append(new)
+    if not done:
+        return np.empty(0, dtype=np.int64), np.empty((0, m.shape[1]))
+    return np.concatenate(leads), np.concatenate(done)
+
+
 class ModpRowSpace:
-    """Row space over F_p (p odd prime) with dense numpy rows, pivots normalized to 1."""
+    """Row space over F_p in reduced row-echelon form, pivots normalized to 1.
+
+    Basis row i is 1 at ``pivots[i]``, ``coef[i, c]`` at free column
+    ``free[c]`` and 0 elsewhere, for the arrays of :meth:`echelon`.  The
+    coefficients are residues in [0, p) held as float32, and the rows are kept in
+    the order they were found; ``pivots`` and ``rows`` sort them.
+    """
 
     def __init__(self, ncols, p):
+        if not 2 <= p <= MAX_MODULUS:
+            raise ValueError(
+                f"modulus {p} is outside 2..{MAX_MODULUS} (2^24), the range where"
+                " float32 residues and float64 products stay exact"
+            )
         self.ncols = ncols
         self.p = p
-        self._rows = {}
-        self._desc = None
-        self._is_reduced = True
+        self._piv = np.empty(0, dtype=np.int64)
+        self._free = np.arange(ncols, dtype=np.int64)
+        self._coef = np.empty((0, ncols), dtype=np.float32)
 
     @property
     def rank(self):
-        return len(self._rows)
+        return self._piv.size
 
     @property
     def pivots(self):
-        return sorted(self._rows)
+        return np.sort(self._piv).tolist()
 
-    def add(self, row):
-        row = np.asarray(row, dtype=np.int64) % self.p
-        row = self.reduce(row)
-        support = np.nonzero(row)[0]
-        if support.size == 0:
+    def echelon(self):
+        """The basis as (pivot columns, free columns, rank x free coefficient block).
+
+        The arrays are the engine's own; callers must not modify them.
+        """
+        return self._piv, self._free, self._coef
+
+    def doubled(self):
+        """The span of V + V inside 2 * ncols coordinates, with V in both halves.
+
+        Its basis is two copies of this one, the second shifted by ncols, so
+        it is already reduced and needs no elimination.
+        """
+        space = ModpRowSpace(2 * self.ncols, self.p)
+        r, f = self._coef.shape
+        space._piv = np.concatenate([self._piv, self._piv + self.ncols])
+        space._free = np.concatenate([self._free, self._free + self.ncols])
+        space._coef = np.zeros((2 * r, 2 * f), dtype=np.float32)
+        space._coef[:r, :f] = self._coef
+        space._coef[r:, f:] = self._coef
+        return space
+
+    def _residual(self, rows, columns=None, leads=None):
+        """Rows reduced against the basis, as their coefficients at the free columns."""
+        p = self.p
+        piv, free, coef = self._piv, self._free, self._coef
+        if columns is None and leads is None:
+            return _submul(np.asarray(rows[:, free], dtype=np.float64), rows, coef, p, piv)
+        if columns is None:
+            columns = np.arange(self.ncols)
+        # where[c] is j for the pivot of basis row j, and ~m for free column m.
+        where = np.empty(self.ncols, dtype=np.int64)
+        where[piv] = np.arange(piv.size)
+        where[free] = ~np.arange(free.size)
+        at = where[columns]
+        on_piv = at >= 0
+        out = np.zeros((rows.shape[0], free.size))
+        out[:, ~at[~on_piv]] = rows[:, ~on_piv]
+        if leads is not None:
+            lead_at = where[leads]
+            hit = lead_at >= 0
+            out[hit] += p - coef[lead_at[hit]]
+            miss = np.flatnonzero(~hit)
+            out[miss, ~lead_at[miss]] += 1
+        return _submul(out, rows, coef, p, np.flatnonzero(on_piv), at[on_piv])
+
+    def add(self, rows, columns=None, leads=None):
+        """Insert one row or a 2-D batch; returns True if the span grew.
+
+        By default each row has one entry per coordinate.  With ``columns``,
+        entry k of a row is its coefficient at coordinate ``columns[k]`` and
+        every other coordinate is 0; with ``leads``, row i gets 1 more at
+        coordinate ``leads[i]``.
+        """
+        p = self.p
+        rows = _residues(rows, p)
+        if rows.ndim == 1:
+            rows = rows[None, :]
+        new, added = _eliminate(self._residual(rows, columns, leads), p)
+        del rows  # free it before the merge allocates the new block
+        if not new.size:
             return False
-        b = int(support[-1])
-        inv = pow(int(row[b]), -1, self.p)
-        self._rows[b] = (row * inv) % self.p
-        self._desc = None
-        self._is_reduced = False
+        free, old = self._free, self._coef
+        keep = np.ones(free.size, dtype=bool)
+        keep[new] = False
+        added = added[:, keep]
+        r = self.rank
+        coef = np.empty((r + new.size, free.size - new.size), dtype=np.float32)
+        coef[r:] = added
+        # Back-substitute the old rows against the new pivots, a slice at a time.
+        at_new = old[:, new]
+        step = _part_rows(free.size)
+        for top in range(0, r, step):
+            block = np.compress(keep, old[top:top + step], axis=1).astype(np.float64)
+            coef[top:min(top + step, r)] = _submul(block, at_new[top:top + step], added, p)
+        self._piv = np.concatenate([self._piv, free[new]])
+        self._free = free[keep]
+        self._coef = coef
         return True
 
+    def _dense(self, residual):
+        out = np.zeros((residual.shape[0], self.ncols), dtype=np.int64)
+        out[:, self._free] = residual
+        return out
+
     def reduce(self, v):
-        v = np.asarray(v, dtype=np.int64) % self.p
-        if self._desc is None:
-            self._desc = sorted(self._rows, reverse=True)
-        for b in self._desc:
-            c = int(v[b])
-            if c:
-                v = (v - c * self._rows[b]) % self.p
-        return v
+        """The unique representative of v modulo the span that is 0 at every pivot."""
+        return self._dense(self._residual(_residues(v, self.p)[None, :]))[0]
 
     def contains(self, v):
         return not np.any(self.reduce(v))
 
     def reduce_matrix(self, m):
         """Reduce every row of a matrix against the span at once."""
-        m = np.asarray(m, dtype=np.int64) % self.p
-        for b in sorted(self._rows, reverse=True):
-            m = (m - np.outer(m[:, b], self._rows[b])) % self.p
-        return m
-
-    def _back_substitute(self):
-        if self._is_reduced:
-            return
-        pivots = sorted(self._rows, reverse=True)
-        for b in pivots:
-            v = self._rows[b]
-            for b2 in pivots:
-                if b2 < b and v[b2]:
-                    v = (v - int(v[b2]) * self._rows[b2]) % self.p
-            self._rows[b] = v
-        self._is_reduced = True
+        return self._dense(self._residual(_residues(m, self.p)))
 
     def rows(self):
-        """Fully reduced rows as numpy vectors, ascending by pivot."""
-        self._back_substitute()
-        return [self._rows[b] for b in sorted(self._rows)]
+        """Reduced rows as int64 numpy vectors, ascending by pivot."""
+        order = np.argsort(self._piv)
+        out = self._dense(self._coef[order])
+        out[np.arange(order.size), self._piv[order]] = 1
+        return list(out)
 
     def row_vectors(self):
         return [[int(c) for c in r] for r in self.rows()]

@@ -2,7 +2,8 @@
 
 Everything here is written from scratch on plain term dicts, lists and
 tuples: products of term dicts are a full double loop, spans are closed by
-exhaustive enumeration, component spanning sets are built from word
+exhaustive enumeration or echelonized by textbook Gauss-Jordan
+elimination, component spanning sets are built from word
 strings, and structure-constant products are pure-Python triple loops.
 The module imports only the standard library, never the package it
 checks, so an agreement between the two is evidence from an independent
@@ -58,6 +59,34 @@ def span_closure(vectors, p, limit=300000):
             for c in range(p)
         }
     return found
+
+
+def rref_mod_p(vectors, p):
+    """Reduced row-echelon basis of the span of the vectors over F_p, by Gauss-Jordan.
+
+    A row's pivot is its highest nonzero coordinate; each row is 1 at its
+    pivot and every other row is 0 there.  Rows come back as lists of ints,
+    ascending by pivot.
+    """
+    basis = {}
+    for v in vectors:
+        row = [c % p for c in v]
+        for pivot, other in basis.items():
+            c = row[pivot]
+            if c:
+                row = [(a - c * b) % p for a, b in zip(row, other)]
+        support = [i for i, c in enumerate(row) if c]
+        if not support:
+            continue
+        lead = support[-1]
+        inv = pow(row[lead], -1, p)
+        row = [(c * inv) % p for c in row]
+        for pivot, other in basis.items():
+            c = other[lead]
+            if c:
+                basis[pivot] = [(a - c * b) % p for a, b in zip(other, row)]
+        basis[lead] = row
+    return [basis[pivot] for pivot in sorted(basis)]
 
 
 def component_span_vectors(gen_dicts, p, n):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from adjointalg import cli, direct_sum, truncated_polynomial_algebra
+from adjointalg import cli, direct_sum, graded, truncated_polynomial_algebra
 from adjointalg.cli import main
 
 
@@ -107,6 +107,29 @@ def test_hilbert_with_ideal_file(capsys, tmp_path):
     )
     assert code == 0
     assert out == "n,dim,ideal_rank\n1,2,0\n2,3,1\n3,4,4\n"
+
+
+def test_hilbert_refuses_a_modulus_beyond_the_exact_kernel(capsys, tmp_path):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps([[2, "xy"]]))
+    code, out, err = run_cli(
+        capsys, "hilbert", "--p", "4294967311", "--cap", "3", "--ideal-file", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: modulus 4294967311 is outside 2..16777216")
+
+
+def test_hilbert_over_the_memory_ceiling_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps([[2, "xy + 2yx"]]))
+    monkeypatch.setattr(graded, "MAX_BLOCK_BYTES", 0)
+    code, out, err = run_cli(
+        capsys, "hilbert", "--p", "3", "--cap", "4", "--ideal-file", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: degree 3 component needs 48 bytes for its doubled block")
 
 
 def test_hilbert_from_construction(capsys):

@@ -3,14 +3,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adjointalg import (
     NOT_CERTIFIED,
     GradedIdeal,
     HilbertTable,
     ModpRowSpace,
+    ResourceLimitError,
     TruncatedPoly,
     generators_to_json,
+    graded,
     ideal_from_json,
     nilpotency_bound,
     normal_form,
@@ -21,9 +25,9 @@ from adjointalg import (
     zero,
 )
 
-from adjointalg.oracle import component_span_vectors, span_closure
+from adjointalg.oracle import component_span_vectors, rref_mod_p, span_closure
 
-from oracle import seeded_poly
+from oracle import polys, seeded_poly
 
 
 def ideal_of(p, cap, *texts):
@@ -54,6 +58,13 @@ def test_empty_ideal_dimensions():
     table = quotient_dimensions(GradedIdeal(2, 4, []))
     assert table.dims == (2, 4, 8, 16)
     assert all(table.ideal_rank(n) == 0 for n in range(1, 5))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_constant_generator_gives_the_whole_augmentation_ideal(p):
+    ideal = GradedIdeal(p, 4, [one(p, 4)])
+    assert quotient_dimensions(ideal).dims == (0, 0, 0, 0)
+    assert normal_form(parse_poly("1 + x + xy", p, 4), ideal) == one(p, 4)
 
 
 def test_frozen_commutator_ideal_dimensions():
@@ -180,3 +191,59 @@ def test_generators_json_round_trip():
     back = ideal_from_json(3, 4, data)
     assert generators_to_json(back) == data
     assert quotient_dimensions(back).dims == quotient_dimensions(ideal).dims
+
+
+@st.composite
+def small_ideals(draw, p, max_cap=7):
+    """(cap, generator term dicts) of a random homogeneous ideal."""
+    cap = draw(st.integers(1, max_cap))
+    gens = []
+    for _ in range(draw(st.integers(0, 2))):
+        d = draw(st.integers(1, min(cap, 3)))
+        words = draw(st.lists(st.text("xy", min_size=d, max_size=d), min_size=1, max_size=3, unique=True))
+        gens.append({w: draw(st.integers(1, p - 1)) for w in words})
+    return cap, gens
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_component_bases_equal_the_oracle_echelon_form(data):
+    """Every degree's basis is the Gauss-Jordan form of all its sandwich rows u * g * w."""
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    cap, gens = data.draw(small_ideals(p))
+    ideal = GradedIdeal(p, cap, [TruncatedPoly(p, cap, g) for g in gens])
+    for n in range(1, cap + 1):
+        expected = rref_mod_p(component_span_vectors(gens, p, n), p)
+        assert ideal.component_basis(n).row_vectors() == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_normal_form_is_idempotent_linear_and_kills_sandwiches(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    cap, gens = data.draw(small_ideals(p))
+    ideal = GradedIdeal(p, cap, [TruncatedPoly(p, cap, g) for g in gens])
+    a, b = data.draw(polys(p, cap)), data.draw(polys(p, cap))
+    c = data.draw(st.integers(0, p - 1))
+    nf = normal_form(a, ideal)
+    assert normal_form(nf, ideal) == nf
+    assert normal_form(a + c * b, ideal) == nf + c * normal_form(b, ideal)
+    for _, g in ideal.generators:
+        u, w = data.draw(polys(p, cap)), data.draw(polys(p, cap))
+        assert normal_form(u * g * w, ideal).is_zero
+        assert normal_form(a + u * g * w, ideal) == nf
+
+
+def test_resource_guard_refuses_a_component_before_allocating_it(monkeypatch):
+    ideal = ideal_of(3, 6, "xy - yx")
+    ideal.component_basis(4)
+    block = 4 * ideal.component_basis(4).space.echelon()[2].nbytes
+    monkeypatch.setattr(graded, "MAX_BLOCK_BYTES", block - 1)
+
+    def doubled(self):
+        raise AssertionError("the guarded block was allocated")
+
+    monkeypatch.setattr(ModpRowSpace, "doubled", doubled)
+    with pytest.raises(ResourceLimitError, match=rf"degree 5 .* {block} bytes .* {block - 1} bytes"):
+        ideal.component_basis(5)
+    assert issubclass(ResourceLimitError, ValueError)

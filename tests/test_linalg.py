@@ -7,11 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjointalg import Gf2RowSpace, ModpRowSpace, row_space
+from adjointalg import Gf2RowSpace, ModpRowSpace, linalg, row_space
+from adjointalg.linalg import MAX_MODULUS
+from adjointalg.oracle import rref_mod_p
 
 
 def bits_to_vec(r, ncols):
     return [(r >> i) & 1 for i in range(ncols)]
+
+
+def reduce_by(basis, v, p):
+    """v minus the combination of a fully reduced basis that clears its pivots."""
+    for row in basis:
+        c = v[max(i for i, x in enumerate(row) if x)]
+        v = [(a - c * b) % p for a, b in zip(v, row)]
+    return v
 
 
 def vec_to_bits(v):
@@ -149,6 +159,17 @@ def test_modp_reduce_is_coset_invariant():
         assert space.contains((v - rhs) % 5)
 
 
+def test_modp_float_input_is_reduced_exactly():
+    p = 16777213
+    rows = np.array([[p - 1, p - 2, 5], [p - 2, 7, 1]], dtype=np.float32)
+    space, exact = ModpRowSpace(3, p), ModpRowSpace(3, p)
+    space.add(rows)
+    exact.add(rows.astype(np.int64))
+    assert space.row_vectors() == exact.row_vectors()
+    v = np.array([p - 3, p - 4, p - 5], dtype=np.float32)
+    assert space.reduce(v).tolist() == exact.reduce(v.astype(np.int64)).tolist()
+
+
 def test_modp_reduce_matrix_matches_rowwise_reduce():
     rng = np.random.default_rng(17)
     space = ModpRowSpace(14, 3)
@@ -211,3 +232,131 @@ def test_modp_reduce_is_idempotent(rows):
         once = space.reduce(r)
         assert np.array_equal(space.reduce(once), once)
         assert space.contains(r)
+
+
+def test_modp_refuses_moduli_outside_the_exact_range():
+    # (p - 1)^2 overflows int64 here: an int64 engine reduced [p - 3, 5] against
+    # [p - 1, p - 2] to [2147484775, 1125] instead of [2147483650, 0].
+    with pytest.raises(ValueError, match=str(MAX_MODULUS)):
+        ModpRowSpace(2, 4294967311)
+    with pytest.raises(ValueError, match=str(MAX_MODULUS)):
+        ModpRowSpace(2, 1)
+
+
+def test_modp_is_exact_at_the_largest_prime_in_range():
+    p = 16777213  # the largest prime below MAX_MODULUS = 2^24
+    space = ModpRowSpace(2, p)
+    space.add([p - 1, p - 2])
+    lead = (p - 1) * pow(p - 2, -1, p) % p
+    assert space.row_vectors() == [[lead, 1]]
+    assert space.reduce([p - 3, 5]).tolist() == [(p - 3 - 5 * lead) % p, 0]
+    # Near the worst case: 128 products of about 2^48 sum past 2^54, where
+    # float64 integers are 4 apart, unless the product is split.
+    m = 128
+    big = [p - 2 - 2 * (i % 3) for i in range(m)]
+    worst = ModpRowSpace(2 * m, p)
+    worst.add([[big[i]] * m + [int(j == i) for j in range(m)] for i in range(m)])
+    assert worst.reduce([0] * m + [2] * m).tolist() == [-2 * sum(big) % p] * m + [0] * m
+    # Wide batches: every product is split so that its partial sums stay below 2^53.
+    rng = random.Random(p)
+    rows = [[rng.randrange(p) for _ in range(90)] for _ in range(70)]
+    space = ModpRowSpace(90, p)
+    space.add(rows[:40])
+    space.add(rows[40:])
+    basis = rref_mod_p(rows, p)
+    assert space.row_vectors() == basis
+    v = [rng.randrange(p) for _ in range(90)]
+    assert space.reduce(v).tolist() == reduce_by(basis, v, p)
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_modp_sliced_products_and_blocks_match_the_oracle(p, monkeypatch):
+    # Tiny slices: products run in pieces of 32 rows and columns, and a batch
+    # is eliminated in blocks whose new leads are cleared from earlier blocks.
+    monkeypatch.setattr(linalg, "_PART_BYTES", 8)
+    rng = random.Random(p)
+    gens = [[rng.randrange(p) for _ in range(60)] for _ in range(55)]
+    rows = []
+    for _ in range(90):
+        c = [rng.randrange(p) for _ in gens]
+        rows.append([sum(a * g[j] for a, g in zip(c, gens)) % p for j in range(60)])
+    space = ModpRowSpace(60, p)
+    space.add(rows[:5])
+    space.add(rows[5:])
+    basis = rref_mod_p(rows, p)
+    assert space.row_vectors() == basis
+    m = [[rng.randrange(p) for _ in range(60)] for _ in range(40)]
+    assert space.reduce_matrix(m).tolist() == [reduce_by(basis, v, p) for v in m]
+
+
+def _row_lists(p, ncols, max_rows):
+    return st.lists(st.lists(st.integers(0, p - 1), min_size=ncols, max_size=ncols), max_size=max_rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_modp_batch_add_matches_rowwise_add_and_the_oracle(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    ncols = data.draw(st.integers(1, 12))
+    rows = data.draw(_row_lists(p, ncols, 16))
+    cut = data.draw(st.integers(0, len(rows)))
+    batched, rowwise = ModpRowSpace(ncols, p), ModpRowSpace(ncols, p)
+    for part in (rows[:cut], rows[cut:]):
+        if part:
+            rank = batched.rank
+            assert batched.add(part) == (batched.rank > rank)
+    for r in rows:
+        rank = rowwise.rank
+        assert rowwise.add(r) == (rowwise.rank > rank)
+    expected = rref_mod_p(rows, p)
+    assert batched.row_vectors() == rowwise.row_vectors() == expected
+    assert batched.pivots == [max(i for i, c in enumerate(r) if c) for r in expected]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**10 - 1), max_size=20), st.integers(0, 2**10 - 1))
+def test_engines_agree_at_p_equals_two_on_random_rows(rows, v):
+    bitspace, dense = Gf2RowSpace(10), ModpRowSpace(10, 2)
+    for r in rows:
+        assert bitspace.add(r) == dense.add(bits_to_vec(r, 10))
+    assert bitspace.pivots == dense.pivots
+    assert bitspace.row_vectors() == dense.row_vectors()
+    assert bits_to_vec(bitspace.reduce(v), 10) == dense.reduce(bits_to_vec(v, 10)).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_modp_add_on_a_column_subset_matches_the_dense_rows(data):
+    p = data.draw(st.sampled_from([3, 5]))
+    ncols = data.draw(st.integers(2, 10))
+    base = data.draw(_row_lists(p, ncols, 6))
+    order = data.draw(st.permutations(range(ncols)))
+    m = data.draw(st.integers(0, ncols - 1))
+    columns = order[:m]
+    k = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=m, max_size=m), min_size=k, max_size=k))
+    leads = data.draw(st.lists(st.integers(0, ncols - 1), min_size=k, max_size=k))
+    dense = np.zeros((k, ncols), dtype=np.int64)
+    dense[:, columns] = np.array(rows, dtype=np.int64).reshape(k, m)
+    dense[np.arange(k), leads] += 1
+    gathered, plain = ModpRowSpace(ncols, p), ModpRowSpace(ncols, p)
+    for space in (gathered, plain):
+        if base:
+            space.add(base)
+    grew = gathered.add(np.array(rows).reshape(k, m), np.array(columns, dtype=np.int64), np.array(leads))
+    assert grew == plain.add(dense)
+    assert gathered.row_vectors() == plain.row_vectors()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_modp_doubled_is_the_direct_sum(data):
+    p = data.draw(st.sampled_from([3, 5]))
+    ncols = data.draw(st.integers(1, 8))
+    rows = data.draw(_row_lists(p, ncols, 8))
+    space = ModpRowSpace(ncols, p)
+    if rows:
+        space.add(rows)
+    zero = [0] * ncols
+    expected = rref_mod_p([r + zero for r in rows] + [zero + r for r in rows], p)
+    assert space.doubled().row_vectors() == expected
