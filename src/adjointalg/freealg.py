@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from itertools import product
 
+import numpy as np
+
 ALPHABET = "xy"
 _LETTERS = frozenset(ALPHABET)
 
@@ -51,17 +53,55 @@ def words_of_degree(d):
         yield "".join(letters)
 
 
-def word_to_index(word):
-    """Rank of a word among the words of its own degree (x=0, y=1, first letter highest bit)."""
-    i = 0
-    for ch in word:
-        i = (i << 1) | (ch == "y")
-    return i
+def word_indices(words, degree):
+    """Ranks of words of one degree among all words of that degree, as an int64 array.
+
+    x is 0 and y is 1, and the first letter is the highest bit, so the rank
+    of a word is its position in :func:`words_of_degree`.  The letters are
+    packed eight to a byte and the bytes combined, so no per-word or
+    per-letter Python work is done.  Ranks of words longer than 63 letters
+    do not fit in int64 and are refused.
+    """
+    if degree > 63:
+        raise ValueError(f"words of degree {degree} have ranks beyond the int64 range")
+    if degree == 0:
+        return np.zeros(len(words), dtype=np.int64)
+    letters = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
+    packed = np.packbits(letters.reshape(-1, degree) == ord("y"), axis=1)
+    # Unsigned, so that the padding bits of up to 64 packed bits shift out cleanly.
+    out = packed[:, 0].astype(np.uint64)
+    for column in packed.T[1:]:
+        out <<= 8
+        out |= column
+    out >>= 8 * packed.shape[1] - degree
+    return out.view(np.int64)
 
 
-def index_to_word(i, d):
-    """Inverse of :func:`word_to_index` for degree d."""
-    return "".join(ALPHABET[(i >> k) & 1] for k in range(d - 1, -1, -1))
+def index_words(indices, degree):
+    """Inverse of :func:`word_indices`: the words of the given ranks, as a list of strings."""
+    if degree == 0:
+        return [""] * len(indices)
+    nbytes = (degree + 7) // 8
+    big_endian = np.asarray(indices, dtype=">u8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(big_endian[:, 8 - nbytes:], axis=1)[:, 8 * nbytes - degree:]
+    # ord("y") == ord("x") + 1, so a y bit adds one to the letter x.
+    text = (bits + ord("x")).tobytes().decode("ascii")
+    return [text[k:k + degree] for k in range(0, len(text), degree)]
+
+
+def index_mask(indices):
+    """The F_2 row with bits at the given indices, as one integer."""
+    if not len(indices):
+        return 0
+    bits = np.zeros(int(indices.max()) + 1, dtype=bool)
+    bits[indices] = True
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def mask_indices(mask):
+    """Inverse of :func:`index_mask`: the set bits of an integer, ascending, as an int64 array."""
+    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
 
 def term_sort_key(word):
@@ -76,6 +116,13 @@ def _mul_terms(at, bt, p, cap):
     by_degree = {}
     for w, c in bt.items():
         by_degree.setdefault(len(w), []).append((w, c))
+    if len(by_degree) == 1 and len(set(map(len, at))) == 1:
+        # Words of two fixed lengths factor uniquely, so the products wa + wb
+        # are distinct, and p prime keeps every ca * cb nonzero mod p.
+        ((db, terms),) = by_degree.items()
+        if len(next(iter(at))) + db > cap:
+            return {}
+        return {wa + wb: ca * cb % p for wa, ca in at.items() for wb, cb in terms}
     out = {}
     for wa, ca in at.items():
         room = cap - len(wa)
@@ -148,13 +195,13 @@ class TruncatedPoly:
     @property
     def is_homogeneous(self):
         """True for 0 and for elements whose terms all share one degree."""
-        return len({len(w) for w in self._terms}) <= 1
+        return len(set(map(len, self._terms))) <= 1
 
     def max_degree(self):
         """Largest degree with a nonzero term, or None for the zero element."""
         if not self._terms:
             return None
-        return max(len(w) for w in self._terms)
+        return max(map(len, self._terms))
 
     def _check_compatible(self, other):
         if self.p != other.p or self.cap != other.cap:
@@ -259,7 +306,7 @@ def valuation(a):
     """Least degree carrying a nonzero term; INFINITY for the zero element."""
     if not a._terms:
         return INFINITY
-    return min(len(w) for w in a._terms)
+    return min(map(len, a._terms))
 
 
 def homogeneous_part(a, d):
@@ -270,7 +317,14 @@ def homogeneous_part(a, d):
 
 
 def homogeneous_parts(a):
-    """Nonzero homogeneous slices of a as (degree, part) pairs, ascending in degree."""
+    """Nonzero homogeneous slices of a as (degree, part) pairs, ascending in degree.
+
+    A homogeneous a is its own only slice; elements are immutable, so it is
+    returned as it is.
+    """
+    degrees = set(map(len, a._terms))
+    if len(degrees) == 1:
+        return [(degrees.pop(), a)]
     buckets = {}
     for w, c in a._terms.items():
         buckets.setdefault(len(w), {})[w] = c

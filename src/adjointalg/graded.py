@@ -4,12 +4,19 @@ A graded ideal is specified by finitely many homogeneous generators, and
 its degree-n component is spanned by u * g * w over all generators g and
 all word pairs (u, w) with deg u + deg g + deg w = n.  Coordinates at
 degree n are indexed by the 2^n words via
-:func:`adjointalg.freealg.word_to_index` (first letter highest bit), and
+:func:`adjointalg.freealg.word_indices` (first letter highest bit), and
 each component is an echelon engine, built on first use and cached.
 
 Over F_2 a polynomial slice is a single integer bitmask, and the
-component is spanned by those u * g * w rows directly.  For odd p it is
-built from the degree below:
+component is spanned by those u * g * w rows directly.  Term t of g sits
+at bit (u << (deg g + deg w)) | (t << deg w) | w of the sandwich, three
+disjoint fields, so for each generator and right length j one spread
+mask, the OR of 1 << (t << j) over the terms, gives every row as that
+mask shifted left by (u << (deg g + j)) + w: one bignum shift per row.
+Each generator's word indices are encoded once per ideal, when a
+component first needs them.
+
+For odd p the component is built from the degree below:
 I_n = x I_{n-1} + y I_{n-1} + I_{n-1} x + I_{n-1} y + span(generators of degree n).
 The left multiples are two shifted copies of the reduced basis of
 I_{n-1}, already reduced; the right multiples send index j to 2j or
@@ -22,11 +29,15 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+import numpy as np
+
 from .freealg import (
     TruncatedPoly,
     homogeneous_parts,
-    index_to_word,
-    word_to_index,
+    index_mask,
+    index_words,
+    mask_indices,
+    word_indices,
 )
 from .linalg import Gf2RowSpace, ModpRowSpace
 from .text import format_poly, parse_poly
@@ -50,34 +61,22 @@ class ResourceLimitError(ValueError):
 
 
 def encode_part(part, degree):
-    """Coefficient vector of a homogeneous slice, as a bitmask (p=2) or numpy-ready list."""
+    """Coefficient vector of a homogeneous slice, as a bitmask (p=2) or an int64 array."""
+    indices = word_indices(part._terms, degree)
     if part.p == 2:
-        row = 0
-        for w in part._terms:
-            row |= 1 << word_to_index(w)
-        return row
-    vec = [0] * (1 << degree)
-    for w, c in part._terms.items():
-        vec[word_to_index(w)] = c
+        return index_mask(indices)
+    vec = np.zeros(1 << degree, dtype=np.int64)
+    vec[indices] = list(part._terms.values())
     return vec
 
 
 def decode_vector(vec, degree, p, cap):
     """Inverse of :func:`encode_part` for either row representation."""
-    terms = {}
     if p == 2:
-        i = 0
-        v = vec
-        while v:
-            if v & 1:
-                terms[index_to_word(i, degree)] = 1
-            v >>= 1
-            i += 1
-    else:
-        for i, c in enumerate(vec):
-            if c % p:
-                terms[index_to_word(i, degree)] = int(c) % p
-    return TruncatedPoly(p, cap, terms)
+        return TruncatedPoly._raw(p, cap, dict.fromkeys(index_words(mask_indices(vec), degree), 1))
+    vec = np.asarray(vec) % p
+    indices = np.flatnonzero(vec)
+    return TruncatedPoly._raw(p, cap, dict(zip(index_words(indices, degree), vec[indices].tolist())))
 
 
 @dataclass(frozen=True)
@@ -117,6 +116,7 @@ class GradedIdeal:
                 raise ValueError(f"ideal generators must be homogeneous, got {g}")
             gens.append((g.max_degree(), g))
         self.generators = tuple(gens)
+        self._indices = {}
         self._spaces = {}
 
     def _space(self, n):
@@ -130,22 +130,26 @@ class GradedIdeal:
         if space is not None:
             return space
         if self.p == 2:
+            # Encode first, so that the encoder's temporary arrays are gone
+            # before the rows of degree n take their memory.
+            for k, (d, g) in enumerate(self.generators):
+                if d <= n and k not in self._indices:
+                    self._indices[k] = word_indices(g._terms, d)
             space = Gf2RowSpace(1 << n)
-            for d, g in self.generators:
+            add = space.add
+            for k, (d, _) in enumerate(self.generators):
                 sandwich = n - d
                 if sandwich < 0:
                     continue
-                gterms = [word_to_index(w) for w in g._terms]
+                indices = self._indices[k]
                 for i in range(sandwich + 1):
                     j = sandwich - i
-                    shift = d + j
+                    # u * g * w is the spread shifted by (u << (d + j)) + w.
+                    spread = index_mask(indices << j)
                     for u in range(1 << i):
-                        base = u << shift
-                        for w in range(1 << j):
-                            row = 0
-                            for t in gterms:
-                                row |= 1 << (base | (t << j) | w)
-                            space.add(row)
+                        base = u << (d + j)
+                        for shift in range(base, base + (1 << j)):
+                            add(spread << shift)
             log.debug("degree %d component: rank %d of %d", n, space.rank, 1 << n)
             self._spaces[n] = space
             return space

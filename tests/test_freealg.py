@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from adjointalg import (
     words_of_degree,
     zero,
 )
-from adjointalg.freealg import index_to_word, word_to_index
+from adjointalg.freealg import index_mask, index_words, mask_indices, word_indices
 from adjointalg.oracle import naive_mul
 
 from oracle import polys, seeded_poly
@@ -127,6 +128,9 @@ def test_homogeneous_parts_reassemble(a):
         assert part == homogeneous_part(a, d)
         degrees.append(d)
         total = total + part
+        # a homogeneous element is its own only slice, returned as it is
+        ((degree, same),) = homogeneous_parts(part)
+        assert degree == d and same is part
     assert degrees == sorted(set(degrees))
     assert total == a
 
@@ -185,13 +189,56 @@ def test_ring_identities(a, b, c):
 
 
 def test_word_index_round_trip():
-    for d in range(5):
+    """Word ranks in numpy agree with the order of words_of_degree, both ways."""
+    rng = np.random.default_rng(3)
+    for d in (0, 1, 7, 8, 9, 16, 17):
         words = list(words_of_degree(d))
         assert len(words) == 2**d
         assert words == sorted(words)
-        for i, w in enumerate(words):
-            assert word_to_index(w) == i
-            assert index_to_word(i, d) == w
+        ranks = word_indices(words, d)
+        assert ranks.dtype == np.int64
+        assert np.array_equal(ranks, np.arange(2**d))
+        assert index_words(ranks, d) == words
+        picked = np.unique(rng.integers(0, 2**d, size=min(2**d, 50)))
+        assert index_words(picked, d) == [words[i] for i in picked]
+        assert np.array_equal(word_indices([words[i] for i in picked], d), picked)
+        mask = index_mask(picked)
+        assert mask == sum(1 << int(i) for i in picked)
+        assert np.array_equal(mask_indices(mask), picked)
+    assert index_mask(np.empty(0, dtype=np.int64)) == 0
+    assert mask_indices(0).size == 0
+    assert word_indices(["y" * 63, "x" * 62 + "y"], 63).tolist() == [2**63 - 1, 1]
+    with pytest.raises(ValueError, match="int64"):
+        word_indices(["x" * 64], 64)
+
+
+@st.composite
+def homogeneous_pair(draw, cap=6):
+    """(p, a, b) with a, b homogeneous of degrees whose sum is either within the cap or past it."""
+    p = draw(st.sampled_from([2, 3]))
+    da = draw(st.integers(0, cap))
+    if da and draw(st.booleans()):
+        db = draw(st.integers(cap - da + 1, cap))
+    else:
+        db = draw(st.integers(0, cap - da))
+
+    def homogeneous(d):
+        words = st.lists(st.text("xy", min_size=d, max_size=d), min_size=1, max_size=4, unique=True)
+        return TruncatedPoly(p, cap, {w: draw(st.integers(1, p - 1)) for w in draw(words)})
+
+    return p, homogeneous(da), homogeneous(db)
+
+
+@settings(max_examples=80)
+@given(homogeneous_pair())
+def test_homogeneous_products_match_naive_oracle(pab):
+    """Homogeneous operands, including monomials and degree-0 ones, multiply as the oracle does."""
+    p, a, b = pab
+    cap = a.cap
+    m = monomial(next(iter(b.terms)), p, cap)
+    c = (p - 1) * one(p, cap)
+    for left, right in ((a, b), (b, a), (a, m), (m, a), (a, c), (c, a), (m, m)):
+        assert (left * right).terms == naive_mul(left.terms, right.terms, p, cap)
 
 
 def test_prime_power_circle_identity():

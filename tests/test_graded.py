@@ -15,6 +15,7 @@ from adjointalg import (
     TruncatedPoly,
     generators_to_json,
     graded,
+    homogeneous_part,
     ideal_from_json,
     nilpotency_bound,
     normal_form,
@@ -232,6 +233,35 @@ def test_normal_form_is_idempotent_linear_and_kills_sandwiches(data):
         u, w = data.draw(polys(p, cap)), data.draw(polys(p, cap))
         assert normal_form(u * g * w, ideal).is_zero
         assert normal_form(a + u * g * w, ideal) == nf
+
+
+@pytest.mark.parametrize("degree", [1, 7, 8, 9, 16, 17])
+def test_gf2_decode_matches_a_bit_by_bit_reference(degree):
+    rng = random.Random(degree)
+    for vec in (0, rng.getrandbits(1 << degree), 1 << ((1 << degree) - 1)):
+        # bit i of vec is the word whose x/y letters spell i in binary, first letter highest
+        bits = format(vec, "b")[::-1]
+        expected = {
+            format(i, f"0{degree}b").replace("0", "x").replace("1", "y"): 1
+            for i, bit in enumerate(bits)
+            if bit == "1" and vec
+        }
+        poly = graded.decode_vector(vec, degree, 2, 17)
+        assert poly.terms == expected
+        assert graded.encode_part(poly, degree) == vec
+
+
+def test_gf2_component_bases_across_byte_boundaries_equal_the_oracle():
+    """Degree-8 and degree-3 generators up to cap 9: word and row widths cross multiples of 8."""
+    cap = 9
+    rng = random.Random(11)
+    cubic = homogeneous_part(seeded_poly(rng, 2, cap, max_degree=3, max_terms=8), 3)
+    gens = [((variable("x", 2, cap) + variable("y", 2, cap)) ** 8).terms, cubic.terms]
+    assert len(gens[0]) == 256 and len(gens[1]) > 1
+    ideal = GradedIdeal(2, cap, [TruncatedPoly(2, cap, g) for g in gens])
+    for n in range(1, cap + 1):
+        expected = rref_mod_p(component_span_vectors(gens, 2, n), 2)
+        assert ideal.component_basis(n).row_vectors() == expected
 
 
 def test_resource_guard_refuses_a_component_before_allocating_it(monkeypatch):
