@@ -36,7 +36,6 @@ from .factorization import (
 )
 from .graded import (
     NOT_CERTIFIED,
-    DegreeBasis,
     GradedIdeal,
     HilbertTable,
     ResourceLimitError,

@@ -10,7 +10,10 @@ collects the q-th powers h^q of one representative h per projective
 equivalence class of homogeneous elements, where q = p^alpha is the
 smallest p-th power with p^alpha >= 7; by the binomial theorem mod p these
 powers are exactly the q-th circle powers, so every homogeneous class is
-torsion of exponent dividing q in the quotient's adjoint group.
+torsion of exponent dividing q in the quotient's adjoint group.  The same
+identity, (1 + h)^(p^t) - 1 = h^(p^t), lets the torsion certificate test
+each class by plain powers of h: homogeneous products only, never the
+mixed-degree expansion of (1 + h)^(p^t).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice, product
 
 from .factorization import factor_to_valuation, trace_to_json
-from .freealg import TruncatedPoly, circle_pow, homogeneous_parts, words_of_degree
+from .freealg import TruncatedPoly, homogeneous_parts, words_of_degree
 from .graded import GradedIdeal, normal_form
 from .series import GeneratorCensus, tail_bound_census
 from .text import format_poly
@@ -188,7 +191,12 @@ def torsion_certificate(state, ideal=None):
 
     For each representative h with q*d <= cap the q-th circle power lies in
     J by construction, so every order divides q = p^alpha; the certificate
-    records the exact p-power order found.
+    records the exact p-power order found.  In characteristic p, 1 commutes
+    with h and the binomial coefficients C(p, i) with 0 < i < p vanish, so
+    the p^t-th circle power (1 + h)^(p^t) - 1 is h^(p^t).  The orders are
+    therefore read off the chain h, h^p, h^(p^2), ..., each link the p-th
+    power of the one before, and the chain stops at the first link in the
+    ideal.
     """
     if ideal is None:
         ideal = combined_ideal(state)
@@ -199,8 +207,11 @@ def torsion_certificate(state, ideal=None):
     for d in range(1, state.cap // q + 1):
         for h in projective_class_reps(state.p, d, state.cap):
             order = None
+            power = h
             for t in range(state.alpha + 1):
-                if normal_form(circle_pow(h, state.p**t), ideal).is_zero:
+                if t:
+                    power = power**state.p
+                if normal_form(power, ideal).is_zero:
                     order = state.p**t
                     break
             entries.append(

@@ -110,15 +110,30 @@ def term_sort_key(word):
 
 
 def _mul_terms(at, bt, p, cap):
-    """Multiply two term dicts, discarding products beyond the cap."""
+    """Multiply two term dicts, discarding products beyond the cap.
+
+    p prime keeps every product ca * cb of nonzero residues nonzero mod p,
+    so wherever the words wa + wb are known to be distinct the result is
+    one dict comprehension with nothing to cancel.
+    """
     if not at or not bt:
         return {}
+    # A fixed word on one side makes the products distinct whatever the other
+    # side's degrees.  These branches keep names of their own: a name read
+    # inside a comprehension becomes a cell variable, slower in the loop below.
+    if len(at) == 1:
+        ((word, coeff),) = at.items()
+        top = cap - len(word)
+        return {word + w: coeff * c % p for w, c in bt.items() if len(w) <= top}
+    if len(bt) == 1:
+        ((word, coeff),) = bt.items()
+        top = cap - len(word)
+        return {w + word: c * coeff % p for w, c in at.items() if len(w) <= top}
     by_degree = {}
     for w, c in bt.items():
         by_degree.setdefault(len(w), []).append((w, c))
     if len(by_degree) == 1 and len(set(map(len, at))) == 1:
-        # Words of two fixed lengths factor uniquely, so the products wa + wb
-        # are distinct, and p prime keeps every ca * cb nonzero mod p.
+        # Words of two fixed lengths factor uniquely, so the products wa + wb are distinct.
         ((db, terms),) = by_degree.items()
         if len(next(iter(at))) + db > cap:
             return {}
@@ -253,14 +268,18 @@ class TruncatedPoly:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {k}")
-        result = one(self.p, self.cap)
+        if k == 0:
+            return one(self.p, self.cap)
+        # Square only up to the top bit of k: one more square is never used.
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedPoly):

@@ -79,24 +79,6 @@ def decode_vector(vec, degree, p, cap):
     return TruncatedPoly._raw(p, cap, dict(zip(index_words(indices, degree), vec[indices].tolist())))
 
 
-@dataclass(frozen=True)
-class DegreeBasis:
-    """Echelonized basis of one degree component of an ideal."""
-
-    degree: int
-    space: object
-
-    @property
-    def rank(self):
-        return self.space.rank
-
-    def row_vectors(self):
-        return self.space.row_vectors()
-
-    def row_polys(self, p, cap):
-        return [decode_vector(r, self.degree, p, cap) for r in self.space.rows()]
-
-
 class GradedIdeal:
     """Two-sided ideal generated by homogeneous elements, with cached degree bases."""
 
@@ -180,10 +162,15 @@ class GradedIdeal:
         return space
 
     def component_basis(self, n):
-        """Echelonized basis of the degree-n component (1 <= n <= cap)."""
+        """The echelon engine of the degree-n component (1 <= n <= cap).
+
+        Its ``rank``, ``rows()`` and ``row_vectors()`` give the basis; turn a
+        row back into a polynomial with :func:`decode_vector`.  The engine is
+        the ideal's own cache: callers must not add rows to it.
+        """
         if not 1 <= n <= self.cap:
             raise ValueError(f"degree {n} outside 1..{self.cap}")
-        return DegreeBasis(n, self._space(n))
+        return self._space(n)
 
 
 @dataclass(frozen=True)

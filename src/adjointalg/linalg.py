@@ -4,8 +4,9 @@ Two implementations share one interface, and both key each basis row by
 its pivot, the highest nonzero coordinate.  :class:`Gf2RowSpace` packs
 each row into a single Python integer, coordinate i living at bit i, so
 row reduction is bignum XOR (the kernel for the large degree components
-over F_2); it keeps a forward echelon basis and reduces it fully only
-when rows are exported.  :class:`ModpRowSpace` always holds its span in
+over F_2); it keeps a forward echelon basis, reduces a vector by
+walking a bitmask of its pivots, and back-substitutes the basis only when
+rows are exported.  :class:`ModpRowSpace` always holds its span in
 reduced row-echelon form, stored compactly as the pivot columns, the free
 columns and the rank x free block of coefficients.  Reducing a batch of
 rows against it is one matrix product on the free block; inserting a
@@ -20,14 +21,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from .freealg import index_mask
+
 
 class Gf2RowSpace:
-    """Row space over F_2 with integers as rows (bit i = coordinate i)."""
+    """Row space over F_2 with integers as rows (bit i = coordinate i).
+
+    Reduction walks a bitmask of the pivots: the highest pivot set in v
+    picks the next row to XOR in.  :meth:`add` only drops the mask, and the
+    first reduction after a change builds it again: a component takes all
+    its rows before it reduces anything.
+    """
 
     def __init__(self, ncols):
         self.ncols = ncols
         self._rows = {}
-        self._desc = None
+        self._mask = 0
         self._is_reduced = True
 
     @property
@@ -46,7 +55,7 @@ class Gf2RowSpace:
             other = rows.get(b)
             if other is None:
                 rows[b] = row
-                self._desc = None
+                self._mask = None
                 self._is_reduced = False
                 return True
             row ^= other
@@ -54,11 +63,14 @@ class Gf2RowSpace:
 
     def reduce(self, v):
         """The unique representative of v modulo the span with no pivot coordinate set."""
-        if self._desc is None:
-            self._desc = sorted(self._rows, reverse=True)
-        for b in self._desc:
-            if (v >> b) & 1:
-                v ^= self._rows[b]
+        rows, mask = self._rows, self._mask
+        if mask is None:
+            mask = self._mask = index_mask(np.fromiter(rows, dtype=np.int64, count=len(rows)))
+        # Each XOR clears the highest pivot set and changes only lower bits.
+        hit = v & mask
+        while hit:
+            v ^= rows[hit.bit_length() - 1]
+            hit = v & mask
         return v
 
     def contains(self, v):
@@ -67,13 +79,12 @@ class Gf2RowSpace:
     def _back_substitute(self):
         if self._is_reduced:
             return
-        pivots = sorted(self._rows, reverse=True)
-        for b in pivots:
-            v = self._rows[b]
-            for b2 in pivots:
-                if b2 < b and (v >> b2) & 1:
-                    v ^= self._rows[b2]
-            self._rows[b] = v
+        rows = self._rows
+        # Below its own pivot b a row only meets the pivots under b; ascending
+        # order reduces against rows that are already reduced, one XOR per hit.
+        for b in sorted(rows):
+            lead = 1 << b
+            rows[b] = self.reduce(rows[b] ^ lead) | lead
         self._is_reduced = True
 
     def rows(self):

@@ -14,12 +14,14 @@ from adjointalg import (
     enumerate_aplus,
     format_poly,
     manifest,
+    normal_form,
     projective_class_count,
     projective_class_reps,
     run_construction,
     torsion_certificate,
     torsion_exponent,
 )
+from adjointalg import construction, freealg
 from adjointalg.construction import MIN_RELATION_DEGREE, element_stream
 
 
@@ -178,6 +180,29 @@ def test_torsion_certificate_orders():
     assert [e["order"] for e in cert["classes"]] == [8, 8, 8]
     assert cert["ok"]
     assert [e["element"] for e in cert["classes"]] == ["x", "y", "x + y"]
+
+
+@pytest.mark.parametrize("p,cap,classes", [(2, 16, 18), (3, 14, 4)])
+def test_torsion_certificate_orders_equal_the_circle_power_route(monkeypatch, p, cap, classes):
+    """The certificate's power chain gives the orders that expanding (1 + h)^(p^t) - 1 gives."""
+    state = run_construction(p, cap, 100)
+    ideal = combined_ideal(state)
+    expected = []
+    for d in range(1, cap // p**state.alpha + 1):
+        for h in projective_class_reps(p, d, cap):
+            orders = [p**t for t in range(state.alpha + 1)
+                      if normal_form(freealg.circle_pow(h, p**t), ideal).is_zero]
+            expected.append(orders[0] if orders else None)
+    assert len(expected) == classes
+
+    def refuse(*args):
+        raise AssertionError("the certificate expanded a circle power")
+
+    monkeypatch.setattr(freealg, "circle_pow", refuse)
+    monkeypatch.setattr(construction, "circle_pow", refuse, raising=False)
+    cert = torsion_certificate(state, ideal)
+    assert [e["order"] for e in cert["classes"]] == expected
+    assert cert["ok"]
 
 
 def test_torsion_certificate_rejects_foreign_ideal():

@@ -241,6 +241,44 @@ def test_homogeneous_products_match_naive_oracle(pab):
         assert (left * right).terms == naive_mul(left.terms, right.terms, p, cap)
 
 
+@st.composite
+def power_bases(draw, cap=5):
+    """A homogeneous or mixed-degree element over p in {2, 3, 5}, the empty word allowed."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    if draw(st.booleans()):
+        d = draw(st.integers(0, cap))
+        words = st.lists(st.text("xy", min_size=d, max_size=d), min_size=1, max_size=4, unique=True)
+    else:
+        words = st.lists(st.text("xy", max_size=cap), min_size=2, max_size=5, unique=True)
+    return TruncatedPoly(p, cap, {w: draw(st.integers(1, p - 1)) for w in draw(words)})
+
+
+@settings(max_examples=80)
+@given(power_bases())
+def test_powers_match_repeated_naive_products(a):
+    """a ** k for k = 0 .. cap + 2, past the cap too, equals k oracle products from 1."""
+    p, cap = a.p, a.cap
+    assert a**0 == one(p, cap)
+    expected = {"": 1}
+    for k in range(1, cap + 3):
+        expected = naive_mul(expected, a.terms, p, cap)
+        assert (a**k).terms == expected
+
+
+@settings(max_examples=80)
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_one_term_products_match_naive_oracle(p, data):
+    """A single term on either side, with any coefficient and the empty word among them."""
+    cap = 6
+    word = data.draw(st.text("xy", max_size=cap))
+    single = monomial(word, p, cap, data.draw(st.integers(1, p - 1)))
+    # A word of every degree 0..cap, so the products straddle the cap for every nonempty word.
+    ladder = TruncatedPoly(p, cap, {"xy"[d % 2] * d: 1 + d % (p - 1) for d in range(cap + 1)})
+    other = data.draw(polys(p=p, cap=cap)) + ladder
+    for left, right in ((single, other), (other, single), (single, single)):
+        assert (left * right).terms == naive_mul(left.terms, right.terms, p, cap)
+
+
 def test_prime_power_circle_identity():
     rng = random.Random(7)
     for p in (2, 3):
