@@ -7,21 +7,15 @@ degree n are indexed by the 2^n words via
 :func:`adjointalg.freealg.word_indices` (first letter highest bit), and
 each component is an echelon engine, built on first use and cached.
 
-Over F_2 a polynomial slice is a single integer bitmask, and the
-component is spanned by those u * g * w rows directly.  Term t of g sits
-at bit (u << (deg g + deg w)) | (t << deg w) | w of the sandwich, three
-disjoint fields, so for each generator and right length j one spread
-mask, the OR of 1 << (t << j) over the terms, gives every row as that
-mask shifted left by (u << (deg g + j)) + w: one bignum shift per row.
-Each generator's word indices are encoded once per ideal, when a
-component first needs them.
-
-For odd p the component is built from the degree below:
-I_n = x I_{n-1} + y I_{n-1} + I_{n-1} x + I_{n-1} y + span(generators of degree n).
-The left multiples are two shifted copies of the reduced basis of
-I_{n-1}, already reduced; the right multiples send index j to 2j or
-2j + 1 and are reduced against them in a batch, then the generators are
-added.  :data:`MAX_BLOCK_BYTES` bounds the arrays one degree needs.
+For every p a component is grown from the one below.  Let
+L_n = x I_{n-1} + y I_{n-1} and let N_n be the rows that entered I_n beyond
+L_n, so I_n = L_n + span(N_n).  As I_{n-1} x lies in I_n, L_n x lies in
+x I_n + y I_n, so I_{n+1} = x I_n + y I_n + N_n x + N_n y + span(generators
+of degree n + 1): only new rows need right multiples, as in degree-by-degree
+noncommutative Groebner bases, where only new leading words make new
+overlaps (Mora, 1986; La Scala and Levandovskyy, JSC 2009).  The engines'
+``grown()`` builds the first four terms (:mod:`adjointalg.linalg`), and
+:data:`MAX_BLOCK_BYTES` bounds the arrays one odd-p degree needs.
 """
 
 from __future__ import annotations
@@ -39,7 +33,7 @@ from .freealg import (
     mask_indices,
     word_indices,
 )
-from .linalg import Gf2RowSpace, ModpRowSpace
+from .linalg import row_space
 from .text import format_poly, parse_poly
 
 log = logging.getLogger(__name__)
@@ -49,10 +43,10 @@ NOT_CERTIFIED = None
 
 #: Ceiling on the bytes of the largest arrays built for one odd-p degree
 #: component.  For rank r and f free columns at degree n - 1, degree n starts
-#: from the doubled block (2r x 2f float32) and reduces each half of the right
-#: multiples to a residual (r x 2f float64); both take 4x the bytes of the
-#: degree n - 1 block, and the peak while building degree n is about three
-#: times that.
+#: from the doubled block (2r x 2f float32), 4x the bytes of the degree n - 1
+#: block, and reduces each half of the right multiples of the k new rows to a
+#: residual (k x 2f float64); the peak while building degree n is at most
+#: about three times the doubled block.
 MAX_BLOCK_BYTES = 1 << 27
 
 
@@ -98,62 +92,26 @@ class GradedIdeal:
                 raise ValueError(f"ideal generators must be homogeneous, got {g}")
             gens.append((g.max_degree(), g))
         self.generators = tuple(gens)
-        self._indices = {}
         self._spaces = {}
 
     def _space(self, n):
-        """The echelon engine for the degree-n component, built on first use.
-
-        Over F_2 it is spanned by the sandwiches u * g * w.  For odd p it is
-        built from the degree below (built too if missing), as
-        I_n = x I_{n-1} + y I_{n-1} + I_{n-1} x + I_{n-1} y + span(generators of degree n).
-        """
+        """The echelon engine of degree n, grown on first use from the degrees below."""
         space = self._spaces.get(n)
         if space is not None:
-            return space
-        if self.p == 2:
-            # Encode first, so that the encoder's temporary arrays are gone
-            # before the rows of degree n take their memory.
-            for k, (d, g) in enumerate(self.generators):
-                if d <= n and k not in self._indices:
-                    self._indices[k] = word_indices(g._terms, d)
-            space = Gf2RowSpace(1 << n)
-            add = space.add
-            for k, (d, _) in enumerate(self.generators):
-                sandwich = n - d
-                if sandwich < 0:
-                    continue
-                indices = self._indices[k]
-                for i in range(sandwich + 1):
-                    j = sandwich - i
-                    # u * g * w is the spread shifted by (u << (d + j)) + w.
-                    spread = index_mask(indices << j)
-                    for u in range(1 << i):
-                        base = u << (d + j)
-                        for shift in range(base, base + (1 << j)):
-                            add(spread << shift)
-            log.debug("degree %d component: rank %d of %d", n, space.rank, 1 << n)
-            self._spaces[n] = space
             return space
         low = max((d for d in self._spaces if d < n), default=-1)
         space = self._spaces.get(low)
         for m in range(low + 1, n + 1):
             if space is None:
-                space = ModpRowSpace(1, self.p)
+                space = row_space(1, self.p)
             else:
-                piv, free, coef = space.echelon()
-                block = 4 * coef.nbytes
+                block = 0 if self.p == 2 else 4 * space.echelon()[2].nbytes
                 if block > MAX_BLOCK_BYTES:
                     raise ResourceLimitError(
                         f"degree {m} component needs {block} bytes for its doubled"
                         f" block, over the limit of {MAX_BLOCK_BYTES} bytes"
                     )
-                # x * I_{m-1} keeps a word's index and y * I_{m-1} adds 2^(m-1); a
-                # right factor appends a bit: index j goes to 2j (x) or 2j + 1 (y).
-                space = space.doubled()
-                if piv.size:
-                    for bit in (0, 1):
-                        space.add(coef, 2 * free + bit, 2 * piv + bit)
+                space = space.grown()
             gens = [encode_part(g, m) for d, g in self.generators if d == m]
             if gens:
                 space.add(gens)

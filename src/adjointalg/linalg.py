@@ -15,6 +15,16 @@ back-substitutes the old rows against the new pivots with one more
 product.  Coefficients are stored as float32 and products run as float64
 BLAS calls, split along the inner dimension so that every partial sum
 stays an exact integer below 2^53; both are exact for p up to 2^24.
+
+Both engines grow by one degree with ``grown()``.  Coordinate j stands
+for the word of index j (first letter highest bit), and the result spans
+x V + y V + N x + N y in 2 * ncols coordinates, N being the rows added
+since this engine was grown (all rows of a fresh engine).  The left
+multiples are two copies of the basis, the second shifted by ncols: their
+pivots are disjoint, so they need no elimination.  A right factor sends
+index j to 2j (x) or 2j + 1 (y).  Rows stay in insertion order and
+reduction only adds other rows to a row, so the rows after the left
+multiples still span the space modulo them.
 """
 
 from __future__ import annotations
@@ -22,6 +32,9 @@ from __future__ import annotations
 import numpy as np
 
 from .freealg import index_mask
+
+#: Byte b with bit i moved to bit 2i, as little-endian 16 bits.
+_SPREAD = np.array([sum((b >> i & 1) << 2 * i for i in range(8)) for b in range(256)], dtype="<u2")
 
 
 class Gf2RowSpace:
@@ -38,6 +51,7 @@ class Gf2RowSpace:
         self._rows = {}
         self._mask = 0
         self._is_reduced = True
+        self._inherited = 0
 
     @property
     def rank(self):
@@ -48,7 +62,9 @@ class Gf2RowSpace:
         return sorted(self._rows)
 
     def add(self, row):
-        """Insert one row; returns True if it enlarged the span."""
+        """Insert one row, or each row of a list; returns True if the span grew."""
+        if isinstance(row, list):
+            return any([self.add(r) for r in row])
         rows = self._rows
         while row:
             b = row.bit_length() - 1
@@ -60,6 +76,21 @@ class Gf2RowSpace:
                 return True
             row ^= other
         return False
+
+    def grown(self):
+        """The engine one degree up, x V + y V + N x + N y (see the module docstring)."""
+        n, rows, width = self.ncols, self._rows, (self.ncols + 7) // 8
+        space = Gf2RowSpace(2 * n)
+        space._rows = {**rows, **{b + n: r << n for b, r in rows.items()}}
+        space._mask, space._is_reduced, space._inherited = None, self._is_reduced, 2 * len(rows)
+        # Spread the new rows' bytes in one lookup; a y multiple is the x one shifted by 1.
+        new = b"".join(r.to_bytes(width, "little") for r in list(rows.values())[self._inherited:])
+        spread = _SPREAD[np.frombuffer(new, dtype=np.uint8)].tobytes()
+        for top in range(0, len(spread), 2 * width):
+            row = int.from_bytes(spread[top:top + 2 * width], "little")
+            space.add(row)
+            space.add(row << 1)
+        return space
 
     def reduce(self, v):
         """The unique representative of v modulo the span with no pivot coordinate set."""
@@ -232,6 +263,7 @@ class ModpRowSpace:
         self._piv = np.empty(0, dtype=np.int64)
         self._free = np.arange(ncols, dtype=np.int64)
         self._coef = np.empty((0, ncols), dtype=np.float32)
+        self._inherited = 0
 
     @property
     def rank(self):
@@ -249,11 +281,7 @@ class ModpRowSpace:
         return self._piv, self._free, self._coef
 
     def doubled(self):
-        """The span of V + V inside 2 * ncols coordinates, with V in both halves.
-
-        Its basis is two copies of this one, the second shifted by ncols, so
-        it is already reduced and needs no elimination.
-        """
+        """x V + y V in 2 * ncols coordinates, already reduced (see the module docstring)."""
         space = ModpRowSpace(2 * self.ncols, self.p)
         r, f = self._coef.shape
         space._piv = np.concatenate([self._piv, self._piv + self.ncols])
@@ -261,6 +289,16 @@ class ModpRowSpace:
         space._coef = np.zeros((2 * r, 2 * f), dtype=np.float32)
         space._coef[:r, :f] = self._coef
         space._coef[r:, f:] = self._coef
+        return space
+
+    def grown(self):
+        """The engine one degree up, x V + y V + N x + N y (see the module docstring)."""
+        k, piv, free, coef = self._inherited, self._piv, self._free, self._coef
+        space = self.doubled()
+        space._inherited = space.rank
+        if piv.size > k:
+            for bit in (0, 1):
+                space.add(coef[k:], 2 * free + bit, 2 * piv[k:] + bit)
         return space
 
     def _residual(self, rows, columns=None, leads=None):

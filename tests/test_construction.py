@@ -17,6 +17,7 @@ from adjointalg import (
     normal_form,
     projective_class_count,
     projective_class_reps,
+    quotient_dimensions,
     run_construction,
     torsion_certificate,
     torsion_exponent,
@@ -164,6 +165,12 @@ def test_frozen_reference_run():
     assert len(set(degrees)) == len(degrees)
     assert all(d >= MIN_RELATION_DEGREE for d in degrees)
     assert census_from_state(state).count_dict() == {8: 3, 14: 1, 15: 1, 16: 16}
+
+
+def test_construction_ideal_dimensions_through_degree_15():
+    """Quotient dims of the plain cap-15 construction: the benchmark's frozen cap-17 table, cut at 15."""
+    dims = quotient_dimensions(combined_ideal(run_construction(2, 15, 100))).dims
+    assert dims == (2, 4, 8, 16, 32, 64, 128, 253, 503, 1000, 1988, 3952, 7856, 15616, 31040)
 
 
 def test_runs_are_deterministic():

@@ -56,6 +56,16 @@ def test_gf2_rank_and_membership():
     assert not space.contains(0b0111)
 
 
+def test_both_engines_add_a_list_of_rows():
+    gf2, dense = Gf2RowSpace(4), ModpRowSpace(4, 2)
+    assert gf2.add([0b0011, 0b0110, 0b0101]) is True
+    assert dense.add([bits_to_vec(r, 4) for r in (0b0011, 0b0110, 0b0101)]) is True
+    assert gf2.rank == dense.rank == 2
+    assert gf2.add([0b0101, 0b1000]) is True  # only the last row is new
+    assert gf2.add([0b1101]) is False
+    assert gf2.rank == 3
+
+
 def test_modp_rank_and_membership():
     space = ModpRowSpace(3, 5)
     assert space.add([1, 2, 0]) is True
@@ -360,3 +370,77 @@ def test_modp_doubled_is_the_direct_sum(data):
     zero = [0] * ncols
     expected = rref_mod_p([r + zero for r in rows] + [zero + r for r in rows], p)
     assert space.doubled().row_vectors() == expected
+
+
+def _naive_grown(left, right, ncols):
+    """Spanning vectors of x V + y V + N x + N y, V spanned by left and N by right.
+
+    Coordinate j is the word of index j (first letter highest bit): x w keeps
+    the index, y w adds ncols, and w x, w y go to 2j and 2j + 1.
+    """
+    zero = [0] * ncols
+    shifted = [r + zero for r in left] + [zero + r for r in left]
+    multiples = []
+    for r in right:
+        for bit in (0, 1):
+            v = [0] * (2 * ncols)
+            v[bit::2] = r
+            multiples.append(v)
+    return shifted + multiples, multiples
+
+
+def _grow_twice(engines, first, extra, p, export):
+    """Grow fresh engines, add more rows, grow again; yield each level's rows and the oracle's."""
+    ncols = len(first[0])
+    for space in engines:
+        for r in first:
+            space.add(r)
+    spanning, multiples = _naive_grown(first, first, ncols)
+    if export:
+        for space in engines:
+            space.rows()  # back-substitute before growing
+    engines = [space.grown() for space in engines]
+    yield [space.row_vectors() for space in engines], rref_mod_p(spanning, p)
+    for space in engines:
+        for r in extra:
+            space.add(r)
+        if export:
+            space.rows()
+    spanning, _ = _naive_grown(spanning + extra, multiples + extra, 2 * ncols)
+    yield [space.grown().row_vectors() for space in engines], rref_mod_p(spanning, p)
+
+
+@pytest.mark.parametrize("export", [False, True])
+@pytest.mark.parametrize("ncols", [1, 4, 8, 12, 16, 256, 512])
+def test_gf2_grown_matches_the_dense_engine_and_the_naive_span(ncols, export):
+    """Row widths cross byte boundaries; the second growth reads only the rows added after the first."""
+    rng = random.Random(ncols)
+    count = min(ncols, 4)
+    first = [rng.getrandbits(ncols) | 1 << rng.randrange(ncols) for _ in range(count)]
+    first = [bits_to_vec(r, ncols) for r in first + [first[0] ^ first[-1]]]  # the last is dependent
+    extra = [bits_to_vec(rng.getrandbits(2 * ncols) & rng.getrandbits(2 * ncols), 2 * ncols) for _ in range(3)]
+
+    class Bits(Gf2RowSpace):
+        def add(self, row):
+            return super().add(row if isinstance(row, int) else vec_to_bits(row))
+
+        def grown(self):
+            space = super().grown()
+            space.__class__ = Bits
+            return space
+
+    levels = _grow_twice([Bits(ncols), ModpRowSpace(ncols, 2)], first, extra, 2, export)
+    for (gf2, dense), expected in levels:
+        assert gf2 == dense == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_modp_grown_matches_the_naive_span(data):
+    p = data.draw(st.sampled_from([3, 5]))
+    ncols = data.draw(st.integers(1, 8))
+    first = data.draw(_row_lists(p, ncols, 5).filter(bool))
+    extra = data.draw(_row_lists(p, 2 * ncols, 3))
+    export = data.draw(st.booleans())
+    for (rows,), expected in _grow_twice([ModpRowSpace(ncols, p)], first, extra, p, export):
+        assert rows == expected
