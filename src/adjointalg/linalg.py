@@ -22,9 +22,9 @@ x V + y V + N x + N y in 2 * ncols coordinates, N being the rows added
 since this engine was grown (all rows of a fresh engine).  The left
 multiples are two copies of the basis, the second shifted by ncols: their
 pivots are disjoint, so they need no elimination.  A right factor sends
-index j to 2j (x) or 2j + 1 (y).  Rows stay in insertion order and
-reduction only adds other rows to a row, so the rows after the left
-multiples still span the space modulo them.
+index j to 2j (x) or 2j + 1 (y).  Rows stay in insertion order, and a row
+only ever changes by multiples of rows with lower pivots, so the rows
+after the left multiples still span the space modulo them.
 """
 
 from __future__ import annotations

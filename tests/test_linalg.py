@@ -391,10 +391,14 @@ def _naive_grown(left, right, ncols):
 
 def _grow_twice(engines, first, extra, p, export):
     """Grow fresh engines, add more rows, grow again; yield each level's rows and the oracle's."""
+
+    def add(space, r):
+        space.add(vec_to_bits(r) if isinstance(space, Gf2RowSpace) else r)
+
     ncols = len(first[0])
     for space in engines:
         for r in first:
-            space.add(r)
+            add(space, r)
     spanning, multiples = _naive_grown(first, first, ncols)
     if export:
         for space in engines:
@@ -403,7 +407,7 @@ def _grow_twice(engines, first, extra, p, export):
     yield [space.row_vectors() for space in engines], rref_mod_p(spanning, p)
     for space in engines:
         for r in extra:
-            space.add(r)
+            add(space, r)
         if export:
             space.rows()
     spanning, _ = _naive_grown(spanning + extra, multiples + extra, 2 * ncols)
@@ -419,17 +423,7 @@ def test_gf2_grown_matches_the_dense_engine_and_the_naive_span(ncols, export):
     first = [rng.getrandbits(ncols) | 1 << rng.randrange(ncols) for _ in range(count)]
     first = [bits_to_vec(r, ncols) for r in first + [first[0] ^ first[-1]]]  # the last is dependent
     extra = [bits_to_vec(rng.getrandbits(2 * ncols) & rng.getrandbits(2 * ncols), 2 * ncols) for _ in range(3)]
-
-    class Bits(Gf2RowSpace):
-        def add(self, row):
-            return super().add(row if isinstance(row, int) else vec_to_bits(row))
-
-        def grown(self):
-            space = super().grown()
-            space.__class__ = Bits
-            return space
-
-    levels = _grow_twice([Bits(ncols), ModpRowSpace(ncols, 2)], first, extra, 2, export)
+    levels = _grow_twice([Gf2RowSpace(ncols), ModpRowSpace(ncols, 2)], first, extra, 2, export)
     for (gf2, dense), expected in levels:
         assert gf2 == dense == expected
 
