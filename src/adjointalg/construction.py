@@ -76,7 +76,6 @@ class EnumerationOrder:
     """
 
     p: int
-    rule: str = "stage-support-lex"
 
 
 def element_stream(order, cap):

@@ -11,6 +11,12 @@ G_n = (R^{n+1}, o) filter it.  The diagnostics here measure that
 filtration: exponents of the quotients against the linear bound p(n+1),
 subgroup indices against powers of the exponent, and the cyclic width
 (the least m with G a product of m cyclic subgroups).
+
+Every adjoint product here (scalar products, circle powers and inverses,
+the power chain and the group table) goes through one kernel, ``_left``:
+the matrices of v -> a v for a batch of rows a, reduced mod p before a
+right factor meets them.  Each sum then stays below dim * p^2, which is
+exact in int64 for every p up to 2^24.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ MAX_GROUP_ORDER = 4096
 
 #: Ceiling for population-style (all elements at once) exponent computations.
 MAX_POPULATION = 16384
+
+#: Batched products go in blocks of rows whose temporaries hold about this
+#: many int64 entries (128 KiB).
+_BLOCK_ENTRIES = 1 << 14
 
 
 class NotNilpotentError(ValueError):
@@ -74,7 +84,7 @@ class FiniteNilAlgebra:
             # R^(k+1) is spanned by the products of R^k's basis with every basis element.
             rows = np.array(chain[-1].rows())
             nxt = ModpRowSpace(self.dim, self.p)
-            nxt.add(np.einsum("ri,ijt->rjt", rows, self.table).reshape(-1, self.dim) % self.p)
+            nxt.add(_left(self, rows).reshape(-1, self.dim))
             if nxt.rank >= chain[-1].rank:
                 raise NotNilpotentError(
                     f"power chain stalls at rank {nxt.rank}; the algebra is not nilpotent"
@@ -93,36 +103,31 @@ class FiniteNilAlgebra:
             raise ValueError(f"power index must be at least 1, got {n}")
         return self._chain[min(n, self.nilpotency_class) - 1]
 
+    def _row(self, u):
+        return np.asarray(u, dtype=np.int64).reshape(1, self.dim) % self.p
+
     def multiply(self, u, v):
-        out = np.einsum("i,j,ijt->t", np.asarray(u), np.asarray(v), self.table) % self.p
-        return tuple(int(c) for c in out)
+        return tuple((self._row(v) @ _left(self, self._row(u))[0] % self.p)[0].tolist())
 
     def circle(self, u, v):
-        prod = self.multiply(u, v)
-        return tuple((a + b + c) % self.p for a, b, c in zip(u, v, prod))
+        return tuple(_circle_rows(self, self._row(u), self._row(v))[0].tolist())
 
     def circle_inv(self, u):
-        """Circle inverse: the alternating geometric series -u + u^2 - u^3 + ...."""
-        acc = self.zero()
-        power = tuple(u)
-        sign = -1
-        for _ in range(self.nilpotency_class):
-            acc = tuple((a + sign * b) % self.p for a, b in zip(acc, power))
-            power = self.multiply(power, u)
-            sign = -sign
-        return acc
+        """Circle inverse: the power -1 (see circle_pow)."""
+        return self.circle_pow(u, -1)
 
     def circle_pow(self, u, k):
-        if k < 0:
-            return self.circle_pow(self.circle_inv(u), -k)
-        acc = self.zero()
-        base = tuple(u)
-        while k:
-            if k & 1:
-                acc = self.circle(acc, base)
-            base = self.circle(base, base)
-            k >>= 1
-        return acc
+        """The k-th circle power of u, for any integer k.
+
+        Let q be the least power of p with q >= the nilpotency class N.  In
+        characteristic p, (1 + u)^q = 1 + u^q, and u^q lies in R^q = 0; so
+        every element's order divides q, k may be taken mod q, and a
+        negative k needs no inverse.
+        """
+        q = 1
+        while q < self.nilpotency_class:
+            q *= self.p
+        return tuple(_circle_pow_rows(self, self._row(u), k % q)[0].tolist())
 
     def zero(self):
         return (0,) * self.dim
@@ -217,33 +222,9 @@ class AdjointGroup:
     def order(self):
         return self.algebra.p**self.algebra.dim
 
-    @property
-    def identity(self):
-        return self.algebra.zero()
-
-    def elements(self):
-        return self.algebra.elements()
-
-    def element_index(self, v):
-        return self.algebra.element_index(v)
-
-    def element_order(self, g):
-        """Order of g, always a power of p."""
-        power = tuple(g)
-        order = 1
-        while any(power):
-            power = self.algebra.circle_pow(power, self.algebra.p)
-            order *= self.algebra.p
-            if order > self.order:
-                raise AssertionError("element order exceeded the group order")
-        return order
-
     def exponent(self):
-        if self.order > MAX_POPULATION:
-            raise ValueError(
-                f"group order {self.order} exceeds the population limit {MAX_POPULATION}"
-            )
-        return max(self.element_order(g) for g in self.elements())
+        """The largest element order: the exponent of the quotient by the trivial G_n."""
+        return quotient_exponent(self.algebra, self.algebra.nilpotency_class)
 
     def multiplication_index_table(self):
         """T[i, j] = index of element_i o element_j; guarded to small groups."""
@@ -256,26 +237,45 @@ class AdjointGroup:
         mat = np.array(list(alg.elements()), dtype=np.int64)
         weights = alg.p ** np.arange(alg.dim - 1, -1, -1, dtype=np.int64)
         out = np.empty((n, n), dtype=np.int64)
-        for j in range(n):
-            h = mat[j]
-            prod = np.einsum("bi,j,ijt->bt", mat, h, alg.table) % alg.p
-            circ = (mat + h + prod) % alg.p
-            out[:, j] = circ @ weights
+        # Each row of a block takes n * dim entries of products.
+        step = max(1, _BLOCK_ENTRIES // (n * max(alg.dim, 1)))
+        for top in range(0, n, step):
+            a = mat[top:top + step]
+            out[top:top + step] = (a[:, None, :] + mat + mat @ _left(alg, a)) % alg.p @ weights
         return out
 
 
-def _batch_circle(algebra, a, b):
-    prod = np.einsum("bi,bj,ijt->bt", a, b, algebra.table) % algebra.p
-    return (a + b + prod) % algebra.p
+def _left(algebra, a):
+    """For each row a_i of a, the matrix of v -> a_i v, reduced mod p.
+
+    The reduction comes before any right factor, so every sum of products
+    stays below dim * p^2: exact in int64 for p up to 2^24.
+    """
+    k = algebra.dim
+    return (a @ algebra.table.reshape(k, k * k) % algebra.p).reshape(len(a), k, k)
 
 
-def _batch_circle_pow(algebra, mat, k):
-    acc = np.zeros_like(mat)
-    base = mat
+def _circle_rows(algebra, a, b):
+    """Row-wise a_i o b_i = a_i + b_i + a_i b_i.
+
+    Rows go in blocks, since the left matrices of a block take dim times
+    the memory of its rows.
+    """
+    out = np.empty_like(a)
+    step = max(1, _BLOCK_ENTRIES // max(algebra.dim, 1) ** 2)
+    for top in range(0, len(a), step):
+        x, y = a[top:top + step], b[top:top + step]
+        out[top:top + step] = (x + y + (y[:, None, :] @ _left(algebra, x))[:, 0]) % algebra.p
+    return out
+
+
+def _circle_pow_rows(algebra, a, k):
+    """Row-wise k-th circle powers (k >= 0) by square-and-multiply."""
+    acc = np.zeros_like(a)
     while k:
         if k & 1:
-            acc = _batch_circle(algebra, acc, base)
-        base = _batch_circle(algebra, base, base)
+            acc = _circle_rows(algebra, acc, a)
+        a = _circle_rows(algebra, a, a)
         k >>= 1
     return acc
 
@@ -299,7 +299,7 @@ def quotient_exponent(algebra, n):
     while True:
         if not np.any(sub.reduce_matrix(population)):
             return exponent
-        population = _batch_circle_pow(algebra, population, algebra.p)
+        population = _circle_pow_rows(algebra, population, algebra.p)
         exponent *= algebra.p
         if exponent > algebra.p**algebra.dim:
             raise AssertionError("quotient exponent exceeded the group order")
@@ -431,10 +431,7 @@ def quotient_algebra(algebra, n):
     pivots = set(sub.pivots)
     keep = [i for i in range(algebra.dim) if i not in pivots]
     k = len(keep)
-    table = np.zeros((k, k, k), dtype=np.int64)
-    for a, ia in enumerate(keep):
-        for b, ib in enumerate(keep):
-            reduced = sub.reduce(algebra.table[ia, ib])
-            table[a, b] = [int(reduced[i]) for i in keep]
+    products = algebra.table[np.ix_(keep, keep)].reshape(k * k, algebra.dim)
+    table = sub.reduce_matrix(products)[:, keep].reshape(k, k, k)
     labels = [algebra.labels[i] for i in keep]
     return FiniteNilAlgebra(algebra.p, labels, table)

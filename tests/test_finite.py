@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adjointalg import (
     AdjointGroup,
@@ -17,7 +19,7 @@ from adjointalg import (
     strictly_upper_triangular_algebra,
     truncated_polynomial_algebra,
 )
-from adjointalg.oracle import brute_circle
+from adjointalg.oracle import brute_circle, rref_mod_p
 
 
 def klein_algebra():
@@ -25,6 +27,47 @@ def klein_algebra():
     return direct_sum(
         truncated_polynomial_algebra(2, 2), truncated_polynomial_algebra(2, 2)
     )
+
+
+def in_basis(alg, m):
+    """The algebra in the basis f_i = sum_a m[i][a] e_a, for m invertible mod p."""
+    k, p = alg.dim, alg.p
+    # The rows (e_i | m_i) reduce to (row i of m^-1 | e_i).
+    echelon = rref_mod_p([[int(i == j) for j in range(k)] + list(row) for i, row in enumerate(m)], p)
+    inv = np.array([row[:k] for row in echelon], dtype=np.int64).reshape(k, k)
+    m = np.array(m, dtype=np.int64).reshape(k, k)
+    table = np.einsum("ia,jb,abc,ct->ijt", m, m, alg.table, inv)
+    return FiniteNilAlgebra(p, [f"f{i + 1}" for i in range(k)], table)
+
+
+def brute_powers(alg, u, count):
+    """u^0, u^1, ..., u^(count - 1) under the circle product, by brute iteration."""
+    rows = alg.table.tolist()
+    powers = [alg.zero()]
+    for _ in range(count - 1):
+        powers.append(brute_circle(rows, alg.p, powers[-1], u))
+    return powers
+
+
+def brute_exponent(alg):
+    """The largest element order, by brute iteration of each element."""
+    rows = alg.table.tolist()
+    orders = []
+    for g in alg.elements():
+        acc, order = g, 1
+        while any(acc):
+            acc = brute_circle(rows, alg.p, acc, g)
+            order += 1
+        orders.append(order)
+    return max(orders)
+
+
+def power_period(alg):
+    """The least power of p at or above the nilpotency class."""
+    q = 1
+    while q < alg.nilpotency_class:
+        q *= alg.p
+    return q
 
 
 def test_constructor_validation():
@@ -107,26 +150,38 @@ def test_circle_matches_structure_constant_oracle():
 
 
 def test_circle_pow_matches_iteration():
-    alg = truncated_polynomial_algebra(2, 5)
-    for u in alg.elements():
-        acc = alg.zero()
-        for k in range(7):
-            assert alg.circle_pow(u, k) == acc
-            acc = alg.circle(acc, u)
-        inv = alg.circle_inv(u)
-        assert alg.circle_pow(u, -3) == alg.circle(alg.circle(inv, inv), inv)
+    for alg in (truncated_polynomial_algebra(2, 5), strictly_upper_triangular_algebra(3, 3)):
+        q = power_period(alg)
+        rows = alg.table.tolist()
+        for u in alg.elements():
+            powers = brute_powers(alg, u, 2 * q + 1)
+            for k in range(2 * q + 1):
+                assert alg.circle_pow(u, k) == powers[k]
+                # The inverse is unique, so this pins down u^(-k).
+                assert brute_circle(rows, alg.p, alg.circle_pow(u, -k), powers[k]) == alg.zero()
 
 
 def test_element_order_against_brute_force():
-    group = AdjointGroup(truncated_polynomial_algebra(2, 4))
-    for g in group.elements():
-        acc = g
-        order = 1
-        while acc != group.identity:
-            acc = group.algebra.circle(acc, g)
-            order += 1
-        assert group.element_order(g) == order
-    assert group.exponent() == 4
+    for alg in (
+        truncated_polynomial_algebra(2, 4),
+        truncated_polynomial_algebra(3, 5),
+        strictly_upper_triangular_algebra(2, 4),
+    ):
+        assert AdjointGroup(alg).exponent() == brute_exponent(alg)
+    assert AdjointGroup(truncated_polynomial_algebra(2, 4)).exponent() == 4
+
+
+def test_products_near_the_modulus_limit_are_exact():
+    """Products of residues near 2^24 must not overflow int64 on their way to mod p."""
+    p = 16777213
+    alg = in_basis(truncated_polynomial_algebra(p, 4), [[1, 2, 3], [0, 1, 5], [0, 0, 1]])
+    rows = alg.table.tolist()
+    u, v = (p - 1, p - 2, p - 3), (p - 5, p - 7, p - 11)
+    expected = brute_circle(rows, p, u, v)
+    assert expected == (16777207, 16777209, 16777211)
+    assert alg.circle(u, v) == expected
+    assert alg.multiply(u, v) == tuple((c - a - b) % p for a, b, c in zip(u, v, expected))
+    assert alg.circle(u, alg.circle_inv(u)) == alg.zero()
 
 
 def test_element_indexing_round_trip():
@@ -140,11 +195,13 @@ def test_multiplication_table_is_a_group_table():
     group = AdjointGroup(truncated_polynomial_algebra(2, 3))
     table = group.multiplication_index_table()
     n = group.order
-    elements = list(group.elements())
+    alg = group.algebra
+    rows = alg.table.tolist()
+    elements = list(alg.elements())
     for i in range(n):
         for j in range(n):
-            expected = group.algebra.circle(elements[i], elements[j])
-            assert table[i, j] == group.element_index(expected)
+            expected = brute_circle(rows, alg.p, elements[i], elements[j])
+            assert table[i, j] == alg.element_index(expected)
     for i in range(n):
         assert sorted(table[i]) == list(range(n))
         assert sorted(table[:, i]) == list(range(n))
@@ -170,6 +227,25 @@ def test_quotient_algebra_collapses_high_powers():
     assert full.dim == alg.dim
 
 
+def test_quotient_algebra_is_the_image_of_the_projection():
+    """In a basis that mixes the powers, the projection onto R / R^(n+1) respects o."""
+    alg = in_basis(
+        truncated_polynomial_algebra(3, 5),
+        [[1, 0, 0, 0], [2, 1, 0, 0], [0, 1, 1, 0], [1, 0, 2, 1]],
+    )
+    rows = alg.table.tolist()
+    elements = list(alg.elements())
+    for n in range(1, alg.nilpotency_class):
+        sub = alg.power_space(n + 1)
+        quo = quotient_algebra(alg, n)
+        keep = [alg.labels.index(label) for label in quo.labels]
+        quo_rows = quo.table.tolist()
+        image = {u: tuple(int(sub.reduce(u)[i]) for i in keep) for u in elements}
+        for u in elements:
+            for v in elements:
+                assert image[brute_circle(rows, 3, u, v)] == brute_circle(quo_rows, 3, image[u], image[v])
+
+
 def test_quotient_exponent_agrees_with_direct_group_computation():
     """Dual route: population reduction vs the adjoint group of the quotient algebra."""
     for alg in (
@@ -178,7 +254,7 @@ def test_quotient_exponent_agrees_with_direct_group_computation():
         strictly_upper_triangular_algebra(2, 3),
     ):
         for n in range(1, alg.nilpotency_class):
-            direct = AdjointGroup(quotient_algebra(alg, n)).exponent()
+            direct = brute_exponent(quotient_algebra(alg, n))
             assert quotient_exponent(alg, n) == direct
     with pytest.raises(ValueError):
         quotient_exponent(truncated_polynomial_algebra(2, 4), 0)
@@ -260,3 +336,58 @@ def test_json_round_trip():
     assert np.array_equal(again.table, alg.table)
     u, v = (1, 2, 0), (0, 1, 1)
     assert again.circle(u, v) == alg.circle(u, v)
+
+
+def family(p, spec):
+    name, *args = spec
+    if name == "poly":
+        return truncated_polynomial_algebra(p, *args)
+    if name == "ut":
+        return strictly_upper_triangular_algebra(p, *args)
+    return direct_sum(family(p, args[0]), family(p, args[1]))
+
+
+#: (p, family spec) pairs whose adjoint groups have order at most 256.
+SMALL_GROUPS = [
+    (p, spec)
+    for p in (2, 3, 5)
+    for spec in [("poly", n) for n in range(1, 10)]
+    + [("ut", 3), ("ut", 4), ("sum", ("poly", 3), ("ut", 3)), ("sum", ("poly", 2), ("poly", 4))]
+    if p ** family(p, spec).dim <= 256
+]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from(SMALL_GROUPS),
+    st.lists(st.integers(0, 4), min_size=64, max_size=64),
+    st.integers(0, 255),
+)
+@example((2, ("poly", 1)), [0] * 64, 0)
+def test_group_table_and_powers_match_brute_routes(case, grid, pick):
+    """Random bases: the group table, circle powers and exponent against brute iteration."""
+    p, spec = case
+    base = family(p, spec)
+    k = base.dim
+    # m = L U: L unit lower triangular below the grid's diagonal, U upper
+    # triangular with a nonzero diagonal, so m is invertible.
+    lower = [[grid[8 * i + j] % p if j < i else int(i == j) for j in range(k)] for i in range(k)]
+    upper = [
+        [grid[8 * i + j] % p if j > i else (grid[9 * i] % (p - 1) + 1) * (i == j) for j in range(k)]
+        for i in range(k)
+    ]
+    m = [[sum(lower[i][t] * upper[t][j] for t in range(k)) % p for j in range(k)] for i in range(k)]
+    alg = in_basis(base, m)
+    rows = alg.table.tolist()
+    elements = list(alg.elements())
+    index = {e: i for i, e in enumerate(elements)}
+    expected = [[index[brute_circle(rows, p, u, v)] for v in elements] for u in elements]
+    group = AdjointGroup(alg)
+    assert group.multiplication_index_table().tolist() == expected
+    assert group.exponent() == brute_exponent(alg)
+    u = elements[pick % len(elements)]
+    q = power_period(alg)
+    powers = brute_powers(alg, u, 2 * q + 1)
+    for k in range(2 * q + 1):
+        assert alg.circle_pow(u, k) == powers[k]
+        assert brute_circle(rows, p, alg.circle_pow(u, -k), powers[k]) == alg.zero()
