@@ -58,7 +58,6 @@ from .series import (
 )
 from .construction import (
     ConstructionState,
-    EnumerationOrder,
     build_j_generators,
     census_from_state,
     combined_ideal,

@@ -64,9 +64,8 @@ def projective_class_reps(p, d, cap):
                 yield TruncatedPoly(p, cap, dict(zip(support, (1,) + rest)))
 
 
-@dataclass(frozen=True)
-class EnumerationOrder:
-    """Fixed enumeration of the nonzero augmentation part.
+def element_stream(p, cap):
+    """Yield the nonzero augmentation part in a fixed order, truncated at cap.
 
     Elements are grouped by stage (their maximal term degree), ascending;
     within a stage, by support size, then by support combination in the
@@ -74,13 +73,6 @@ class EnumerationOrder:
     element with bounded term degrees therefore appears after finitely
     many steps, and the enumeration begins x, y, x + y over F_2.
     """
-
-    p: int
-
-
-def element_stream(order, cap):
-    """Yield the enumerated elements as polynomials truncated at cap."""
-    p = order.p
     words = []
     for stage in range(1, cap + 1):
         fresh = list(words_of_degree(stage))
@@ -94,11 +86,11 @@ def element_stream(order, cap):
                     yield TruncatedPoly(p, cap, dict(zip(support, coeffs)))
 
 
-def enumerate_aplus(order, index, cap):
-    """The index-th element (1-based) of the enumeration, truncated at cap."""
+def enumerate_aplus(p, index, cap):
+    """The index-th element (1-based) of element_stream(p, cap)."""
     if index < 1:
         raise ValueError(f"index is 1-based, got {index}")
-    element = next(islice(element_stream(order, cap), index - 1, None), None)
+    element = next(islice(element_stream(p, cap), index - 1, None), None)
     if element is None:
         raise ValueError(f"enumeration exhausted before index {index}")
     return element
@@ -150,7 +142,7 @@ def run_construction(p, cap, max_elements):
             i_generators=(), j_generators=j_gens, traces=(),
             cap_too_small=True,
         )
-    stream = element_stream(EnumerationOrder(p), cap)
+    stream = element_stream(p, cap)
     i_gens = []
     traces = []
     occupied = set()

@@ -16,7 +16,11 @@ Every adjoint product here (scalar products, circle powers and inverses,
 the power chain and the group table) goes through one kernel, ``_left``:
 the matrices of v -> a v for a batch of rows a, reduced mod p before a
 right factor meets them.  Each sum then stays below dim * p^2, which is
-exact in int64 for every p up to 2^24.
+exact in int64 for every p up to 2^24.  One chain of p-th circle powers
+gives the exponents of all the quotients.  The width search multiplies
+product sets S by a cyclic subgroup C through its cosets: C holds every
+inverse, so S C is the union of the left cosets g C that meet S, and one
+gather covers a whole block of sets.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ MAX_GROUP_ORDER = 4096
 MAX_POPULATION = 16384
 
 #: Batched products go in blocks of rows whose temporaries hold about this
-#: many int64 entries (128 KiB).
+#: many int64 entries (128 KiB), or eight times as many bools.
 _BLOCK_ENTRIES = 1 << 14
 
 
@@ -281,28 +285,34 @@ def _circle_pow_rows(algebra, a, k):
 
 
 def quotient_exponent(algebra, n):
-    """Exponent of the quotient of the adjoint group by the congruence subgroup G_n.
-
-    G_n is the subgroup on R^(n+1); the exponent is the least power of p
-    killing every coset, found by repeatedly taking p-th circle powers of
-    all elements at once and testing membership in R^(n+1).
-    """
+    """Exponent of the quotient of the adjoint group by G_n, the subgroup on R^(n+1)."""
     if n < 1:
         raise ValueError(f"congruence index must be at least 1, got {n}")
+    return _quotient_exponents(algebra, n)[-1]
+
+
+def _quotient_exponents(algebra, top):
+    """Exponents of the quotients by G_1, ..., G_top, from one chain of p-th powers.
+
+    The exponent of G/G_n divides that of G/G_(n+1), so the chain of all
+    elements' p^k-th powers advances only while it is not yet in R^(n+1).
+    """
     if algebra.p**algebra.dim > MAX_POPULATION:
         raise ValueError(
             f"population size {algebra.p**algebra.dim} exceeds {MAX_POPULATION}"
         )
-    sub = algebra.power_space(n + 1)
     population = np.array(list(algebra.elements()), dtype=np.int64)
     exponent = 1
-    while True:
-        if not np.any(sub.reduce_matrix(population)):
-            return exponent
-        population = _circle_pow_rows(algebra, population, algebra.p)
-        exponent *= algebra.p
-        if exponent > algebra.p**algebra.dim:
-            raise AssertionError("quotient exponent exceeded the group order")
+    exponents = []
+    for n in range(1, top + 1):
+        sub = algebra.power_space(n + 1)
+        while np.any(sub.reduce_matrix(population)):
+            population = _circle_pow_rows(algebra, population, algebra.p)
+            exponent *= algebra.p
+            if exponent > algebra.p**algebra.dim:
+                raise AssertionError("quotient exponent exceeded the group order")
+        exponents.append(exponent)
+    return exponents
 
 
 def exp_bound_check(algebra):
@@ -313,8 +323,7 @@ def exp_bound_check(algebra):
     """
     rows = []
     sharpest = Fraction(0)
-    for n in range(1, algebra.nilpotency_class):
-        e = quotient_exponent(algebra, n)
+    for n, e in enumerate(_quotient_exponents(algebra, algebra.nilpotency_class - 1), 1):
         bound = algebra.p * (n + 1)
         sharpest = max(sharpest, Fraction(e, bound))
         rows.append(
@@ -348,17 +357,15 @@ def index_exponent_check(algebra, width):
     index by (p(n+1))^width.
     """
     rows = []
-    for n in range(1, algebra.nilpotency_class):
-        rank = algebra.power_space(n + 1).rank
-        index = algebra.p ** (algebra.dim - rank)
-        e = quotient_exponent(algebra, n)
+    for r in exp_bound_check(algebra)["rows"]:
+        index = algebra.p ** r["quotient_dim"]
         rows.append(
             {
-                "n": n,
+                "n": r["n"],
                 "index": index,
-                "exponent": e,
-                "index_le_exp_pow_width": index <= e**width,
-                "index_le_linear_bound_pow_width": index <= (algebra.p * (n + 1)) ** width,
+                "exponent": r["exponent"],
+                "index_le_exp_pow_width": index <= r["exponent"] ** width,
+                "index_le_linear_bound_pow_width": index <= r["bound"] ** width,
             }
         )
     return {
@@ -372,11 +379,9 @@ def index_exponent_check(algebra, width):
 def cyclic_width(group, limit=8):
     """Least m with the whole group a product C_1 C_2 ... C_m of cyclic subgroups.
 
-    Breadth-first over product sets, deduplicating both the cyclic
-    subgroups and the intermediate sets, so the first level containing the
-    full group is minimal.  Returns None when no product within the limit
-    reaches the group (the trivial group has width 1, via its sole cyclic
-    subgroup).  Guarded to orders at most MAX_GROUP_ORDER.
+    Breadth-first over product sets from {identity}, each set seen once, so
+    the first level reaching the group is minimal (the trivial group has
+    width 1); None past the limit.  Guarded to orders up to MAX_GROUP_ORDER.
     """
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
@@ -384,44 +389,34 @@ def cyclic_width(group, limit=8):
     if n > MAX_GROUP_ORDER:
         raise ValueError(f"group order {n} exceeds the limit {MAX_GROUP_ORDER}")
     table = group.multiplication_index_table()
-    cyclic = set()
-    for g in range(n):
-        members = {0}
-        i = g
-        while i != 0:
-            members.add(i)
-            i = int(table[i, g])
-        cyclic.add(frozenset(members))
-    subgroups = sorted(cyclic, key=lambda s: (len(s), sorted(s)))
-    sub_indices = [np.fromiter(sorted(s), dtype=np.int64) for s in subgroups]
+    g = np.arange(n)
+    powers = [g]
+    while powers[-1].any():
+        powers.append(table[powers[-1], g])
+    subgroups = []
+    for members in {frozenset(column) for column in np.array(powers).T.tolist()}:
+        # The cosets g C, each named by its least element, which lies in it.
+        rows = table[:, list(members)]
+        least, ids = np.unique(rows.min(axis=1), return_inverse=True)
+        subgroups.append((rows[least], ids))
 
-    seen = set()
-    frontier = []
-    for idx in sub_indices:
-        mask = np.zeros(n, dtype=bool)
-        mask[idx] = True
-        if mask.all():
-            return 1
-        key = mask.tobytes()
-        if key not in seen:
-            seen.add(key)
-            frontier.append(mask)
-    for level in range(2, limit + 1):
-        next_frontier = []
-        for left in frontier:
-            left_idx = np.nonzero(left)[0]
-            for idx in sub_indices:
-                mask = np.zeros(n, dtype=bool)
-                mask[table[np.ix_(left_idx, idx)].ravel()] = True
-                if mask.all():
+    frontier = (g == 0)[None, :]
+    seen = {frontier[0].tobytes()}
+    step = max(1, 8 * _BLOCK_ENTRIES // n)
+    for level in range(1, limit + 1):
+        fresh = []
+        for cosets, ids in subgroups:
+            for top in range(0, len(frontier), step):
+                products = frontier[top:top + step][:, cosets].any(axis=2)[:, ids]
+                if products.all(axis=1).any():
                     return level
-                key = mask.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    next_frontier.append(mask)
-        if not next_frontier:
+                data = products.tobytes()
+                keys = {data[i:i + n] for i in range(0, len(data), n)} - seen
+                seen |= keys
+                fresh += keys
+        if not fresh:
             return None
-        frontier = next_frontier
+        frontier = np.frombuffer(b"".join(fresh), dtype=bool).reshape(-1, n)
     return None
 
 

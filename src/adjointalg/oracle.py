@@ -4,7 +4,8 @@ Everything here is written from scratch on plain term dicts, lists and
 tuples: products of term dicts are a full double loop, spans are closed by
 exhaustive enumeration or echelonized by textbook Gauss-Jordan
 elimination, component spanning sets are built from word
-strings, and structure-constant products are pure-Python triple loops.
+strings, structure-constant products are pure-Python triple loops, and
+cyclic width multiplies frozensets of group elements pair by pair.
 The module imports only the standard library, never the package it
 checks, so an agreement between the two is evidence from an independent
 route; a test parses the imports below to keep it that way.  Callers wrap
@@ -12,7 +13,7 @@ the returned term dicts themselves.  The acceptance checks in
 :mod:`adjointalg.selftest` and the test suite both use these routines.
 """
 
-from itertools import product
+from itertools import accumulate, product, repeat
 
 
 def naive_mul(a, b, p, cap):
@@ -126,6 +127,24 @@ def brute_circle(rows, p, u, v):
             for t in range(k):
                 prod[t] = (prod[t] + ci * cj * ct[t]) % p
     return tuple((a + b + c) % p for a, b, c in zip(u, v, prod))
+
+
+def brute_cyclic_width(table, limit):
+    """Least m with the group a product of m cyclic subgroups; None past the limit.
+
+    table[i][j] indexes the product of elements i and j.  A cyclic subgroup
+    is the first n powers of a generator; product sets are frozensets of
+    all pairwise products, searched breadth-first.
+    """
+    n = len(table)
+    cyclic = {frozenset(accumulate(repeat(g, n), lambda x, _: table[x][g])) for g in range(n)}
+    frontier = seen = cyclic
+    for level in range(1, limit + 1):
+        if frozenset(range(n)) in frontier:
+            return level
+        frontier = {frozenset(table[a][b] for a in s for b in c) for s in frontier for c in cyclic} - seen
+        seen = seen | frontier
+    return None
 
 
 def seeded_terms(rng, p, max_degree, max_terms=6):

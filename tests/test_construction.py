@@ -5,7 +5,6 @@ import json
 import pytest
 
 from adjointalg import (
-    EnumerationOrder,
     GradedIdeal,
     build_j_generators,
     census_from_state,
@@ -75,8 +74,7 @@ def test_projective_reps_respect_cap():
 
 
 def test_enumeration_prefix_f2():
-    order = EnumerationOrder(2)
-    first = [enumerate_aplus(order, i, 4) for i in range(1, 13)]
+    first = [enumerate_aplus(2, i, 4) for i in range(1, 13)]
     assert texts(first) == [
         "x",
         "y",
@@ -94,13 +92,13 @@ def test_enumeration_prefix_f2():
 
 
 def test_enumeration_prefix_f3():
-    stream = element_stream(EnumerationOrder(3), 3)
+    stream = element_stream(3, 3)
     first = [next(stream) for _ in range(8)]
     assert texts(first) == ["x", "2x", "y", "2y", "x + y", "x + 2y", "2x + y", "2x + 2y"]
 
 
 def test_enumeration_has_no_repeats_or_zeros():
-    stream = element_stream(EnumerationOrder(2), 4)
+    stream = element_stream(2, 4)
     seen = set()
     for _ in range(200):
         f = next(stream)
@@ -110,12 +108,11 @@ def test_enumeration_has_no_repeats_or_zeros():
 
 
 def test_enumerate_aplus_bounds():
-    order = EnumerationOrder(2)
-    assert format_poly(enumerate_aplus(order, 3, 4)) == "x + y"
+    assert format_poly(enumerate_aplus(2, 3, 4)) == "x + y"
     with pytest.raises(ValueError, match="1-based"):
-        enumerate_aplus(order, 0, 4)
+        enumerate_aplus(2, 0, 4)
     with pytest.raises(ValueError, match="exhausted"):
-        enumerate_aplus(order, 4, 1)  # only x, y, x + y exist at cap 1
+        enumerate_aplus(2, 4, 1)  # only x, y, x + y exist at cap 1
 
 
 def test_torsion_power_generators():
@@ -142,7 +139,7 @@ def test_run_at_minimum_cap():
     assert state.processed == 8  # seven homogeneous elements, then x + x^2
     assert [(d, format_poly(g)) for d, g in state.i_generators] == [(14, "x^14")]
     assert state.highest_degree == 14
-    assert state.traces[-1].target == enumerate_aplus(EnumerationOrder(2), 8, 14)
+    assert state.traces[-1].target == enumerate_aplus(2, 8, 14)
 
 
 def test_run_honors_element_budget():

@@ -19,7 +19,7 @@ from adjointalg import (
     strictly_upper_triangular_algebra,
     truncated_polynomial_algebra,
 )
-from adjointalg.oracle import brute_circle, rref_mod_p
+from adjointalg.oracle import brute_circle, brute_cyclic_width, rref_mod_p
 
 
 def klein_algebra():
@@ -60,6 +60,32 @@ def brute_exponent(alg):
             order += 1
         orders.append(order)
     return max(orders)
+
+
+def frattini_rank(table, p):
+    """d(G) = log_p [G : G^p [G, G]], for a p-group given by its index table.
+
+    Index 0 is the identity.  The Frattini subgroup G^p [G, G] is closed
+    under the table from the p-th powers and the commutators.
+    """
+    n = len(table)
+    inverse = [row.index(0) for row in table]
+    gens = set()
+    for g in range(n):
+        acc = 0
+        for _ in range(p):
+            acc = table[acc][g]
+        gens.add(acc)
+    gens |= {table[table[inverse[a]][inverse[b]]][table[a][b]] for a in range(n) for b in range(n)}
+    frattini, fresh = {0}, {0}
+    while fresh:
+        fresh = {table[h][g] for h in fresh for g in gens} - frattini
+        frattini |= fresh
+    d = 0
+    while p**d * len(frattini) < n:
+        d += 1
+    assert p**d * len(frattini) == n
+    return d
 
 
 def power_period(alg):
@@ -253,9 +279,12 @@ def test_quotient_exponent_agrees_with_direct_group_computation():
         truncated_polynomial_algebra(3, 4),
         strictly_upper_triangular_algebra(2, 3),
     ):
-        for n in range(1, alg.nilpotency_class):
-            direct = brute_exponent(quotient_algebra(alg, n))
-            assert quotient_exponent(alg, n) == direct
+        direct = [
+            brute_exponent(quotient_algebra(alg, n)) for n in range(1, alg.nilpotency_class)
+        ]
+        for n, e in enumerate(direct, 1):
+            assert quotient_exponent(alg, n) == e
+        assert [r["exponent"] for r in exp_bound_check(alg)["rows"]] == direct
     with pytest.raises(ValueError):
         quotient_exponent(truncated_polynomial_algebra(2, 4), 0)
 
@@ -365,7 +394,16 @@ SMALL_GROUPS = [
 )
 @example((2, ("poly", 1)), [0] * 64, 0)
 def test_group_table_and_powers_match_brute_routes(case, grid, pick):
-    """Random bases: the group table, circle powers and exponent against brute iteration."""
+    """Random bases: the group table, circle powers, exponent and width against brute routes.
+
+    The width also meets the Burnside basis theorem: a p-group needs at
+    least d(G) = log_p [G : G^p [G, G]] cyclic factors, and an abelian one
+    is a product of exactly d(G) cyclic groups.  The pure-Python frozenset
+    search for the width is slow beyond order 64, so it runs on the smaller
+    groups only.  The width itself is skipped on the one nonabelian group
+    above order 64 (order 243, width 5), where the search takes about a
+    minute.
+    """
     p, spec = case
     base = family(p, spec)
     k = base.dim
@@ -385,6 +423,15 @@ def test_group_table_and_powers_match_brute_routes(case, grid, pick):
     group = AdjointGroup(alg)
     assert group.multiplication_index_table().tolist() == expected
     assert group.exponent() == brute_exponent(alg)
+    abelian = all(expected[i][j] == expected[j][i] for i in range(len(elements)) for j in range(i))
+    if abelian or len(elements) <= 64:
+        width = cyclic_width(group)
+        if len(elements) <= 64:
+            assert width == brute_cyclic_width(expected, 8)
+        d = frattini_rank(expected, p)
+        assert d <= width
+        if abelian:
+            assert max(d, 1) == width  # the trivial group has d = 0 but width 1
     u = elements[pick % len(elements)]
     q = power_period(alg)
     powers = brute_powers(alg, u, 2 * q + 1)
