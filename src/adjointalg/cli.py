@@ -177,26 +177,27 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"adjointalg {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, default=2, help="field characteristic (prime, default 2)")
-    common.add_argument("--cap", type=int, default=16, help="degree cap (default 16)")
     common.add_argument(
         "--format", choices=("json", "csv", "text"), default="json", help="output format"
     )
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized checks")
     common.add_argument("--out", metavar="FILE", help="write the payload to FILE instead of stdout")
+    field = argparse.ArgumentParser(add_help=False, parents=[common])
+    field.add_argument("--p", type=int, default=2, help="field characteristic (prime, default 2)")
+    truncated = argparse.ArgumentParser(add_help=False, parents=[field])
+    truncated.add_argument("--cap", type=int, default=16, help="degree cap (default 16)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("factor", parents=[common], help="factor 1 + a into homogeneous factors")
+    sp = sub.add_parser("factor", parents=[truncated], help="factor 1 + a into homogeneous factors")
     sp.add_argument("--a", required=True, help="polynomial text, e.g. 'x + y'")
     sp.add_argument("--m", type=int, help="target residual valuation (default cap + 1)")
     sp.set_defaults(handler=_cmd_factor)
 
-    sp = sub.add_parser("construct", parents=[common], help="run the generator construction")
+    sp = sub.add_parser("construct", parents=[truncated], help="run the generator construction")
     sp.add_argument("--max-elements", type=int, default=10, help="enumerated elements to process")
     sp.set_defaults(handler=_cmd_construct)
 
-    sp = sub.add_parser("hilbert", parents=[common], help="quotient dimensions degree by degree")
+    sp = sub.add_parser("hilbert", parents=[truncated], help="quotient dimensions degree by degree")
     sp.add_argument("--ideal-file", help="JSON list of [degree, polynomial-text] generators")
     sp.add_argument("--max-elements", type=int, default=10, help="construction size when no file given")
     sp.set_defaults(handler=_cmd_hilbert)
@@ -208,7 +209,7 @@ def build_parser():
     )
     sp.set_defaults(handler=_cmd_gs_check)
 
-    sp = sub.add_parser("torsion", parents=[common], help="orders of homogeneous classes mod I + J")
+    sp = sub.add_parser("torsion", parents=[truncated], help="orders of homogeneous classes mod I + J")
     sp.add_argument("--max-elements", type=int, default=0, help="enumerated elements to process")
     sp.set_defaults(handler=_cmd_torsion)
 
@@ -216,7 +217,7 @@ def build_parser():
         ("exponent", "congruence-quotient exponents against the linear bound"),
         ("width", "least number of cyclic subgroups covering the adjoint group"),
     ):
-        sp = sub.add_parser(name, parents=[common], help=help_text)
+        sp = sub.add_parser(name, parents=[field], help=help_text)
         sp.add_argument(
             "--family",
             choices=("poly", "ut"),
@@ -233,6 +234,7 @@ def build_parser():
 
     sp = sub.add_parser("selftest", parents=[common], help="run the acceptance checks")
     sp.add_argument("--only", action="append", help="run only the named check (repeatable)")
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized checks")
     sp.set_defaults(handler=_cmd_selftest)
 
     return parser

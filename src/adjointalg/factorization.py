@@ -9,6 +9,10 @@ residual valuation by at least one.  Iterating until the valuation
 reaches m writes 1 + a as a product of homogeneous factors times
 1 + (terms of degree >= m); with m = cap + 1 the residual is identically
 zero and the factorization is exact in the truncated algebra.
+
+The seed and every round run one loop: each new factor 1 + h multiplies
+the current product (1 for the seed) out as prod + prod * h, and the
+residual is read off as prod - 1 - a.
 """
 
 from __future__ import annotations
@@ -41,16 +45,20 @@ class FactorizationTrace:
         return one(self.target.p, self.target.cap) + self.target + self.residual
 
 
+def _append_factors(trace, factors, steps):
+    """Multiply the trace's product by each 1 + h in order and read off the residual."""
+    a, prod = trace.target, trace.product()
+    for h in factors:
+        prod = prod + prod * h
+    return FactorizationTrace(a, trace.factors + tuple(factors), prod - one(a.p, a.cap) - a, steps)
+
+
 def initial_factorization(a):
     """Seed trace: one factor 1 + a_d per homogeneous slice of a, ascending degree."""
     if a.constant_term:
         raise ValueError("factorization targets must have zero constant term")
     parts = [part for _, part in homogeneous_parts(a)]
-    prod = one(a.p, a.cap)
-    for part in parts:
-        prod = prod * (one(a.p, a.cap) + part)
-    residual = prod - one(a.p, a.cap) - a
-    return FactorizationTrace(a, tuple(parts), residual, 0)
+    return _append_factors(FactorizationTrace(a, (), -a, 0), parts, 0)
 
 
 def correction_step(trace):
@@ -62,16 +70,8 @@ def correction_step(trace):
     if trace.residual.is_zero:
         return trace
     before = trace.residual_valuation
-    prod = trace.product()
-    unit = one(trace.target.p, trace.target.cap)
-    new_factors = []
-    for _, part in homogeneous_parts(trace.residual):
-        new_factors.append(-part)
-        prod = prod * (unit - part)
-    residual = prod - unit - trace.target
-    after = FactorizationTrace(
-        trace.target, trace.factors + tuple(new_factors), residual, trace.steps + 1
-    )
+    parts = [-part for _, part in homogeneous_parts(trace.residual)]
+    after = _append_factors(trace, parts, trace.steps + 1)
     if after.residual_valuation <= before:
         raise AssertionError(
             "correction round failed to raise the residual valuation"

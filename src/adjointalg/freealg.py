@@ -114,13 +114,15 @@ def _mul_terms(at, bt, p, cap):
 
     p prime keeps every product ca * cb of nonzero residues nonzero mod p,
     so wherever the words wa + wb are known to be distinct the result is
-    one dict comprehension with nothing to cancel.
+    one dict comprehension with nothing to cancel.  That holds whenever the
+    right operand is homogeneous, of degree d, whatever the left one: each
+    product word splits one way, into its last d letters and the rest.
     """
     if not at or not bt:
         return {}
-    # A fixed word on one side makes the products distinct whatever the other
-    # side's degrees.  These branches keep names of their own: a name read
-    # inside a comprehension becomes a cell variable, slower in the loop below.
+    # A fixed word on one side makes the products distinct too.  Each of these
+    # branches keeps names of its own: a name read inside a comprehension
+    # becomes a cell variable, slower in the general loop.
     if len(at) == 1:
         ((word, coeff),) = at.items()
         top = cap - len(word)
@@ -132,12 +134,10 @@ def _mul_terms(at, bt, p, cap):
     by_degree = {}
     for w, c in bt.items():
         by_degree.setdefault(len(w), []).append((w, c))
-    if len(by_degree) == 1 and len(set(map(len, at))) == 1:
-        # Words of two fixed lengths factor uniquely, so the products wa + wb are distinct.
-        ((db, terms),) = by_degree.items()
-        if len(next(iter(at))) + db > cap:
-            return {}
-        return {wa + wb: ca * cb % p for wa, ca in at.items() for wb, cb in terms}
+    if len(by_degree) == 1:
+        ((db, right),) = by_degree.items()
+        top = cap - db
+        return {wa + wb: ca * cb % p for wa, ca in at.items() if len(wa) <= top for wb, cb in right}
     out = {}
     for wa, ca in at.items():
         room = cap - len(wa)
@@ -369,17 +369,13 @@ def circle_mul(r, s):
 
 
 def circle_inv(r):
-    """Inverse of r in (A+, o): the truncated series -r + r^2 - r^3 + ...."""
+    """Inverse of r in (A+, o): -r + r^2 - r^3 + ..., the powers of -r, zero past the cap."""
     _require_augmentation(r)
-    acc = zero(r.p, r.cap)
-    power = r
-    sign = -1
-    for _ in range(r.cap):
-        if power.is_zero:
-            break
-        acc = acc + power * sign
-        power = power * r
-        sign = -sign
+    neg = -r
+    acc = power = neg
+    while not power.is_zero:
+        power = power * neg
+        acc = acc + power
     return acc
 
 

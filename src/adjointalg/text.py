@@ -16,9 +16,11 @@ inverse on canonical output.
 
 from __future__ import annotations
 
-from itertools import groupby
+import re
 
 from .freealg import TruncatedPoly, term_sort_key
+
+_RUN = re.compile("x{2,}|y{2,}")
 
 
 class PolyParseError(ValueError):
@@ -75,6 +77,7 @@ def parse_poly(text, p, cap):
         if i < n and text[i].isdigit():
             coeff = read_uint()
         letters = []
+        degree = 0
         while True:
             skip_ws()
             star = False
@@ -95,7 +98,8 @@ def parse_poly(text, p, cap):
                     if i >= n or not text[i].isdigit():
                         raise PolyParseError("expected an exponent after '^'", i)
                     exponent = read_uint()
-                letters.append(letter * exponent)
+                letters.append((letter, exponent))
+                degree += exponent
             elif star:
                 raise PolyParseError("expected a factor after '*'", i)
             else:
@@ -103,9 +107,9 @@ def parse_poly(text, p, cap):
         if coeff is None and not letters:
             raise PolyParseError("expected a term", i)
 
-        word = "".join(letters)
-        if len(word) > cap:
-            raise DegreeCapError(text[term_start:i].strip(), len(word), cap)
+        if degree > cap:
+            raise DegreeCapError(text[term_start:i].strip(), degree, cap)
+        word = "".join(letter * exponent for letter, exponent in letters)
         c = (sign * (1 if coeff is None else coeff)) % p
         terms[word] = (terms.get(word, 0) + c) % p
 
@@ -125,10 +129,7 @@ def parse_poly(text, p, cap):
 
 def _compress(word):
     """Run-length encode a word: 'xxy' -> 'x^2y'."""
-    return "".join(
-        ch if (run := sum(1 for _ in g)) == 1 else f"{ch}^{run}"
-        for ch, g in groupby(word)
-    )
+    return _RUN.sub(lambda run: f"{run[0][0]}^{len(run[0])}", word)
 
 
 def _format_term(word, coeff):

@@ -240,6 +240,16 @@ def test_unknown_flag_raises_system_exit(capsys):
         main([])
 
 
+@pytest.mark.parametrize(
+    "argv", [["width", "--cap", "5"], ["factor", "--a", "x", "--seed", "1"]]
+)
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -26,7 +26,7 @@ from adjointalg import (
     zero,
 )
 from adjointalg.freealg import index_mask, index_words, mask_indices, word_indices
-from adjointalg.oracle import naive_mul
+from adjointalg.oracle import naive_add, naive_mul
 
 from oracle import polys, seeded_poly
 
@@ -150,6 +150,20 @@ def test_circle_group_axioms(p, data):
     assert circle_mul(r, s).constant_term == 0
 
 
+@settings(max_examples=60)
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_circle_inverse_is_the_alternating_series_of_naive_products(p, data):
+    """circle_inv(r) = -r + r^2 - r^3 + ..., each power a naive product, up to the cap."""
+    cap = 6
+    r = data.draw(polys(p=p, cap=cap, allow_const=False)).terms
+    expected, power = {}, {"": 1}
+    for k in range(1, cap + 1):
+        power = naive_mul(power, r, p, cap)
+        expected = naive_add(expected, {w: (-1) ** k * c % p for w, c in power.items()}, p)
+    assert naive_mul(power, r, p, cap) == {}
+    assert circle_inv(TruncatedPoly(p, cap, r)).terms == expected
+
+
 def test_circle_requires_zero_constant_term():
     u = one(2, 4)
     x = variable("x", 2, 4)
@@ -214,7 +228,12 @@ def test_word_index_round_trip():
 
 @st.composite
 def homogeneous_pair(draw, cap=6):
-    """(p, a, b) with a, b homogeneous of degrees whose sum is either within the cap or past it."""
+    """(p, a, b) with b homogeneous and a homogeneous or mixed-degree.
+
+    The degrees of a's first slice and of b sum to within the cap or past it.
+    A mixed a adds a slice just within the cap against b's degree, one just
+    past it and one at random, so a * b keeps some of a's words and drops others.
+    """
     p = draw(st.sampled_from([2, 3]))
     da = draw(st.integers(0, cap))
     if da and draw(st.booleans()):
@@ -226,13 +245,17 @@ def homogeneous_pair(draw, cap=6):
         words = st.lists(st.text("xy", min_size=d, max_size=d), min_size=1, max_size=4, unique=True)
         return TruncatedPoly(p, cap, {w: draw(st.integers(1, p - 1)) for w in draw(words)})
 
-    return p, homogeneous(da), homogeneous(db)
+    a = homogeneous(da)
+    if draw(st.booleans()):
+        for d in {cap - db, min(cap - db + 1, cap), draw(st.integers(0, cap))}:
+            a = a + homogeneous(d)
+    return p, a, homogeneous(db)
 
 
 @settings(max_examples=80)
 @given(homogeneous_pair())
 def test_homogeneous_products_match_naive_oracle(pab):
-    """Homogeneous operands, including monomials and degree-0 ones, multiply as the oracle does."""
+    """Homogeneous or mixed-degree operands, monomials and constants multiply as the oracle does."""
     p, a, b = pab
     cap = a.cap
     m = monomial(next(iter(b.terms)), p, cap)

@@ -1,7 +1,11 @@
 """Polynomial text: parser behavior, error reporting, and the canonical formatter."""
 
+import tracemalloc
+from itertools import groupby
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adjointalg import (
     DegreeCapError,
@@ -10,6 +14,8 @@ from adjointalg import (
     format_poly,
     parse_poly,
 )
+
+from adjointalg.text import _compress
 
 from oracle import polys
 
@@ -63,6 +69,18 @@ def test_degree_cap_rejection():
         parse_poly("x^200", 2, 10)
 
 
+def test_huge_exponent_is_refused_before_the_word_is_built():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DegreeCapError) as err:
+            parse_poly("x^100000000", 2, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (err.value.term_text, err.value.degree, err.value.cap) == ("x^100000000", 10**8, 10)
+    assert peak < 1 << 20
+
+
 def test_format_examples():
     assert format_poly(TruncatedPoly(2, 4)) == "0"
     assert format_poly(parse_poly("y + x", 2, 4)) == "x + y"
@@ -88,3 +106,10 @@ def test_round_trip_through_text(a):
 def test_format_is_canonical(a):
     text = format_poly(a)
     assert format_poly(parse_poly(text, 2, 5)) == text
+
+
+@settings(max_examples=100)
+@given(st.text("xy", max_size=40))
+def test_compress_matches_a_groupby_reference(word):
+    runs = ((ch, len(list(g))) for ch, g in groupby(word))
+    assert _compress(word) == "".join(ch if n == 1 else f"{ch}^{n}" for ch, n in runs)
