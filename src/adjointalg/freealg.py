@@ -120,17 +120,13 @@ def _mul_terms(at, bt, p, cap):
     """
     if not at or not bt:
         return {}
-    # A fixed word on one side makes the products distinct too.  Each of these
-    # branches keeps names of its own: a name read inside a comprehension
-    # becomes a cell variable, slower in the general loop.
+    # A fixed word on the left makes the products distinct too.  The
+    # comprehensions read names the general loop does not use: a name read
+    # inside a comprehension becomes a cell variable, slower in that loop.
     if len(at) == 1:
         ((word, coeff),) = at.items()
         top = cap - len(word)
         return {word + w: coeff * c % p for w, c in bt.items() if len(w) <= top}
-    if len(bt) == 1:
-        ((word, coeff),) = bt.items()
-        top = cap - len(word)
-        return {w + word: c * coeff % p for w, c in at.items() if len(w) <= top}
     by_degree = {}
     for w, c in bt.items():
         by_degree.setdefault(len(w), []).append((w, c))

@@ -241,15 +241,16 @@ def homogeneous_pair(draw, cap=6):
     else:
         db = draw(st.integers(0, cap - da))
 
-    def homogeneous(d):
+    def slice_of(d):
         words = st.lists(st.text("xy", min_size=d, max_size=d), min_size=1, max_size=4, unique=True)
-        return TruncatedPoly(p, cap, {w: draw(st.integers(1, p - 1)) for w in draw(words)})
+        return {w: draw(st.integers(1, p - 1)) for w in draw(words)}
 
-    a = homogeneous(da)
+    # One slice per degree, so no two slices share a word and nothing cancels.
+    terms = slice_of(da)
     if draw(st.booleans()):
-        for d in {cap - db, min(cap - db + 1, cap), draw(st.integers(0, cap))}:
-            a = a + homogeneous(d)
-    return p, a, homogeneous(db)
+        for d in {cap - db, min(cap - db + 1, cap), draw(st.integers(0, cap))} - {da}:
+            terms |= slice_of(d)
+    return p, TruncatedPoly(p, cap, terms), TruncatedPoly(p, cap, slice_of(db))
 
 
 @settings(max_examples=80)
