@@ -26,7 +26,7 @@ from .freealg import (
     zero,
 )
 from .text import DegreeCapError, PolyParseError, format_poly, parse_poly
-from .linalg import Gf2RowSpace, ModpRowSpace, row_space
+from .linalg import Gf2RowSpace, ModpRowSpace, ResourceLimitError, row_space
 from .factorization import (
     FactorizationTrace,
     correction_step,
@@ -38,7 +38,6 @@ from .graded import (
     NOT_CERTIFIED,
     GradedIdeal,
     HilbertTable,
-    ResourceLimitError,
     generators_to_json,
     ideal_from_json,
     nilpotency_bound,

@@ -31,6 +31,7 @@ from itertools import product
 
 import numpy as np
 
+from . import linalg
 from .linalg import ModpRowSpace
 from .freealg import is_prime
 
@@ -381,7 +382,8 @@ def cyclic_width(group, limit=8):
 
     Breadth-first over product sets from {identity}, each set seen once, so
     the first level reaching the group is minimal (the trivial group has
-    width 1); None past the limit.  Guarded to orders up to MAX_GROUP_ORDER.
+    width 1); None past the limit.  Guarded to orders up to MAX_GROUP_ORDER,
+    and refused once the seen sets hold more than ``linalg.MAX_BLOCK_BYTES``.
     """
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
@@ -414,6 +416,11 @@ def cyclic_width(group, limit=8):
                 keys = {data[i:i + n] for i in range(0, len(data), n)} - seen
                 seen |= keys
                 fresh += keys
+                if len(seen) * n > linalg.MAX_BLOCK_BYTES:
+                    raise linalg.ResourceLimitError(
+                        f"cyclic width search of a group of order {n} holds {len(seen) * n}"
+                        f" bytes of product sets, over the limit of {linalg.MAX_BLOCK_BYTES} bytes"
+                    )
         if not fresh:
             return None
         frontier = np.frombuffer(b"".join(fresh), dtype=bool).reshape(-1, n)

@@ -89,21 +89,6 @@ def index_words(indices, degree):
     return [text[k:k + degree] for k in range(0, len(text), degree)]
 
 
-def index_mask(indices):
-    """The F_2 row with bits at the given indices, as one integer."""
-    if not len(indices):
-        return 0
-    bits = np.zeros(int(indices.max()) + 1, dtype=bool)
-    bits[indices] = True
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def mask_indices(mask):
-    """Inverse of :func:`index_mask`: the set bits of an integer, ascending, as an int64 array."""
-    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
-
-
 def term_sort_key(word):
     """Canonical term order: ascending degree, then lexicographic."""
     return (len(word), word)

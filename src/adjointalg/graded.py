@@ -5,7 +5,7 @@ its degree-n component is spanned by u * g * w over all generators g and
 all word pairs (u, w) with deg u + deg g + deg w = n.  Coordinates at
 degree n are indexed by the 2^n words via
 :func:`adjointalg.freealg.word_indices` (first letter highest bit), and
-each component is an echelon engine, built on first use and cached.
+each component is a row engine, built on first use and cached.
 
 For every p a component is grown from the one below.  Let
 L_n = x I_{n-1} + y I_{n-1} and let N_n be the rows that entered I_n beyond
@@ -14,8 +14,7 @@ x I_n + y I_n, so I_{n+1} = x I_n + y I_n + N_n x + N_n y + span(generators
 of degree n + 1): only new rows need right multiples, as in degree-by-degree
 noncommutative Groebner bases, where only new leading words make new
 overlaps (Mora, 1986; La Scala and Levandovskyy, JSC 2009).  The engines'
-``grown()`` builds the first four terms (:mod:`adjointalg.linalg`), and
-:data:`MAX_BLOCK_BYTES` bounds the arrays one odd-p degree needs.
+``grown()`` builds the first four terms.
 """
 
 from __future__ import annotations
@@ -23,16 +22,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-import numpy as np
-
-from .freealg import (
-    TruncatedPoly,
-    homogeneous_parts,
-    index_mask,
-    index_words,
-    mask_indices,
-    word_indices,
-)
+from .freealg import TruncatedPoly, homogeneous_parts, index_words, word_indices
 from .linalg import row_space
 from .text import format_poly, parse_poly
 
@@ -41,36 +31,16 @@ log = logging.getLogger(__name__)
 #: Returned by :func:`nilpotency_bound` when no power vanishes within the window.
 NOT_CERTIFIED = None
 
-#: Ceiling on the bytes of the largest arrays built for one odd-p degree
-#: component.  For rank r and f free columns at degree n - 1, degree n starts
-#: from the doubled block (2r x 2f float32), 4x the bytes of the degree n - 1
-#: block, and reduces each half of the right multiples of the k new rows to a
-#: residual (k x 2f float64); the peak while building degree n is at most
-#: about three times the doubled block.
-MAX_BLOCK_BYTES = 1 << 27
+
+def encode_part(part, degree, space):
+    """The row of a homogeneous slice of the given degree, in the engine's format."""
+    return space.encode(word_indices(part._terms, degree), part._terms.values())
 
 
-class ResourceLimitError(ValueError):
-    """A computation would allocate more memory than the module's ceiling allows."""
-
-
-def encode_part(part, degree):
-    """Coefficient vector of a homogeneous slice, as a bitmask (p=2) or an int64 array."""
-    indices = word_indices(part._terms, degree)
-    if part.p == 2:
-        return index_mask(indices)
-    vec = np.zeros(1 << degree, dtype=np.int64)
-    vec[indices] = list(part._terms.values())
-    return vec
-
-
-def decode_vector(vec, degree, p, cap):
-    """Inverse of :func:`encode_part` for either row representation."""
-    if p == 2:
-        return TruncatedPoly._raw(p, cap, dict.fromkeys(index_words(mask_indices(vec), degree), 1))
-    vec = np.asarray(vec) % p
-    indices = np.flatnonzero(vec)
-    return TruncatedPoly._raw(p, cap, dict(zip(index_words(indices, degree), vec[indices].tolist())))
+def decode_vector(row, degree, space, cap):
+    """Inverse of :func:`encode_part`: the polynomial of a row of the engine."""
+    indices, coeffs = space.decode(row)
+    return TruncatedPoly._raw(space.p, cap, dict(zip(index_words(indices, degree), coeffs)))
 
 
 class GradedIdeal:
@@ -95,24 +65,15 @@ class GradedIdeal:
         self._spaces = {}
 
     def _space(self, n):
-        """The echelon engine of degree n, grown on first use from the degrees below."""
+        """The row engine of degree n, grown on first use from the degrees below."""
         space = self._spaces.get(n)
         if space is not None:
             return space
         low = max((d for d in self._spaces if d < n), default=-1)
         space = self._spaces.get(low)
         for m in range(low + 1, n + 1):
-            if space is None:
-                space = row_space(1, self.p)
-            else:
-                block = 0 if self.p == 2 else 4 * space.echelon()[2].nbytes
-                if block > MAX_BLOCK_BYTES:
-                    raise ResourceLimitError(
-                        f"degree {m} component needs {block} bytes for its doubled"
-                        f" block, over the limit of {MAX_BLOCK_BYTES} bytes"
-                    )
-                space = space.grown()
-            gens = [encode_part(g, m) for d, g in self.generators if d == m]
+            space = row_space(1, self.p) if space is None else space.grown()
+            gens = [encode_part(g, m, space) for d, g in self.generators if d == m]
             if gens:
                 space.add(gens)
             log.debug("degree %d component: rank %d of %d", m, space.rank, 1 << m)
@@ -120,7 +81,7 @@ class GradedIdeal:
         return space
 
     def component_basis(self, n):
-        """The echelon engine of the degree-n component (1 <= n <= cap).
+        """The row engine of the degree-n component (1 <= n <= cap).
 
         Its ``rank``, ``rows()`` and ``row_vectors()`` give the basis; turn a
         row back into a polynomial with :func:`decode_vector`.  The engine is
@@ -179,8 +140,8 @@ def normal_form(a, ideal):
     for d, part in homogeneous_parts(a):
         if d == 0:
             continue
-        reduced = ideal._space(d).reduce(encode_part(part, d))
-        total = total + decode_vector(reduced, d, a.p, a.cap)
+        space = ideal._space(d)
+        total = total + decode_vector(space.reduce(encode_part(part, d, space)), d, space, a.cap)
     return total
 
 

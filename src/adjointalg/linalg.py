@@ -16,7 +16,10 @@ product.  Coefficients are stored as float32 and products run as float64
 BLAS calls, split along the inner dimension so that every partial sum
 stays an exact integer below 2^53; both are exact for p up to 2^24.
 
-Both engines grow by one degree with ``grown()``.  Coordinate j stands
+``encode(indices, coeffs)`` builds a row in an engine's format, which ``add``
+and ``reduce`` take, from nonzero residues at distinct coordinates, and
+``decode(row)`` gives its nonzero coordinates (an ascending array) and their
+coefficients (a list).  ``grown()`` goes up one degree.  Coordinate j stands
 for the word of index j (first letter highest bit), and the result spans
 x V + y V + N x + N y in 2 * ncols coordinates, N being the rows added
 since this engine was grown (all rows of a fresh engine).  The left
@@ -24,14 +27,54 @@ multiples are two copies of the basis, the second shifted by ncols: their
 pivots are disjoint, so they need no elimination.  A right factor sends
 index j to 2j (x) or 2j + 1 (y).  Rows stay in insertion order, and a row
 only ever changes by multiples of rows with lower pivots, so the rows
-after the left multiples still span the space modulo them.
+after the left multiples still span the space modulo them.  Before it
+allocates, ``grown()`` refuses a degree whose estimated bytes pass the
+engine's ceiling with a :class:`ResourceLimitError`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .freealg import index_mask
+#: Ceiling on the bytes of the arrays built for one odd-p degree component.
+#: For rank r and f free columns below, the doubled block (2r x 2f float32) is
+#: 4x the block below, and the residuals of the right multiples of the k new
+#: rows (k x 2f float64) keep the peak near three doubled blocks.
+MAX_BLOCK_BYTES = 1 << 27
+
+#: Ceiling on the bytes a grown F_2 engine may hold.  Its rows are bignums
+#: of at most 2 * ncols bits, so the rank of the engine it grows from times
+#: 2 * ncols / 8 bounds the shifted copies of the basis.
+MAX_GF2_BLOCK_BYTES = 1 << 31
+
+
+class ResourceLimitError(ValueError):
+    """A computation would allocate more memory than the module's ceiling allows."""
+
+
+def _check_block(ncols, block, limit):
+    """Refuse to grow an engine of ncols = 2^(n - 1) coordinates to degree n past the limit."""
+    if block > limit:
+        raise ResourceLimitError(
+            f"degree {ncols.bit_length()} component needs {block} bytes for its doubled"
+            f" block, over the limit of {limit} bytes"
+        )
+
+
+def index_mask(indices):
+    """The F_2 row with bits at the given indices, as one integer."""
+    if not len(indices):
+        return 0
+    bits = np.zeros(int(indices.max()) + 1, dtype=bool)
+    bits[indices] = True
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def mask_indices(mask):
+    """Inverse of :func:`index_mask`: the set bits of an integer, ascending, as an int64 array."""
+    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+
 
 #: Byte b with bit i moved to bit 2i, as little-endian 16 bits.
 _SPREAD = np.array([sum((b >> i & 1) << 2 * i for i in range(8)) for b in range(256)], dtype="<u2")
@@ -45,6 +88,8 @@ class Gf2RowSpace:
     first reduction after a change builds it again: a component takes all
     its rows before it reduces anything.
     """
+
+    p = 2
 
     def __init__(self, ncols):
         self.ncols = ncols
@@ -77,9 +122,19 @@ class Gf2RowSpace:
             row ^= other
         return False
 
+    def encode(self, indices, coeffs):
+        """The row with bits at the given coordinates: every nonzero residue mod 2 is 1."""
+        return index_mask(indices)
+
+    def decode(self, row):
+        """The set coordinates of a row, ascending, and their coefficients (all 1)."""
+        indices = mask_indices(row)
+        return indices, [1] * indices.size
+
     def grown(self):
         """The engine one degree up, x V + y V + N x + N y (see the module docstring)."""
         n, rows, width = self.ncols, self._rows, (self.ncols + 7) // 8
+        _check_block(n, len(rows) * 2 * n // 8, MAX_GF2_BLOCK_BYTES)
         space = Gf2RowSpace(2 * n)
         space._rows = {**rows, **{b + n: r << n for b, r in rows.items()}}
         space._mask, space._is_reduced, space._inherited = None, self._is_reduced, 2 * len(rows)
@@ -246,10 +301,10 @@ def _eliminate(m, p):
 class ModpRowSpace:
     """Row space over F_p in reduced row-echelon form, pivots normalized to 1.
 
-    Basis row i is 1 at ``pivots[i]``, ``coef[i, c]`` at free column
-    ``free[c]`` and 0 elsewhere, for the arrays of :meth:`echelon`.  The
-    coefficients are residues in [0, p) held as float32, and the rows are kept in
-    the order they were found; ``pivots`` and ``rows`` sort them.
+    Basis row i is 1 at ``_piv[i]``, ``_coef[i, c]`` at free column
+    ``_free[c]`` and 0 elsewhere.  The coefficients are residues in [0, p)
+    held as float32, and the rows are kept in the order they were found;
+    ``pivots`` and ``rows`` sort them.
     """
 
     def __init__(self, ncols, p):
@@ -273,12 +328,17 @@ class ModpRowSpace:
     def pivots(self):
         return np.sort(self._piv).tolist()
 
-    def echelon(self):
-        """The basis as (pivot columns, free columns, rank x free coefficient block).
+    def encode(self, indices, coeffs):
+        """The row with coeffs at the given coordinates, as an int64 vector."""
+        row = np.zeros(self.ncols, dtype=np.int64)
+        row[indices] = list(coeffs)
+        return row
 
-        The arrays are the engine's own; callers must not modify them.
-        """
-        return self._piv, self._free, self._coef
+    def decode(self, row):
+        """The nonzero coordinates of a row, ascending, and their residues."""
+        row = np.asarray(row) % self.p
+        indices = np.flatnonzero(row)
+        return indices, row[indices].tolist()
 
     def doubled(self):
         """x V + y V in 2 * ncols coordinates, already reduced (see the module docstring)."""
@@ -294,6 +354,7 @@ class ModpRowSpace:
     def grown(self):
         """The engine one degree up, x V + y V + N x + N y (see the module docstring)."""
         k, piv, free, coef = self._inherited, self._piv, self._free, self._coef
+        _check_block(self.ncols, 4 * coef.nbytes, MAX_BLOCK_BYTES)
         space = self.doubled()
         space._inherited = space.rank
         if piv.size > k:
@@ -387,7 +448,7 @@ class ModpRowSpace:
 
 
 def row_space(ncols, p):
-    """The appropriate echelon engine for F_p."""
+    """The echelon engine for F_p: the one place that picks an engine by p."""
     if p == 2:
         return Gf2RowSpace(ncols)
     return ModpRowSpace(ncols, p)

@@ -57,9 +57,12 @@ def parse_poly(text, p, cap):
     def read_uint():
         nonlocal i
         start = i
-        while i < n and text[i].isdigit():
+        while i < n and text[i].isdecimal():
             i += 1
-        return int(text[start:i])
+        try:
+            return int(text[start:i])
+        except ValueError:  # more digits than the interpreter converts
+            raise PolyParseError(f"number of {i - start} digits is too long to read", start) from None
 
     skip_ws()
     if i == n:
@@ -74,7 +77,7 @@ def parse_poly(text, p, cap):
         skip_ws()
         term_start = i
         coeff = None
-        if i < n and text[i].isdigit():
+        if i < n and text[i].isdecimal():
             coeff = read_uint()
         letters = []
         degree = 0
@@ -95,7 +98,7 @@ def parse_poly(text, p, cap):
                 if i < n and text[i] == "^":
                     i += 1
                     skip_ws()
-                    if i >= n or not text[i].isdigit():
+                    if i >= n or not text[i].isdecimal():
                         raise PolyParseError("expected an exponent after '^'", i)
                     exponent = read_uint()
                 letters.append((letter, exponent))

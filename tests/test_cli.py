@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from adjointalg import cli, direct_sum, graded, truncated_polynomial_algebra
+from adjointalg import cli, direct_sum, linalg, truncated_polynomial_algebra
 from adjointalg.cli import main
 
 
@@ -87,6 +87,20 @@ def test_factor_bad_polynomial_is_usage_error(capsys):
     assert "error:" in err
     code, _, err = run_cli(capsys, "factor", "--a", "x^9", "--cap", "6")
     assert code == 2
+    for text in ("x^" + "9" * 5000, "9" * 5000 + "x"):
+        code, out, err = run_cli(capsys, "factor", "--a", text, "--cap", "6")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: number of 5000 digits is too long to read (at position ")
+        assert "set_int_max_str_digits" not in err
+    # A superscript digit is not a decimal digit, so it neither starts nor extends a number.
+    for text, message in [
+        ("x^\u00b2", "expected an exponent after '^'"),
+        ("x^2\u00b2", "expected '+' or '-'"),
+        ("\u00b2x", "expected a term"),
+    ]:
+        code, _, err = run_cli(capsys, "factor", "--a", text, "--cap", "6")
+        assert code == 2
+        assert err.startswith(f"error: {message}")
 
 
 def test_hilbert_csv_for_free_algebra(capsys, tmp_path):
@@ -123,7 +137,7 @@ def test_hilbert_refuses_a_modulus_beyond_the_exact_kernel(capsys, tmp_path):
 def test_hilbert_over_the_memory_ceiling_is_a_usage_error(capsys, tmp_path, monkeypatch):
     path = tmp_path / "ideal.json"
     path.write_text(json.dumps([[2, "xy + 2yx"]]))
-    monkeypatch.setattr(graded, "MAX_BLOCK_BYTES", 0)
+    monkeypatch.setattr(linalg, "MAX_BLOCK_BYTES", 0)
     code, out, err = run_cli(
         capsys, "hilbert", "--p", "3", "--cap", "4", "--ideal-file", str(path)
     )

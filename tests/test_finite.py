@@ -9,11 +9,13 @@ from adjointalg import (
     AdjointGroup,
     FiniteNilAlgebra,
     NotNilpotentError,
+    ResourceLimitError,
     algebra_from_json,
     cyclic_width,
     direct_sum,
     exp_bound_check,
     index_exponent_check,
+    linalg,
     quotient_algebra,
     quotient_exponent,
     strictly_upper_triangular_algebra,
@@ -332,11 +334,18 @@ def test_cyclic_width_small_groups(make, expected):
     assert cyclic_width(AdjointGroup(make())) == expected
 
 
-def test_cyclic_width_limit_and_guards():
+def test_cyclic_width_limit_and_guards(monkeypatch):
     klein = AdjointGroup(klein_algebra())
     assert cyclic_width(klein, limit=1) is None
     with pytest.raises(ValueError):
         cyclic_width(klein, limit=0)
+    # The seen sets start with {identity}, 4 bytes; the first level adds more.
+    monkeypatch.setattr(linalg, "MAX_BLOCK_BYTES", klein.order)
+    with pytest.raises(ResourceLimitError, match="order 4 holds 8 bytes .* limit of 4 bytes"):
+        cyclic_width(klein)
+    # It ends holding the identity and the three subgroups of order 2.
+    monkeypatch.setattr(linalg, "MAX_BLOCK_BYTES", 4 * klein.order)
+    assert cyclic_width(klein) == 2
     huge = AdjointGroup(truncated_polynomial_algebra(2, 14))  # order 8192
     with pytest.raises(ValueError, match="order"):
         cyclic_width(huge)

@@ -25,7 +25,8 @@ from adjointalg import (
     words_of_degree,
     zero,
 )
-from adjointalg.freealg import index_mask, index_words, mask_indices, word_indices
+from adjointalg.freealg import index_words, word_indices
+from adjointalg.linalg import index_mask, mask_indices
 from adjointalg.oracle import naive_add, naive_mul
 
 from oracle import polys, seeded_poly

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,11 +18,13 @@ from adjointalg import (
     graded,
     homogeneous_part,
     ideal_from_json,
+    linalg,
     nilpotency_bound,
     normal_form,
     one,
     parse_poly,
     quotient_dimensions,
+    row_space,
     variable,
     zero,
 )
@@ -116,7 +119,7 @@ def test_row_polys_are_homogeneous_members():
     ideal = ideal_of(2, 4, "xy + yx")
     for n in (2, 3, 4):
         for row in ideal.component_basis(n).rows():
-            q = graded.decode_vector(row, n, 2, 4)
+            q = graded.decode_vector(row, n, ideal.component_basis(n), 4)
             assert q.is_homogeneous
             assert q.max_degree() == n
             assert normal_form(q, ideal).is_zero
@@ -243,20 +246,34 @@ def test_normal_form_is_idempotent_linear_and_kills_sandwiches(data):
         assert normal_form(a + sandwich, ideal) == nf + constant
 
 
-@pytest.mark.parametrize("degree", [1, 7, 8, 9, 16, 17])
-def test_gf2_decode_matches_a_bit_by_bit_reference(degree):
+# The p = 2 cases are named by their degree alone.
+@pytest.mark.parametrize(
+    "p, degree",
+    [pytest.param(p, d, id=str(d) if p == 2 else f"p{p}-{d}") for p in (2, 3) for d in (1, 7, 8, 9, 16, 17)],
+)
+def test_gf2_decode_matches_a_bit_by_bit_reference(p, degree):
+    """decode(encode(...)) round-trips on both engines, checked coordinate by coordinate."""
     rng = random.Random(degree)
-    for vec in (0, rng.getrandbits(1 << degree), 1 << ((1 << degree) - 1)):
-        # bit i of vec is the word whose x/y letters spell i in binary, first letter highest
-        bits = format(vec, "b")[::-1]
+    space = row_space(1 << degree, p)
+    full = rng.getrandbits(1 << degree)
+    for bits in (0, full, 1 << ((1 << degree) - 1)):
+        indices = np.array([i for i in range(1 << degree) if bits >> i & 1], dtype=np.int64)
+        coeffs = [rng.randrange(1, p) for _ in indices]
+        row = space.encode(indices, coeffs)
+        got, got_coeffs = space.decode(row)
+        assert got.tolist() == indices.tolist() and list(got_coeffs) == coeffs
+        # index i is the word whose x/y letters spell i in binary, first letter highest
         expected = {
-            format(i, f"0{degree}b").replace("0", "x").replace("1", "y"): 1
-            for i, bit in enumerate(bits)
-            if bit == "1" and vec
+            format(int(i), f"0{degree}b").replace("0", "x").replace("1", "y"): c
+            for i, c in zip(indices, coeffs)
         }
-        poly = graded.decode_vector(vec, degree, 2, 17)
+        poly = graded.decode_vector(row, degree, space, 17)
         assert poly.terms == expected
-        assert graded.encode_part(poly, degree) == vec
+        assert np.array_equal(graded.encode_part(poly, degree, space), row)
+        if p == 2:
+            assert row == bits
+        else:  # entries are read mod p
+            assert graded.decode_vector(row + p, degree, space, 17) == poly
 
 
 def test_gf2_component_bases_across_byte_boundaries_equal_the_oracle():
@@ -273,15 +290,24 @@ def test_gf2_component_bases_across_byte_boundaries_equal_the_oracle():
 
 
 def test_resource_guard_refuses_a_component_before_allocating_it(monkeypatch):
-    ideal = ideal_of(3, 6, "xy - yx")
-    ideal.component_basis(4)
-    block = 4 * ideal.component_basis(4).echelon()[2].nbytes
-    monkeypatch.setattr(graded, "MAX_BLOCK_BYTES", block - 1)
+    """Both engines, each under its own ceiling."""
 
-    def doubled(self):
-        raise AssertionError("the guarded block was allocated")
+    def refuse(*args):
+        raise AssertionError("the guarded engine was allocated")
 
-    monkeypatch.setattr(ModpRowSpace, "doubled", doubled)
-    with pytest.raises(ResourceLimitError, match=rf"degree 5 .* {block} bytes .* {block - 1} bytes"):
-        ideal.component_basis(5)
+    for p, ceiling in [(2, "MAX_GF2_BLOCK_BYTES"), (3, "MAX_BLOCK_BYTES")]:
+        ideal = ideal_of(p, 6, "xy - yx")
+        below = ideal.component_basis(4)
+        r, n = below.rank, below.ncols
+        # GF(2): r rows of 2n bits at most; mod p: the doubled 2r x 2(n - r) float32 block.
+        block = r * 2 * n // 8 if p == 2 else 4 * r * (n - r) * 4
+        assert block > 0
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, ceiling, block - 1)
+            patch.setattr(type(below), "__init__", refuse)
+            with pytest.raises(ResourceLimitError, match=rf"degree 5 .* {block} bytes .* {block - 1} bytes"):
+                ideal.component_basis(5)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, ceiling, block)
+            assert ideal.component_basis(5).ncols == 1 << 5
     assert issubclass(ResourceLimitError, ValueError)

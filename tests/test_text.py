@@ -47,7 +47,14 @@ def test_parse_examples(text, p, cap, expected):
 
 @pytest.mark.parametrize(
     "text",
-    ["", "   ", "x +", "+", "^2", "x^", "x^y", "z", "x**y", "*x", "2 3", "x y z"],
+    ["", "   ", "x +", "+", "^2", "x^", "x^y", "z", "x**y", "*x", "2 3", "x y z"]
+    + [
+        # Past the interpreter's 4300-digit limit on int(str).
+        pytest.param("x + " + "9" * 5000 + "y", id="5000-digit-coefficient"),
+        pytest.param("x^" + "9" * 5000, id="5000-digit-exponent"),
+        # A superscript digit is no decimal digit.
+        pytest.param("x^\u00b2", id="superscript-exponent"),
+    ],
 )
 def test_parse_errors_carry_position(text):
     with pytest.raises(PolyParseError) as err:
