@@ -135,17 +135,9 @@ def run_construction(p, cap, max_elements):
         raise ValueError(f"max_elements must be nonnegative, got {max_elements}")
     alpha = torsion_exponent(p)
     j_gens = tuple(build_j_generators(p, cap))
-    if cap < MIN_RELATION_DEGREE:
-        return ConstructionState(
-            p, cap, max_elements, alpha,
-            processed=0, highest_degree=_NO_DEGREES_YET,
-            i_generators=(), j_generators=j_gens, traces=(),
-            cap_too_small=True,
-        )
     stream = element_stream(p, cap)
     i_gens = []
     traces = []
-    occupied = set()
     highest = _NO_DEGREES_YET
     processed = 0
     while processed < max_elements:
@@ -157,17 +149,17 @@ def run_construction(p, cap, max_elements):
         processed += 1
         traces.append(trace)
         for d, part in homogeneous_parts(trace.residual):
-            if d < threshold or d in occupied:
+            if d < threshold:
                 raise AssertionError(
                     f"residual degree {d} violates the threshold invariant"
                 )
             i_gens.append((d, part))
-            occupied.add(d)
             highest = max(highest, d)
     return ConstructionState(
         p, cap, max_elements, alpha,
         processed=processed, highest_degree=highest,
         i_generators=tuple(i_gens), j_generators=j_gens, traces=tuple(traces),
+        cap_too_small=cap < MIN_RELATION_DEGREE,
     )
 
 

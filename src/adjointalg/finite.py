@@ -2,7 +2,9 @@
 
 An algebra is given by structure constants: table[i, j, t] is the
 coefficient of basis element t in the product e_i * e_j.  Construction
-validates associativity exhaustively on basis triples and computes the
+validates associativity on all basis triples, one basis element e_i at a
+time: with L_j = table[j], so that e_j v = v L_j for a row vector v, the
+left matrix of each e_i e_j must be L_j L_i.  It computes the
 chain of power ideals R = R^1 >= R^2 >= ... down to zero, failing loudly
 if the chain stalls before vanishing.  Because R is nilpotent, the circle
 operation u o v = u + v + uv makes the whole underlying set a finite
@@ -12,12 +14,16 @@ filtration: exponents of the quotients against the linear bound p(n+1),
 subgroup indices against powers of the exponent, and the cyclic width
 (the least m with G a product of m cyclic subgroups).
 
-Every adjoint product here (scalar products, circle powers and inverses,
-the power chain and the group table) goes through one kernel, ``_left``:
-the matrices of v -> a v for a batch of rows a, reduced mod p before a
-right factor meets them.  Each sum then stays below dim * p^2, which is
-exact in int64 for every p up to 2^24.  One chain of p-th circle powers
-gives the exponents of all the quotients.  The width search multiplies
+Every adjoint product here (the associativity check, scalar products,
+circle powers and inverses, the power chain and the group table) goes
+through one kernel, ``_left``: the matrices of v -> a v for a batch of
+rows a, reduced mod p before a right factor meets them.  Each sum then
+stays below dim * p^2, which is exact in int64 for every p up to 2^24.
+The associativity check holds dim^3 entries at a time, but reads dim^4
+products in all, so it is refused past ``linalg.MAX_BLOCK_BYTES`` of them
+(dim > 64).  One chain of p-th circle powers, computed once per algebra
+(``quotient_exponents``), gives the exponents of all the quotients, and
+every reader takes them from there.  The width search multiplies
 product sets S by a cyclic subgroup C through its cosets: C holds every
 inverse, so S C is the union of the left cosets g C that meet S, and one
 gather covers a whole block of sets.
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -71,14 +78,20 @@ class FiniteNilAlgebra:
         self._chain = self._power_chain()
 
     def _check_associative(self):
-        left = np.einsum("ijs,skt->ijkt", self.table, self.table) % self.p
-        right = np.einsum("jks,ist->ijkt", self.table, self.table) % self.p
-        if not np.array_equal(left, right):
-            i, j, k, _ = np.argwhere(left != right)[0]
-            raise ValueError(
-                f"structure constants are not associative:"
-                f" (e{i} e{j}) e{k} != e{i} (e{j} e{k})"
+        if 8 * self.dim**4 > linalg.MAX_BLOCK_BYTES:
+            raise linalg.ResourceLimitError(
+                f"associativity check of a {self.dim}-dimensional algebra reads {8 * self.dim**4}"
+                f" bytes of products, over the limit of {linalg.MAX_BLOCK_BYTES} bytes"
             )
+        # (e_i e_j) e_k = e_i (e_j e_k) for all j, k: the left matrix of e_i e_j is L_j L_i.
+        for i in range(self.dim):
+            bad = np.argwhere(_left(self, self.table[i]) != self.table @ self.table[i] % self.p)
+            if len(bad):
+                j, k, _ = bad[0]
+                raise ValueError(
+                    f"structure constants are not associative:"
+                    f" (e{i} e{j}) e{k} != e{i} (e{j} e{k})"
+                )
 
     def _power_chain(self):
         """Echelon bases of R^1 >= R^2 >= ..., ending with the first zero power."""
@@ -107,6 +120,28 @@ class FiniteNilAlgebra:
         if n < 1:
             raise ValueError(f"power index must be at least 1, got {n}")
         return self._chain[min(n, self.nilpotency_class) - 1]
+
+    @cached_property
+    def quotient_exponents(self):
+        """Exponents of the quotients by G_1, ..., G_N (N the class; the last is exp(G)).
+
+        One chain of p-th powers of all elements: the exponent of G/G_n
+        divides that of G/G_(n+1), so it advances only while not in R^(n+1).
+        """
+        if self.p**self.dim > MAX_POPULATION:
+            raise ValueError(f"population size {self.p**self.dim} exceeds {MAX_POPULATION}")
+        population = np.array(list(self.elements()), dtype=np.int64)
+        exponent = 1
+        exponents = []
+        for n in range(1, self.nilpotency_class + 1):
+            sub = self.power_space(n + 1)
+            while np.any(sub.reduce_matrix(population)):
+                population = _circle_pow_rows(self, population, self.p)
+                exponent *= self.p
+                if exponent > self.p**self.dim:
+                    raise AssertionError("quotient exponent exceeded the group order")
+            exponents.append(exponent)
+        return tuple(exponents)
 
     def _row(self, u):
         return np.asarray(u, dtype=np.int64).reshape(1, self.dim) % self.p
@@ -229,7 +264,7 @@ class AdjointGroup:
 
     def exponent(self):
         """The largest element order: the exponent of the quotient by the trivial G_n."""
-        return quotient_exponent(self.algebra, self.algebra.nilpotency_class)
+        return self.algebra.quotient_exponents[-1]
 
     def multiplication_index_table(self):
         """T[i, j] = index of element_i o element_j; guarded to small groups."""
@@ -289,31 +324,7 @@ def quotient_exponent(algebra, n):
     """Exponent of the quotient of the adjoint group by G_n, the subgroup on R^(n+1)."""
     if n < 1:
         raise ValueError(f"congruence index must be at least 1, got {n}")
-    return _quotient_exponents(algebra, n)[-1]
-
-
-def _quotient_exponents(algebra, top):
-    """Exponents of the quotients by G_1, ..., G_top, from one chain of p-th powers.
-
-    The exponent of G/G_n divides that of G/G_(n+1), so the chain of all
-    elements' p^k-th powers advances only while it is not yet in R^(n+1).
-    """
-    if algebra.p**algebra.dim > MAX_POPULATION:
-        raise ValueError(
-            f"population size {algebra.p**algebra.dim} exceeds {MAX_POPULATION}"
-        )
-    population = np.array(list(algebra.elements()), dtype=np.int64)
-    exponent = 1
-    exponents = []
-    for n in range(1, top + 1):
-        sub = algebra.power_space(n + 1)
-        while np.any(sub.reduce_matrix(population)):
-            population = _circle_pow_rows(algebra, population, algebra.p)
-            exponent *= algebra.p
-            if exponent > algebra.p**algebra.dim:
-                raise AssertionError("quotient exponent exceeded the group order")
-        exponents.append(exponent)
-    return exponents
+    return algebra.quotient_exponents[min(n, algebra.nilpotency_class) - 1]
 
 
 def exp_bound_check(algebra):
@@ -324,7 +335,7 @@ def exp_bound_check(algebra):
     """
     rows = []
     sharpest = Fraction(0)
-    for n, e in enumerate(_quotient_exponents(algebra, algebra.nilpotency_class - 1), 1):
+    for n, e in enumerate(algebra.quotient_exponents[:-1], 1):
         bound = algebra.p * (n + 1)
         sharpest = max(sharpest, Fraction(e, bound))
         rows.append(
@@ -413,8 +424,10 @@ def cyclic_width(group, limit=8):
                 if products.all(axis=1).any():
                     return level
                 data = products.tobytes()
-                keys = {data[i:i + n] for i in range(0, len(data), n)} - seen
-                seen |= keys
+                # First-seen order, so the frontier (and a refusal) does not follow hashing.
+                chunks = dict.fromkeys(data[i:i + n] for i in range(0, len(data), n))
+                keys = [key for key in chunks if key not in seen]
+                seen.update(keys)
                 fresh += keys
                 if len(seen) * n > linalg.MAX_BLOCK_BYTES:
                     raise linalg.ResourceLimitError(

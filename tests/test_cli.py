@@ -197,6 +197,15 @@ def test_width_text_output(capsys):
     assert out == "order: 4\nwidth: 1\n"
 
 
+def test_width_past_the_associativity_ceiling_is_a_usage_error(capsys):
+    # dim 199: the check would read 8 * 199^4 bytes of products, about 12.5 GB.
+    code, out, err = run_cli(capsys, "width", "--family", "poly", "--n", "200")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: associativity check of a 199-dimensional algebra")
+    assert "Traceback" not in err
+
+
 def test_width_from_algebra_file_with_tight_limit(capsys, tmp_path):
     klein = direct_sum(
         truncated_polynomial_algebra(2, 2), truncated_polynomial_algebra(2, 2)

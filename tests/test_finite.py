@@ -1,5 +1,10 @@
 """Finite nilpotent algebras: structure validation, adjoint groups, bounds, width."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +19,7 @@ from adjointalg import (
     cyclic_width,
     direct_sum,
     exp_bound_check,
+    finite,
     index_exponent_check,
     linalg,
     quotient_algebra,
@@ -98,7 +104,7 @@ def power_period(alg):
     return q
 
 
-def test_constructor_validation():
+def test_constructor_validation(monkeypatch):
     with pytest.raises(ValueError, match="prime"):
         FiniteNilAlgebra(4, ["a"], np.zeros((1, 1, 1)))
     with pytest.raises(ValueError, match="shape"):
@@ -108,6 +114,11 @@ def test_constructor_validation():
     bad[1, 0, 0] = 1  # e1*e0 = e0, so (e0 e0) e0 = e0 but e0 (e0 e0) = 0
     with pytest.raises(ValueError, match="associative"):
         FiniteNilAlgebra(2, ["a", "b"], bad)
+    # The check reads dim^4 products of 8 bytes: 128 for dim 2, 648 for dim 3.
+    monkeypatch.setattr(linalg, "MAX_BLOCK_BYTES", 128)
+    assert FiniteNilAlgebra(2, ["a", "b"], np.zeros((2, 2, 2))).nilpotency_class == 2
+    with pytest.raises(ResourceLimitError, match="3-dimensional algebra reads 648 bytes"):
+        truncated_polynomial_algebra(2, 4)
 
 
 def test_idempotent_is_rejected():
@@ -274,7 +285,7 @@ def test_quotient_algebra_is_the_image_of_the_projection():
                 assert image[brute_circle(rows, 3, u, v)] == brute_circle(quo_rows, 3, image[u], image[v])
 
 
-def test_quotient_exponent_agrees_with_direct_group_computation():
+def test_quotient_exponent_agrees_with_direct_group_computation(monkeypatch):
     """Dual route: population reduction vs the adjoint group of the quotient algebra."""
     for alg in (
         truncated_polynomial_algebra(2, 6),
@@ -289,6 +300,18 @@ def test_quotient_exponent_agrees_with_direct_group_computation():
         assert [r["exponent"] for r in exp_bound_check(alg)["rows"]] == direct
     with pytest.raises(ValueError):
         quotient_exponent(truncated_polynomial_algebra(2, 4), 0)
+    # One chain per algebra: the index check reads what the bound check computed.
+    calls = []
+    chain_step = finite._circle_pow_rows
+    monkeypatch.setattr(
+        finite, "_circle_pow_rows", lambda *args: calls.append(args) or chain_step(*args)
+    )
+    alg = truncated_polynomial_algebra(2, 9)
+    exp_bound_check(alg)
+    steps = len(calls)
+    assert steps > 0
+    index_exponent_check(alg, 4)
+    assert len(calls) == steps
 
 
 def test_exponent_bound_report():
@@ -339,13 +362,16 @@ def test_cyclic_width_limit_and_guards(monkeypatch):
     assert cyclic_width(klein, limit=1) is None
     with pytest.raises(ValueError):
         cyclic_width(klein, limit=0)
-    # The seen sets start with {identity}, 4 bytes; the first level adds more.
-    monkeypatch.setattr(linalg, "MAX_BLOCK_BYTES", klein.order)
-    with pytest.raises(ResourceLimitError, match="order 4 holds 8 bytes .* limit of 4 bytes"):
-        cyclic_width(klein)
-    # It ends holding the identity and the three subgroups of order 2.
-    monkeypatch.setattr(linalg, "MAX_BLOCK_BYTES", 4 * klein.order)
-    assert cyclic_width(klein) == 2
+    # The small ceilings hold only inside this block: the larger algebras
+    # below need the real one for their associativity check.
+    with monkeypatch.context() as patch:
+        # The seen sets start with {identity}, 4 bytes; the first level adds more.
+        patch.setattr(linalg, "MAX_BLOCK_BYTES", klein.order)
+        with pytest.raises(ResourceLimitError, match="order 4 holds 8 bytes .* limit of 4 bytes"):
+            cyclic_width(klein)
+        # It ends holding the identity and the three subgroups of order 2.
+        patch.setattr(linalg, "MAX_BLOCK_BYTES", 4 * klein.order)
+        assert cyclic_width(klein) == 2
     huge = AdjointGroup(truncated_polynomial_algebra(2, 14))  # order 8192
     with pytest.raises(ValueError, match="order"):
         cyclic_width(huge)
@@ -354,6 +380,30 @@ def test_cyclic_width_limit_and_guards(monkeypatch):
         vast.exponent()
     with pytest.raises(ValueError):
         quotient_exponent(vast.algebra, 1)
+
+
+def test_cyclic_width_refusal_is_the_same_under_every_hash_seed():
+    """The frontier keeps first-seen order, so the search stops at the same set."""
+    # Small blocks split the frontier, so its order decides what each block adds.
+    script = "\n".join([
+        "from adjointalg import AdjointGroup, cyclic_width, finite, linalg",
+        "linalg.MAX_BLOCK_BYTES, finite._BLOCK_ENTRIES = 38000, 512",
+        "try:",
+        "    cyclic_width(AdjointGroup(finite.truncated_polynomial_algebra(2, 8)))",
+        "except linalg.ResourceLimitError as exc:",
+        "    print(exc)",
+    ])
+    src = str(Path(finite.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    texts = []
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        texts.append(run.stdout)
+    assert "order 128 holds" in texts[0]
+    assert texts[0] == texts[1]
 
 
 def test_cyclic_width_is_monotone_along_quotients():
