@@ -205,7 +205,23 @@ class FiniteNilAlgebra:
 
 
 def algebra_from_json(data):
-    return FiniteNilAlgebra(data["p"], data["labels"], data["mul"])
+    """The algebra of a JSON object with fields p, labels and mul; other fields are ignored.
+
+    A document of another shape is a ValueError naming the field; the table is
+    converted by numpy, and :class:`FiniteNilAlgebra` checks its shape.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("an algebra must be a JSON object with fields p, labels and mul")
+    if type(data.get("p")) is not int:
+        raise ValueError("algebra field 'p' must be an integer")
+    for key in ("labels", "mul"):
+        if not isinstance(data.get(key), list):
+            raise ValueError(f"algebra field {key!r} must be a list")
+    try:
+        table = np.asarray(data["mul"], dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"algebra field 'mul' must be a table of integers: {exc}") from None
+    return FiniteNilAlgebra(data["p"], data["labels"], table)
 
 
 def truncated_polynomial_algebra(p, n):

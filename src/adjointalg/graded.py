@@ -161,4 +161,12 @@ def generators_to_json(ideal):
 
 
 def ideal_from_json(p, cap, data):
+    """The ideal of a JSON list of [degree, polynomial-text] pairs; other shapes raise ValueError."""
+    if not isinstance(data, list):
+        raise ValueError("an ideal must be a JSON list of [degree, polynomial] pairs")
+    for n, pair in enumerate(data):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValueError(f"ideal generator {n} must be a [degree, polynomial] pair")
+        if type(pair[0]) is not int or not isinstance(pair[1], str):
+            raise ValueError(f"ideal generator {n} needs an integer degree and a polynomial string")
     return GradedIdeal(p, cap, [parse_poly(text, p, cap) for _, text in data])

@@ -85,12 +85,24 @@ class OnePerDegreeTail:
         return {"kind": "one_per_degree", "start": self.start}
 
 
+def _tail_int(data, key, default=None):
+    value = data.get(key, default)
+    if type(value) is not int:
+        raise ValueError(f"{data['kind']} tail field {key!r} must be an integer")
+    return value
+
+
 def tail_from_json(data):
-    kind = data["kind"]
+    """A tail from its JSON object; any other shape is a ValueError naming the field."""
+    if not isinstance(data, dict):
+        raise ValueError("a census tail must be a JSON object")
+    kind = data.get("kind")
     if kind == "geometric":
-        return GeometricTail(data["growth"], data["step"], data.get("scale", 1))
+        return GeometricTail(
+            _tail_int(data, "growth"), _tail_int(data, "step"), _tail_int(data, "scale", 1)
+        )
     if kind == "one_per_degree":
-        return OnePerDegreeTail(data["start"])
+        return OnePerDegreeTail(_tail_int(data, "start"))
     raise ValueError(f"unknown tail kind {kind!r}")
 
 
@@ -139,9 +151,18 @@ class GeneratorCensus:
 
 
 def census_from_json(data):
-    counts = {int(n): r for n, r in data.get("counts", {}).items()}
-    tails = tuple(tail_from_json(t) for t in data.get("tails", ()))
-    return GeneratorCensus(counts, tails)
+    """A census from its JSON object; any other shape is a ValueError naming the field."""
+    if not isinstance(data, dict):
+        raise ValueError("a census must be a JSON object with fields counts and tails")
+    counts = data.get("counts", {})
+    tails = data.get("tails", [])
+    if not isinstance(counts, dict) or any(type(r) is not int for r in counts.values()):
+        raise ValueError("census field 'counts' must map degrees to integers")
+    if not isinstance(tails, list):
+        raise ValueError("census field 'tails' must be a list")
+    return GeneratorCensus(
+        {int(n): r for n, r in counts.items()}, tuple(tail_from_json(t) for t in tails)
+    )
 
 
 def tail_bound_census():

@@ -7,8 +7,10 @@ The grammar is deliberately tiny::
     factor := ('x' | 'y') ['^' uint]
     coeff  := uint
 
-Juxtaposition of factors means concatenation, as does '*'.  Whitespace is
-ignored everywhere.  "0" denotes the zero element.  The formatter emits
+Juxtaposition of factors means concatenation, as does '*'.  The parser
+reads tokens, each a run of decimal digits or one other character;
+whitespace only separates tokens, so it never splits a number ("x^1 2" is
+an error, not x^12).  "0" denotes the zero element.  The formatter emits
 terms in canonical order (ascending degree, then lexicographic), with
 " + " separators and '^' for letter runs, so format and parse are mutually
 inverse on canonical output.
@@ -21,6 +23,7 @@ import re
 from .freealg import TruncatedPoly, term_sort_key
 
 _RUN = re.compile("x{2,}|y{2,}")
+_TOKEN = re.compile(r"\d+|\S")
 
 
 class PolyParseError(ValueError):
@@ -43,89 +46,76 @@ class DegreeCapError(ValueError):
         self.cap = cap
 
 
+def _offset(text, k):
+    """Offset in text of its k-th token, or len(text) for the end marker."""
+    return ([m.start() for m in _TOKEN.finditer(text)] + [len(text)])[k]
+
+
+def _uint(text, tokens, k):
+    try:
+        return int(tokens[k])
+    except ValueError:  # more digits than the interpreter converts
+        raise PolyParseError(
+            f"number of {len(tokens[k])} digits is too long to read", _offset(text, k)
+        ) from None
+
+
 def parse_poly(text, p, cap):
     """Parse polynomial text into a :class:`TruncatedPoly` over F_p with the given cap."""
+    tokens = _TOKEN.findall(text) + [""]
+    if len(tokens) == 1:
+        raise PolyParseError("empty input", len(text))
     terms = {}
-    i = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal i
-        while i < n and text[i].isspace():
-            i += 1
-
-    def read_uint():
-        nonlocal i
-        start = i
-        while i < n and text[i].isdecimal():
-            i += 1
-        try:
-            return int(text[start:i])
-        except ValueError:  # more digits than the interpreter converts
-            raise PolyParseError(f"number of {i - start} digits is too long to read", start) from None
-
-    skip_ws()
-    if i == n:
-        raise PolyParseError("empty input", i)
-
-    sign = 1
-    if text[i] == "-":
-        sign = -1
-        i += 1
+    sign = -1 if tokens[0] == "-" else 1
+    k = 1 if sign < 0 else 0
 
     while True:
-        skip_ws()
-        term_start = i
+        first = k
         coeff = None
-        if i < n and text[i].isdecimal():
-            coeff = read_uint()
+        if tokens[k].isdecimal():
+            coeff = _uint(text, tokens, k)
+            k += 1
         letters = []
         degree = 0
         while True:
-            skip_ws()
-            star = False
-            if i < n and text[i] == "*":
+            if tokens[k] == "*":
                 if coeff is None and not letters:
-                    raise PolyParseError("'*' needs a factor on its left", i)
-                star = True
-                i += 1
-                skip_ws()
-            if i < n and text[i] in "xy":
-                letter = text[i]
-                i += 1
-                exponent = 1
-                skip_ws()
-                if i < n and text[i] == "^":
-                    i += 1
-                    skip_ws()
-                    if i >= n or not text[i].isdecimal():
-                        raise PolyParseError("expected an exponent after '^'", i)
-                    exponent = read_uint()
-                letters.append((letter, exponent))
-                degree += exponent
-            elif star:
-                raise PolyParseError("expected a factor after '*'", i)
-            else:
+                    raise PolyParseError("'*' needs a factor on its left", _offset(text, k))
+                k += 1
+                if tokens[k] not in ("x", "y"):
+                    raise PolyParseError("expected a factor after '*'", _offset(text, k))
+            elif tokens[k] not in ("x", "y"):
                 break
+            letter = tokens[k]
+            exponent = 1
+            k += 1
+            if tokens[k] == "^":
+                k += 1
+                if not tokens[k].isdecimal():
+                    raise PolyParseError("expected an exponent after '^'", _offset(text, k))
+                exponent = _uint(text, tokens, k)
+                k += 1
+            letters.append((letter, exponent))
+            degree += exponent
         if coeff is None and not letters:
-            raise PolyParseError("expected a term", i)
+            raise PolyParseError("expected a term", _offset(text, k))
 
         if degree > cap:
-            raise DegreeCapError(text[term_start:i].strip(), degree, cap)
+            term_text = text[_offset(text, first) : _offset(text, k)].strip()
+            raise DegreeCapError(term_text, degree, cap)
         word = "".join(letter * exponent for letter, exponent in letters)
         c = (sign * (1 if coeff is None else coeff)) % p
         terms[word] = (terms.get(word, 0) + c) % p
 
-        skip_ws()
-        if i == n:
+        if not tokens[k]:
             break
-        if text[i] == "+":
+        if tokens[k] == "+":
             sign = 1
-        elif text[i] == "-":
+        elif tokens[k] == "-":
             sign = -1
         else:
-            raise PolyParseError(f"expected '+' or '-', found {text[i]!r}", i)
-        i += 1
+            raise PolyParseError(f"expected '+' or '-', found {tokens[k][0]!r}", _offset(text, k))
+        k += 1
 
     return TruncatedPoly(p, cap, terms)
 

@@ -161,6 +161,63 @@ def test_hilbert_missing_file_is_usage_error(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv,document,message",
+    [
+        pytest.param(
+            ["hilbert", "--p", "3", "--cap", "4", "--ideal-file"],
+            [[2, 5]],
+            "ideal generator 0 needs an integer degree and a polynomial string",
+            id="ideal-text-not-a-string",
+        ),
+        pytest.param(
+            ["gs-check", "--census-file"],
+            {"tails": [{"kind": "geometric"}]},
+            "geometric tail field 'growth' must be an integer",
+            id="census-tail-without-growth",
+        ),
+        pytest.param(
+            ["gs-check", "--census-file"],
+            [1, 2],
+            "a census must be a JSON object with fields counts and tails",
+            id="census-not-an-object",
+        ),
+        pytest.param(
+            ["width", "--algebra-file"],
+            {"p": 2, "labels": ["a"]},
+            "algebra field 'mul' must be a list",
+            id="algebra-without-mul",
+        ),
+        pytest.param(
+            ["width", "--algebra-file"],
+            {"p": "2", "labels": ["a"], "mul": [[[0]]]},
+            "algebra field 'p' must be an integer",
+            id="algebra-p-a-string",
+        ),
+        pytest.param(
+            ["width", "--algebra-file"],
+            {"p": 2, "labels": ["a"], "mul": [[[None]]]},
+            "algebra field 'mul' must be a table of integers",
+            id="algebra-mul-holds-null",
+        ),
+        pytest.param(
+            ["exponent", "--algebra-file"],
+            [1, 2],
+            "an algebra must be a JSON object with fields p, labels and mul",
+            id="algebra-not-an-object",
+        ),
+    ],
+)
+def test_malformed_input_file_is_a_usage_error(capsys, tmp_path, argv, document, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+
+
 def test_construct_manifest(capsys):
     code, out, _ = run_cli(capsys, "construct", "--cap", "14", "--max-elements", "50")
     assert code == 0

@@ -426,6 +426,16 @@ def test_json_round_trip():
     assert again.circle(u, v) == alg.circle(u, v)
 
 
+@pytest.mark.parametrize(
+    "mul",
+    [[[[None]]], [[[2**70]]], [[[0], [0, 0]]]],
+    ids=["null-entry", "entry-past-int64", "ragged"],
+)
+def test_json_table_that_numpy_cannot_read_names_the_field(mul):
+    with pytest.raises(ValueError, match="^algebra field 'mul' must be a table of integers"):
+        algebra_from_json({"p": 2, "labels": ["a"], "mul": mul})
+
+
 def family(p, spec):
     name, *args = spec
     if name == "poly":

@@ -198,6 +198,21 @@ def test_generators_json_round_trip():
     assert quotient_dimensions(back).dims == quotient_dimensions(ideal).dims
 
 
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({"x": 2}, "an ideal must be a JSON list"),
+        ([[2, "x^2"], [2]], "ideal generator 1 must be a [degree, polynomial] pair"),
+        ([[2, 5]], "ideal generator 0 needs an integer degree and a polynomial string"),
+        ([["2", "x^2"]], "ideal generator 0 needs an integer degree and a polynomial string"),
+    ],
+)
+def test_generators_json_of_another_shape_is_refused(data, message):
+    with pytest.raises(ValueError) as err:
+        ideal_from_json(3, 4, data)
+    assert str(err.value).startswith(message)
+
+
 @st.composite
 def small_ideals(draw, p, max_cap=7):
     """(cap, generator term dicts) of a random homogeneous ideal."""

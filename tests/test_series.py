@@ -127,6 +127,25 @@ def test_json_round_trips():
     assert census_from_json(finite.to_json_dict()) == finite
 
 
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ([1, 2], "a census must be a JSON object"),
+        ({"counts": [2, 1]}, "census field 'counts' must map degrees to integers"),
+        ({"counts": {"2": "1"}}, "census field 'counts' must map degrees to integers"),
+        ({"tails": {"kind": "geometric"}}, "census field 'tails' must be a list"),
+        ({"tails": [7]}, "a census tail must be a JSON object"),
+        ({"tails": [{"kind": "geometric", "step": 7}]}, "geometric tail field 'growth'"),
+        ({"tails": [{"kind": "geometric", "growth": 2, "step": 7.0}]}, "geometric tail field 'step'"),
+        ({"tails": [{"kind": "one_per_degree", "start": "14"}]}, "one_per_degree tail field 'start'"),
+    ],
+)
+def test_census_json_of_another_shape_names_the_field(data, message):
+    with pytest.raises(ValueError) as err:
+        census_from_json(data)
+    assert str(err.value).startswith(message)
+
+
 def test_gs_report_accepts_fraction_strings():
     report = gs_report(tail_bound_census(), "3/4")
     assert report["tau"] == "3/4"

@@ -46,22 +46,50 @@ def test_parse_examples(text, p, cap, expected):
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["", "   ", "x +", "+", "^2", "x^", "x^y", "z", "x**y", "*x", "2 3", "x y z"]
+    "text,message,position",
+    [
+        pytest.param(text, message, position, id=text)
+        for text, message, position in [
+            ("", "empty input", 0),
+            ("   ", "empty input", 3),
+            ("x +", "expected a term", 3),
+            ("+", "expected a term", 0),
+            ("^2", "expected a term", 0),
+            ("x^", "expected an exponent after '^'", 2),
+            ("x^y", "expected an exponent after '^'", 2),
+            ("z", "expected a term", 0),
+            ("x**y", "expected a factor after '*'", 2),
+            ("*x", "'*' needs a factor on its left", 0),
+            ("2 3", "expected '+' or '-', found '3'", 2),
+            ("x y z", "expected '+' or '-', found 'z'", 4),
+            ("x 23", "expected '+' or '-', found '2'", 2),
+            (" x + 2*", "expected a factor after '*'", 7),
+            ("- x - y^ 3 x 2", "expected '+' or '-', found '2'", 13),
+        ]
+    ]
     + [
         # Past the interpreter's 4300-digit limit on int(str).
-        pytest.param("x + " + "9" * 5000 + "y", id="5000-digit-coefficient"),
-        pytest.param("x^" + "9" * 5000, id="5000-digit-exponent"),
+        pytest.param(
+            "x + " + "9" * 5000 + "y",
+            "number of 5000 digits is too long to read",
+            4,
+            id="5000-digit-coefficient",
+        ),
+        pytest.param(
+            "x^" + "9" * 5000,
+            "number of 5000 digits is too long to read",
+            2,
+            id="5000-digit-exponent",
+        ),
         # A superscript digit is no decimal digit.
-        pytest.param("x^\u00b2", id="superscript-exponent"),
+        pytest.param("x^\u00b2", "expected an exponent after '^'", 2, id="superscript-exponent"),
     ],
 )
-def test_parse_errors_carry_position(text):
+def test_parse_errors_carry_position(text, message, position):
     with pytest.raises(PolyParseError) as err:
         parse_poly(text, 2, 8)
-    assert isinstance(err.value.position, int)
-    assert err.value.position >= 0
-    assert "position" in str(err.value)
+    assert err.value.position == position
+    assert str(err.value) == f"{message} (at position {position})"
 
 
 def test_degree_cap_rejection():
@@ -70,6 +98,11 @@ def test_degree_cap_rejection():
     assert err.value.term_text == "x^7"
     assert err.value.degree == 7
     assert err.value.cap == 5
+    # The term text runs from the term's first token to its last, across whitespace.
+    for text in ("x + x^7 y", "x^7 y + x"):
+        with pytest.raises(DegreeCapError) as err:
+            parse_poly(text, 2, 5)
+        assert (err.value.term_text, err.value.degree) == ("x^7 y", 8)
     with pytest.raises(DegreeCapError):
         parse_poly("xyxyxy", 2, 5)
     with pytest.raises(DegreeCapError):
@@ -106,6 +139,45 @@ def test_format_orders_by_degree_then_lex():
 @given(polys(p=3, cap=6))
 def test_round_trip_through_text(a):
     assert parse_poly(format_poly(a), 3, 6) == a
+
+
+@st.composite
+def respelled(draw, p=5, cap=6):
+    """A random poly and a non-canonical spelling of it.
+
+    Terms come in random order, each as '+ c' or '- (p - c)', with the
+    coefficient 1 written out or left implicit, and every letter run split
+    into pieces written as 'x^k' (so 'x^1' too) or as k juxtaposed letters;
+    an optional '*' joins neighbouring factors, and random whitespace goes
+    between all tokens.
+    """
+    a = draw(polys(p=p, cap=cap))
+    tokens = [] if a.terms else ["0"]
+    for word, c in draw(st.permutations(sorted(a.terms.items()))):
+        sign, shown = ("-", p - c) if draw(st.booleans()) else ("+", c)
+        if tokens or sign == "-":
+            tokens.append(sign)
+        atoms = [[str(shown)]] if shown != 1 or not word or draw(st.booleans()) else []
+        for letter, run in groupby(word):
+            left = len(list(run))
+            while left:
+                k = draw(st.integers(1, left))
+                left -= k
+                atoms.append([letter, "^", str(k)] if draw(st.booleans()) else [letter] * k)
+        for i, atom in enumerate(atoms):
+            if i and draw(st.booleans()):
+                tokens.append("*")
+            tokens += atom
+    n = len(tokens) + 1
+    gaps = draw(st.lists(st.text(" \t\n", max_size=2), min_size=n, max_size=n))
+    return a, gaps[0] + "".join(t + g for t, g in zip(tokens, gaps[1:]))
+
+
+@settings(max_examples=200)
+@given(respelled())
+def test_non_canonical_spellings_parse_to_the_same_poly(case):
+    a, text = case
+    assert parse_poly(text, 5, 6) == a
 
 
 @settings(max_examples=60)
