@@ -94,7 +94,11 @@ def _cmd_gs_check(args):
             census = census_from_json(json.load(fh))
     else:
         census = tail_bound_census()
-    payload = gs_report(census, Fraction(args.tau))
+    try:
+        tau = Fraction(args.tau)
+    except ZeroDivisionError:
+        raise ValueError(f"--tau {args.tau} has a zero denominator") from None
+    payload = gs_report(census, tau)
     text = "\n".join(
         [
             f"tau: {payload['tau']}",

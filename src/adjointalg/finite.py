@@ -61,6 +61,11 @@ class FiniteNilAlgebra:
     """Nilpotent associative algebra over F_p with an explicit basis."""
 
     def __init__(self, p, labels, table):
+        if not 2 <= p <= linalg.MAX_MODULUS:
+            raise ValueError(
+                f"modulus {p} is outside 2..{linalg.MAX_MODULUS} (2^24), the range where"
+                " the product kernel stays exact"
+            )
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         labels = tuple(labels)
@@ -208,7 +213,8 @@ def algebra_from_json(data):
     """The algebra of a JSON object with fields p, labels and mul; other fields are ignored.
 
     A document of another shape is a ValueError naming the field; the table is
-    converted by numpy, and :class:`FiniteNilAlgebra` checks its shape.
+    converted by numpy, which must read it as int64 (a float, string, bool or
+    an int past int64 is refused), and :class:`FiniteNilAlgebra` checks its shape.
     """
     if not isinstance(data, dict):
         raise ValueError("an algebra must be a JSON object with fields p, labels and mul")
@@ -218,9 +224,11 @@ def algebra_from_json(data):
         if not isinstance(data.get(key), list):
             raise ValueError(f"algebra field {key!r} must be a list")
     try:
-        table = np.asarray(data["mul"], dtype=np.int64)
-    except (TypeError, ValueError, OverflowError) as exc:
+        table = np.asarray(data["mul"])
+    except ValueError as exc:
         raise ValueError(f"algebra field 'mul' must be a table of integers: {exc}") from None
+    if table.dtype.kind != "i":
+        raise ValueError(f"algebra field 'mul' must be a table of integers, read as {table.dtype}")
     return FiniteNilAlgebra(data["p"], data["labels"], table)
 
 

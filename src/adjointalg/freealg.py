@@ -39,12 +39,39 @@ class ConstantTermError(ValueError):
     """Raised when a circle operation is applied outside the augmentation part A+."""
 
 
+#: The 13 primes up to 41: as Miller-Rabin bases they decide primality
+#: exactly for every n below psi_13 (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+
+
 def is_prime(n):
+    """Exact primality of an integer below psi_13 = 3317044064679887385961981.
+
+    Trial division by the primes up to 41 decides every n <= 41, then a
+    strong probable-prime test to each of them as base decides the rest.
+    """
+    if n >= _PSI_13:
+        raise ValueError(f"primality is decided only below {_PSI_13}, got {n}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    return all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def words_of_degree(d):

@@ -5,7 +5,7 @@ its degree-n component is spanned by u * g * w over all generators g and
 all word pairs (u, w) with deg u + deg g + deg w = n.  Coordinates at
 degree n are indexed by the 2^n words via
 :func:`adjointalg.freealg.word_indices` (first letter highest bit), and
-each component is a row engine, built on first use and cached.
+each component is a row engine, grown on first use and listed by degree.
 
 For every p a component is grown from the one below.  Let
 L_n = x I_{n-1} + y I_{n-1} and let N_n be the rows that entered I_n beyond
@@ -62,23 +62,20 @@ class GradedIdeal:
                 raise ValueError(f"ideal generators must be homogeneous, got {g}")
             gens.append((g.max_degree(), g))
         self.generators = tuple(gens)
-        self._spaces = {}
+        self._spaces = []
 
     def _space(self, n):
-        """The row engine of degree n, grown on first use from the degrees below."""
-        space = self._spaces.get(n)
-        if space is not None:
-            return space
-        low = max((d for d in self._spaces if d < n), default=-1)
-        space = self._spaces.get(low)
-        for m in range(low + 1, n + 1):
-            space = row_space(1, self.p) if space is None else space.grown()
+        """The row engine of degree n, grown on first use from the degree below."""
+        spaces = self._spaces
+        while len(spaces) <= n:
+            m = len(spaces)
+            space = spaces[-1].grown() if spaces else row_space(1, self.p)
             gens = [encode_part(g, m, space) for d, g in self.generators if d == m]
             if gens:
                 space.add(gens)
             log.debug("degree %d component: rank %d of %d", m, space.rank, 1 << m)
-            self._spaces[m] = space
-        return space
+            spaces.append(space)
+        return spaces[n]
 
     def component_basis(self, n):
         """The row engine of the degree-n component (1 <= n <= cap).

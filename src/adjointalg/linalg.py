@@ -19,17 +19,19 @@ stays an exact integer below 2^53; both are exact for p up to 2^24.
 ``encode(indices, coeffs)`` builds a row in an engine's format, which ``add``
 and ``reduce`` take, from nonzero residues at distinct coordinates, and
 ``decode(row)`` gives its nonzero coordinates (an ascending array) and their
-coefficients (a list).  ``grown()`` goes up one degree.  Coordinate j stands
-for the word of index j (first letter highest bit), and the result spans
-x V + y V + N x + N y in 2 * ncols coordinates, N being the rows added
-since this engine was grown (all rows of a fresh engine).  The left
-multiples are two copies of the basis, the second shifted by ncols: their
-pivots are disjoint, so they need no elimination.  A right factor sends
-index j to 2j (x) or 2j + 1 (y).  Rows stay in insertion order, and a row
-only ever changes by multiples of rows with lower pivots, so the rows
-after the left multiples still span the space modulo them.  Before it
-allocates, ``grown()`` refuses a degree whose estimated bytes pass the
-engine's ceiling with a :class:`ResourceLimitError`.
+coefficients (a list).  ``grown()`` is each engine's only step up one degree.
+Coordinate j stands for the word of index j (first letter highest bit), and
+the result spans x V + y V + N x + N y in 2 * ncols coordinates, N being the
+rows added since this engine was grown (all rows of a fresh engine).  The
+left multiples are two copies of the basis, the second shifted by ncols:
+their pivots are disjoint, so they need no elimination.  A right factor
+sends index j to 2j (x) or 2j + 1 (y); :class:`ModpRowSpace` adds the right
+multiples in the sparse form of ``add``, whose ``columns`` and ``leads`` go
+together.  Rows stay in insertion order, and a row only ever changes by
+multiples of rows with lower pivots, so the rows after the left multiples
+still span the space modulo them.  Before it allocates, ``grown()`` refuses
+a degree whose estimated bytes pass the engine's ceiling with a
+:class:`ResourceLimitError`.
 """
 
 from __future__ import annotations
@@ -340,24 +342,18 @@ class ModpRowSpace:
         indices = np.flatnonzero(row)
         return indices, row[indices].tolist()
 
-    def doubled(self):
-        """x V + y V in 2 * ncols coordinates, already reduced (see the module docstring)."""
-        space = ModpRowSpace(2 * self.ncols, self.p)
-        r, f = self._coef.shape
-        space._piv = np.concatenate([self._piv, self._piv + self.ncols])
-        space._free = np.concatenate([self._free, self._free + self.ncols])
-        space._coef = np.zeros((2 * r, 2 * f), dtype=np.float32)
-        space._coef[:r, :f] = self._coef
-        space._coef[r:, f:] = self._coef
-        return space
-
     def grown(self):
         """The engine one degree up, x V + y V + N x + N y (see the module docstring)."""
-        k, piv, free, coef = self._inherited, self._piv, self._free, self._coef
-        _check_block(self.ncols, 4 * coef.nbytes, MAX_BLOCK_BYTES)
-        space = self.doubled()
-        space._inherited = space.rank
-        if piv.size > k:
+        n, k, piv, free, coef = self.ncols, self._inherited, self._piv, self._free, self._coef
+        _check_block(n, 4 * coef.nbytes, MAX_BLOCK_BYTES)
+        r, f = coef.shape
+        space = ModpRowSpace(2 * n, self.p)
+        space._piv = np.concatenate([piv, piv + n])
+        space._free = np.concatenate([free, free + n])
+        space._coef = np.zeros((2 * r, 2 * f), dtype=np.float32)
+        space._coef[:r, :f] = space._coef[r:, f:] = coef
+        space._inherited = 2 * r
+        if r > k:
             for bit in (0, 1):
                 space.add(coef[k:], 2 * free + bit, 2 * piv[k:] + bit)
         return space
@@ -366,10 +362,8 @@ class ModpRowSpace:
         """Rows reduced against the basis, as their coefficients at the free columns."""
         p = self.p
         piv, free, coef = self._piv, self._free, self._coef
-        if columns is None and leads is None:
-            return _submul(np.asarray(rows[:, free], dtype=np.float64), rows, coef, p, piv)
         if columns is None:
-            columns = np.arange(self.ncols)
+            return _submul(np.asarray(rows[:, free], dtype=np.float64), rows, coef, p, piv)
         # where[c] is j for the pivot of basis row j, and ~m for free column m.
         where = np.empty(self.ncols, dtype=np.int64)
         where[piv] = np.arange(piv.size)
@@ -378,21 +372,20 @@ class ModpRowSpace:
         on_piv = at >= 0
         out = np.zeros((rows.shape[0], free.size))
         out[:, ~at[~on_piv]] = rows[:, ~on_piv]
-        if leads is not None:
-            lead_at = where[leads]
-            hit = lead_at >= 0
-            out[hit] += p - coef[lead_at[hit]]
-            miss = np.flatnonzero(~hit)
-            out[miss, ~lead_at[miss]] += 1
+        lead_at = where[leads]
+        hit = lead_at >= 0
+        out[hit] += p - coef[lead_at[hit]]
+        miss = np.flatnonzero(~hit)
+        out[miss, ~lead_at[miss]] += 1
         return _submul(out, rows, coef, p, np.flatnonzero(on_piv), at[on_piv])
 
     def add(self, rows, columns=None, leads=None):
         """Insert one row or a 2-D batch; returns True if the span grew.
 
-        By default each row has one entry per coordinate.  With ``columns``,
-        entry k of a row is its coefficient at coordinate ``columns[k]`` and
-        every other coordinate is 0; with ``leads``, row i gets 1 more at
-        coordinate ``leads[i]``.
+        By default each row has one entry per coordinate.  ``columns`` and
+        ``leads`` go together: entry k of a row is then its coefficient at
+        coordinate ``columns[k]``, row i has 1 more at coordinate ``leads[i]``,
+        and every other coordinate is 0.
         """
         p = self.p
         rows = _residues(rows, p)

@@ -24,6 +24,13 @@ class DivergentTailError(ValueError):
     """A tail sum does not converge at the requested evaluation point."""
 
 
+def _check_fields(tail, kind):
+    """Refuse a tail with a field that is not a positive integer, as a count must be."""
+    for name, value in vars(tail).items():
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{kind} tail field {name!r} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GeometricTail:
     """scale * growth^d relations at degree step*d, for every d >= 1.
@@ -34,6 +41,9 @@ class GeometricTail:
     growth: int
     step: int
     scale: int = 1
+
+    def __post_init__(self):
+        _check_fields(self, "geometric")
 
     def convergent_at(self, tau):
         return self.growth * tau**self.step < 1
@@ -70,6 +80,9 @@ class OnePerDegreeTail:
 
     start: int
 
+    def __post_init__(self):
+        _check_fields(self, "one_per_degree")
+
     def convergent_at(self, tau):
         return tau < 1
 
@@ -85,24 +98,15 @@ class OnePerDegreeTail:
         return {"kind": "one_per_degree", "start": self.start}
 
 
-def _tail_int(data, key, default=None):
-    value = data.get(key, default)
-    if type(value) is not int:
-        raise ValueError(f"{data['kind']} tail field {key!r} must be an integer")
-    return value
-
-
 def tail_from_json(data):
     """A tail from its JSON object; any other shape is a ValueError naming the field."""
     if not isinstance(data, dict):
         raise ValueError("a census tail must be a JSON object")
     kind = data.get("kind")
     if kind == "geometric":
-        return GeometricTail(
-            _tail_int(data, "growth"), _tail_int(data, "step"), _tail_int(data, "scale", 1)
-        )
+        return GeometricTail(data.get("growth"), data.get("step"), data.get("scale", 1))
     if kind == "one_per_degree":
-        return OnePerDegreeTail(_tail_int(data, "start"))
+        return OnePerDegreeTail(data.get("start"))
     raise ValueError(f"unknown tail kind {kind!r}")
 
 

@@ -43,6 +43,12 @@ def test_gs_check_invalid_tau_is_usage_error(capsys):
     assert err.startswith("error:")
 
 
+def test_gs_check_tau_with_zero_denominator_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "gs-check", "--tau", "1/0")
+    assert (code, out) == (2, "")
+    assert err == "error: --tau 1/0 has a zero denominator\n"
+
+
 def test_gs_check_census_file(capsys, tmp_path):
     path = tmp_path / "census.json"
     path.write_text(json.dumps({"counts": {"2": 1}}))
@@ -60,6 +66,13 @@ def test_factor_exact_json(capsys):
     assert payload["factors"][:3] == ["x", "x^2", "x^3"]
     assert payload["valuation"] == "infinity"
     assert payload["residual"] == "0"
+
+
+def test_factor_over_a_prime_past_the_trial_division_range(capsys):
+    """p = 2^61 - 1 is decided by the Miller-Rabin test, not by 2^30 trial divisions."""
+    code, out, _ = run_cli(capsys, "factor", "--p", str(2**61 - 1), "--a", "x + y", "--cap", "4")
+    assert code == 0
+    assert json.loads(out)["factors"] == ["x + y"]
 
 
 def test_factor_partial_precision(capsys):
@@ -181,6 +194,30 @@ def test_hilbert_missing_file_is_usage_error(capsys, tmp_path):
             [1, 2],
             "a census must be a JSON object with fields counts and tails",
             id="census-not-an-object",
+        ),
+        pytest.param(
+            ["gs-check", "--census-file"],
+            {"tails": [{"kind": "geometric", "growth": -100, "step": 1}]},
+            "geometric tail field 'growth' must be an integer >= 1, got -100",
+            id="census-negative-growth",
+        ),
+        pytest.param(
+            ["gs-check", "--census-file"],
+            {"tails": [{"kind": "geometric", "growth": 2, "step": 0}]},
+            "geometric tail field 'step' must be an integer >= 1, got 0",
+            id="census-zero-step",
+        ),
+        pytest.param(
+            ["exponent", "--algebra-file"],
+            {"p": 2**61 - 1, "labels": ["a"], "mul": [[[0]]]},
+            f"modulus {2**61 - 1} is outside 2..16777216 (2^24)",
+            id="algebra-p-past-2-24",
+        ),
+        pytest.param(
+            ["exponent", "--algebra-file"],
+            {"p": 2, "labels": ["a", "b"], "mul": [[[0, 1.5], [0, 0]], [[0, 0], [0, 0]]]},
+            "algebra field 'mul' must be a table of integers, read as float64",
+            id="algebra-mul-fractional",
         ),
         pytest.param(
             ["width", "--algebra-file"],

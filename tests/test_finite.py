@@ -428,12 +428,32 @@ def test_json_round_trip():
 
 @pytest.mark.parametrize(
     "mul",
-    [[[[None]]], [[[2**70]]], [[[0], [0, 0]]]],
-    ids=["null-entry", "entry-past-int64", "ragged"],
+    [
+        [[[None]]],
+        [[[2**70]]],
+        [[[0], [0, 0]]],
+        [[[1.5]]],
+        [[[1.0]]],
+        [[["1"]]],
+        [[[True]]],
+        [[[2**63]]],
+    ],
+    ids=["null-entry", "entry-past-int64", "ragged", "fraction", "float", "string", "bool", "uint64"],
 )
 def test_json_table_that_numpy_cannot_read_names_the_field(mul):
+    """Told to read int64, numpy would take 1.5 and 1.0 as 1, "1" as 1, and wrap 2^63."""
     with pytest.raises(ValueError, match="^algebra field 'mul' must be a table of integers"):
         algebra_from_json({"p": 2, "labels": ["a"], "mul": mul})
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 2**24 + 1, 2**61 - 1])
+def test_modulus_outside_the_exact_range_is_refused_before_the_primality_test(monkeypatch, p):
+    def refuse(n):
+        raise AssertionError("primality was tested")
+
+    monkeypatch.setattr(finite, "is_prime", refuse)
+    with pytest.raises(ValueError, match=r"^modulus -?\d+ is outside 2\.\.16777216 \(2\^24\)"):
+        FiniteNilAlgebra(p, ["a"], np.zeros((1, 1, 1)))
 
 
 def family(p, spec):

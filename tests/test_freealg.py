@@ -25,11 +25,38 @@ from adjointalg import (
     words_of_degree,
     zero,
 )
-from adjointalg.freealg import index_words, word_indices
+from adjointalg.freealg import index_words, is_prime, word_indices
 from adjointalg.linalg import index_mask, mask_indices
 from adjointalg.oracle import naive_add, naive_mul
 
 from oracle import polys, seeded_poly
+
+
+def test_is_prime_agrees_with_trial_division_below_10_to_the_5():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if trial(n)]
+
+
+@pytest.mark.parametrize(
+    "n,prime",
+    [
+        (3215031751, False),
+        (3825123056546413051, False),  # a strong pseudoprime to every base 2..31
+        (318665857834031151167461, False),  # psi_12, strong pseudoprime to every base 2..37
+        (2**31 - 1, True),
+        (2**61 - 1, True),
+    ],
+)
+def test_is_prime_on_strong_pseudoprimes_and_mersenne_primes(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_is_prime_refuses_a_number_past_its_exact_range():
+    assert is_prime(3317044064679887385961980) is False
+    with pytest.raises(ValueError, match="decided only below 3317044064679887385961981"):
+        is_prime(3317044064679887385961981)
 
 
 def test_rejects_bad_construction():

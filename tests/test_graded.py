@@ -115,6 +115,22 @@ def test_gf2_engine_agrees_with_dense_engine_on_ideal_rows(gens):
         assert ideal.component_basis(n).rank == dense.rank
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_components_queried_out_of_order_equal_those_built_in_order(p):
+    """A query grows every degree up to its own, whatever degrees were asked for before."""
+    texts = ("xy - yx", "x^3 + y x y", "x^2 y^3")
+    shuffled, ordered = ideal_of(p, 8, *texts), ideal_of(p, 8, *texts)
+    a = parse_poly("x^3 y^4 + y x^6 + x y", p, 8)
+    first = normal_form(a, shuffled)
+    shuffled.component_basis(3)
+    for n in (8, 1, 5, 2, 6, 4, 7):
+        shuffled.component_basis(n)
+    expected = [ordered.component_basis(n).row_vectors() for n in range(1, 9)]
+    assert [shuffled.component_basis(n).row_vectors() for n in range(1, 9)] == expected
+    assert quotient_dimensions(shuffled) == quotient_dimensions(ordered)
+    assert first == normal_form(a, ordered)
+
+
 def test_row_polys_are_homogeneous_members():
     ideal = ideal_of(2, 4, "xy + yx")
     for n in (2, 3, 4):

@@ -358,20 +358,6 @@ def test_modp_add_on_a_column_subset_matches_the_dense_rows(data):
     assert gathered.row_vectors() == plain.row_vectors()
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_modp_doubled_is_the_direct_sum(data):
-    p = data.draw(st.sampled_from([3, 5]))
-    ncols = data.draw(st.integers(1, 8))
-    rows = data.draw(_row_lists(p, ncols, 8))
-    space = ModpRowSpace(ncols, p)
-    if rows:
-        space.add(rows)
-    zero = [0] * ncols
-    expected = rref_mod_p([r + zero for r in rows] + [zero + r for r in rows], p)
-    assert space.doubled().row_vectors() == expected
-
-
 def _naive_grown(left, right, ncols):
     """Spanning vectors of x V + y V + N x + N y, V spanned by left and N by right.
 

@@ -146,6 +146,23 @@ def test_census_json_of_another_shape_names_the_field(data, message):
     assert str(err.value).startswith(message)
 
 
+@pytest.mark.parametrize(
+    "make,args,field",
+    [
+        (GeometricTail, (-100, 1), "growth"),
+        (GeometricTail, (2, 0), "step"),
+        (GeometricTail, (2, 1, -1), "scale"),
+        (GeometricTail, (2, Fraction(1)), "step"),
+        (OnePerDegreeTail, (0,), "start"),
+        (OnePerDegreeTail, (True,), "start"),
+    ],
+)
+def test_tail_fields_must_be_positive_integers(make, args, field):
+    """A negative growth would certify a false negative f(tau); a zero step never ends a tail."""
+    with pytest.raises(ValueError, match=f"tail field '{field}' must be an integer >= 1"):
+        make(*args)
+
+
 def test_gs_report_accepts_fraction_strings():
     report = gs_report(tail_bound_census(), "3/4")
     assert report["tau"] == "3/4"
