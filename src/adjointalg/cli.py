@@ -5,7 +5,8 @@ are deterministic: the same invocation always writes byte-identical
 payloads to stdout (or --out), with timing on stderr only.  Exit codes:
 0 on success, 1 when a checked property fails to hold, 2 on usage errors,
 3 when an internal invariant check fails (a bug, reported as one
-``internal error:`` line on stderr).
+``internal error:`` line on stderr).  Only ``hilbert`` writes CSV; ``--format
+csv`` on any other subcommand is refused before its work starts.
 """
 
 from __future__ import annotations
@@ -248,8 +249,6 @@ def _render(args, payload, csv_text, text):
     if args.format == "json":
         return json.dumps(payload, indent=2) + "\n"
     if args.format == "csv":
-        if csv_text is None:
-            raise ValueError(f"csv output is not available for '{args.command}'")
         return csv_text
     return text + "\n"
 
@@ -258,6 +257,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        if args.format == "csv" and args.command != "hilbert":
+            raise ValueError(f"csv output is not available for '{args.command}'")
         payload, csv_text, text, code = args.handler(args)
         rendered = _render(args, payload, csv_text, text)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -214,7 +214,9 @@ def algebra_from_json(data):
 
     A document of another shape is a ValueError naming the field; the table is
     converted by numpy, which must read it as int64 (a float, string, bool or
-    an int past int64 is refused), and :class:`FiniteNilAlgebra` checks its shape.
+    an int past int64 is refused).  numpy reads a true among integers as 1,
+    so the entries are then searched for a JSON boolean, and only then does
+    :class:`FiniteNilAlgebra` check the table's shape.
     """
     if not isinstance(data, dict):
         raise ValueError("an algebra must be a JSON object with fields p, labels and mul")
@@ -229,6 +231,11 @@ def algebra_from_json(data):
         raise ValueError(f"algebra field 'mul' must be a table of integers: {exc}") from None
     if table.dtype.kind != "i":
         raise ValueError(f"algebra field 'mul' must be a table of integers, read as {table.dtype}")
+    entries = data["mul"]
+    for _ in range(table.ndim - 1):
+        entries = [e for row in entries for e in row]
+    if bool in map(type, entries):
+        raise ValueError("algebra field 'mul' must be a table of integers, holds a JSON boolean")
     return FiniteNilAlgebra(data["p"], data["labels"], table)
 
 

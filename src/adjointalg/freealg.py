@@ -4,7 +4,8 @@ Everything here works in the quotient of F_p<x, y> by the two-sided ideal
 spanned by words longer than a fixed degree cap, so every element has
 finitely many terms and all arithmetic is exact.  Words are plain strings
 over the alphabet "xy"; an element is stored as a mapping from words to
-nonzero coefficients in [1, p).
+nonzero coefficients in [1, p).  Words of one degree are ordered by one
+place-value vector, 2^(d - 1), ..., 2, 1 (x = 0, y = 1): :func:`_place_values`.
 
 On top of the ring operations the module provides the adjoint (circle)
 operations
@@ -20,7 +21,6 @@ with constant term 1.
 from __future__ import annotations
 
 import math
-from itertools import product
 
 import numpy as np
 
@@ -74,45 +74,40 @@ def is_prime(n):
     return True
 
 
+def _place_values(degree):
+    """The word order: letter k of a degree-d word (x = 0, y = 1) counts 2^(d - 1 - k)."""
+    if degree > 63:
+        raise ValueError(f"words of degree {degree} have ranks beyond the int64 range")
+    return 1 << np.arange(degree - 1, -1, -1, dtype=np.int64)
+
+
 def words_of_degree(d):
-    """Yield the 2^d words of degree d in lexicographic order (x < y)."""
-    for letters in product(ALPHABET, repeat=d):
-        yield "".join(letters)
+    """The 2^d words of degree d in lexicographic order (x < y), as a list: ranks 0 to 2^d - 1."""
+    return index_words(np.arange(1 << d), d)
 
 
 def word_indices(words, degree):
-    """Ranks of words of one degree among all words of that degree, as an int64 array.
+    """Ranks of words of one degree, their positions in :func:`words_of_degree`, as int64.
 
-    x is 0 and y is 1, and the first letter is the highest bit, so the rank
-    of a word is its position in :func:`words_of_degree`.  The letters are
-    packed eight to a byte and the bytes combined, so no per-word or
-    per-letter Python work is done.  Ranks of words longer than 63 letters
-    do not fit in int64 and are refused.
+    A rank is the word's 0/1 letters times :func:`_place_values`, as an einsum,
+    which casts the letters a buffer at a time; past 63 letters it is refused.
     """
-    if degree > 63:
-        raise ValueError(f"words of degree {degree} have ranks beyond the int64 range")
     if degree == 0:
         return np.zeros(len(words), dtype=np.int64)
-    letters = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
-    packed = np.packbits(letters.reshape(-1, degree) == ord("y"), axis=1)
-    # Unsigned, so that the padding bits of up to 64 packed bits shift out cleanly.
-    out = packed[:, 0].astype(np.uint64)
-    for column in packed.T[1:]:
-        out <<= 8
-        out |= column
-    out >>= 8 * packed.shape[1] - degree
-    return out.view(np.int64)
+    letters = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8) - ord("x")
+    return np.einsum("wk,k->w", letters.reshape(-1, degree), _place_values(degree))
 
 
 def index_words(indices, degree):
     """Inverse of :func:`word_indices`: the words of the given ranks, as a list of strings."""
     if degree == 0:
         return [""] * len(indices)
-    nbytes = (degree + 7) // 8
-    big_endian = np.asarray(indices, dtype=">u8").view(np.uint8).reshape(-1, 8)
-    bits = np.unpackbits(big_endian[:, 8 - nbytes:], axis=1)[:, 8 * nbytes - degree:]
+    # Each AND is cast to bool as it is computed, so a letter takes one byte, not eight.
+    ranks = np.asarray(indices, dtype=np.int64)[:, None]
+    bits = np.empty((ranks.size, degree), dtype=bool)
+    np.bitwise_and(ranks, _place_values(degree), out=bits, casting="unsafe")
     # ord("y") == ord("x") + 1, so a y bit adds one to the letter x.
-    text = (bits + ord("x")).tobytes().decode("ascii")
+    text = (bits.view(np.uint8) + ord("x")).tobytes().decode("ascii")
     return [text[k:k + degree] for k in range(0, len(text), degree)]
 
 

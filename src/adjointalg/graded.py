@@ -158,12 +158,23 @@ def generators_to_json(ideal):
 
 
 def ideal_from_json(p, cap, data):
-    """The ideal of a JSON list of [degree, polynomial-text] pairs; other shapes raise ValueError."""
+    """The ideal of a JSON list of [degree, polynomial-text] pairs; other shapes raise ValueError.
+
+    A homogeneous polynomial of a degree other than the stated one is refused too.
+    """
     if not isinstance(data, list):
         raise ValueError("an ideal must be a JSON list of [degree, polynomial] pairs")
+    gens = []
     for n, pair in enumerate(data):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ValueError(f"ideal generator {n} must be a [degree, polynomial] pair")
-        if type(pair[0]) is not int or not isinstance(pair[1], str):
+        degree, text = pair
+        if type(degree) is not int or not isinstance(text, str):
             raise ValueError(f"ideal generator {n} needs an integer degree and a polynomial string")
-    return GradedIdeal(p, cap, [parse_poly(text, p, cap) for _, text in data])
+        g = parse_poly(text, p, cap)
+        if g.is_homogeneous and g.max_degree() not in (None, degree):
+            raise ValueError(
+                f"ideal generator {n} has degree {g.max_degree()}, not the stated {degree}"
+            )
+        gens.append(g)
+    return GradedIdeal(p, cap, gens)

@@ -30,7 +30,8 @@ multiples in the sparse form of ``add``, whose ``columns`` and ``leads`` go
 together.  Rows stay in insertion order, and a row only ever changes by
 multiples of rows with lower pivots, so the rows after the left multiples
 still span the space modulo them.  Before it allocates, ``grown()`` refuses
-a degree whose estimated bytes pass the engine's ceiling with a
+a degree whose estimated bytes, the doubled block and the arrays of one
+entry per coordinate, pass the engine's ceiling with a
 :class:`ResourceLimitError`.
 """
 
@@ -41,25 +42,38 @@ import numpy as np
 #: Ceiling on the bytes of the arrays built for one odd-p degree component.
 #: For rank r and f free columns below, the doubled block (2r x 2f float32) is
 #: 4x the block below, and the residuals of the right multiples of the k new
-#: rows (k x 2f float64) keep the peak near three doubled blocks.
+#: rows (k x 2f float64) keep the peak near three doubled blocks.  Arrays of
+#: one entry per coordinate come on top, even at rank 0: the int64 pivot and
+#: free-column indices, the int64 ``where`` map of the sparse ``add``, and a
+#: dense int64 row from ``encode`` with its float64 copies in ``add``, which
+#: peak at _MODP_COORD_BYTES per coordinate of the degree being built.
 MAX_BLOCK_BYTES = 1 << 27
+_MODP_COORD_BYTES = 64
 
 #: Ceiling on the bytes a grown F_2 engine may hold.  Its rows are bignums
 #: of at most 2 * ncols bits, so the rank of the engine it grows from times
-#: 2 * ncols / 8 bounds the shifted copies of the basis.
+#: 2 * ncols / 8 bounds the shifted copies of the basis.  On top come
+#: _GF2_COORD_BYTES per coordinate of the degree being built: the bool array
+#: of :func:`index_mask`, one byte per coordinate, and its packed copies.
 MAX_GF2_BLOCK_BYTES = 1 << 31
+_GF2_COORD_BYTES = 2
 
 
 class ResourceLimitError(ValueError):
     """A computation would allocate more memory than the module's ceiling allows."""
 
 
-def _check_block(ncols, block, limit):
-    """Refuse to grow an engine of ncols = 2^(n - 1) coordinates to degree n past the limit."""
-    if block > limit:
+def _check_block(ncols, block, coord_bytes, limit):
+    """Refuse to grow an engine of ncols = 2^(n - 1) coordinates to degree n past the limit.
+
+    The estimate is the block plus coord_bytes for each of the 2 * ncols
+    coordinates of degree n.
+    """
+    need = block + coord_bytes * 2 * ncols
+    if need > limit:
         raise ResourceLimitError(
-            f"degree {ncols.bit_length()} component needs {block} bytes for its doubled"
-            f" block, over the limit of {limit} bytes"
+            f"degree {ncols.bit_length()} component needs {need} bytes for its doubled"
+            f" block and coordinate arrays, over the limit of {limit} bytes"
         )
 
 
@@ -136,7 +150,7 @@ class Gf2RowSpace:
     def grown(self):
         """The engine one degree up, x V + y V + N x + N y (see the module docstring)."""
         n, rows, width = self.ncols, self._rows, (self.ncols + 7) // 8
-        _check_block(n, len(rows) * 2 * n // 8, MAX_GF2_BLOCK_BYTES)
+        _check_block(n, len(rows) * 2 * n // 8, _GF2_COORD_BYTES, MAX_GF2_BLOCK_BYTES)
         space = Gf2RowSpace(2 * n)
         space._rows = {**rows, **{b + n: r << n for b, r in rows.items()}}
         space._mask, space._is_reduced, space._inherited = None, self._is_reduced, 2 * len(rows)
@@ -345,7 +359,7 @@ class ModpRowSpace:
     def grown(self):
         """The engine one degree up, x V + y V + N x + N y (see the module docstring)."""
         n, k, piv, free, coef = self.ncols, self._inherited, self._piv, self._free, self._coef
-        _check_block(n, 4 * coef.nbytes, MAX_BLOCK_BYTES)
+        _check_block(n, 4 * coef.nbytes, _MODP_COORD_BYTES, MAX_BLOCK_BYTES)
         r, f = coef.shape
         space = ModpRowSpace(2 * n, self.p)
         space._piv = np.concatenate([piv, piv + n])

@@ -115,8 +115,8 @@ class GeneratorCensus:
     """Relation counts by degree: explicit finite counts plus closed-form tails.
 
     Degrees 0 and 1 never carry relations (the presentation has two
-    generators and relations start in degree 2), so such entries are
-    rejected.
+    generators and relations start in degree 2), so such entries, and tails
+    with relations at degree 1, are rejected.
     """
 
     counts: tuple
@@ -133,8 +133,12 @@ class GeneratorCensus:
             if n < 2:
                 raise ValueError(f"relation counts start at degree 2, got degree {n}")
             clean[n] = clean.get(n, 0) + r
+        tails = tuple(tails)
+        for tail in tails:
+            if tail.counts_up_to(1):
+                raise ValueError(f"relation counts start at degree 2, got {tail!r} at degree 1")
         object.__setattr__(self, "counts", tuple(clean.items()))
-        object.__setattr__(self, "tails", tuple(tails))
+        object.__setattr__(self, "tails", tails)
 
     def count_dict(self):
         return dict(self.counts)

@@ -156,7 +156,8 @@ def test_hilbert_over_the_memory_ceiling_is_a_usage_error(capsys, tmp_path, monk
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error: degree 3 component needs 48 bytes for its doubled block")
+    # Rank 0 below, so only the 64 bytes of each of the 2 coordinates of degree 1.
+    assert err.startswith("error: degree 1 component needs 128 bytes for its doubled block")
 
 
 def test_hilbert_from_construction(capsys):
@@ -182,6 +183,24 @@ def test_hilbert_missing_file_is_usage_error(capsys, tmp_path):
             [[2, 5]],
             "ideal generator 0 needs an integer degree and a polynomial string",
             id="ideal-text-not-a-string",
+        ),
+        pytest.param(
+            ["hilbert", "--p", "3", "--cap", "4", "--ideal-file"],
+            [[7, "xy"]],
+            "ideal generator 0 has degree 2, not the stated 7",
+            id="ideal-degree-mismatch",
+        ),
+        pytest.param(
+            ["gs-check", "--census-file"],
+            {"tails": [{"kind": "one_per_degree", "start": 1}]},
+            "relation counts start at degree 2, got OnePerDegreeTail(start=1) at degree 1",
+            id="census-tail-at-degree-1",
+        ),
+        pytest.param(
+            ["exponent", "--algebra-file"],
+            {"p": 2, "labels": ["a", "b"], "mul": [[[0, True], [0, 0]], [[0, 0], [0, 0]]]},
+            "algebra field 'mul' must be a table of integers, holds a JSON boolean",
+            id="algebra-mul-bool-among-ints",
         ),
         pytest.param(
             ["gs-check", "--census-file"],
@@ -336,6 +355,24 @@ def test_csv_unavailable_for_gs_check(capsys):
     code, _, err = run_cli(capsys, "gs-check", "--format", "csv")
     assert code == 2
     assert "csv output is not available" in err
+
+
+@pytest.mark.parametrize(
+    "argv,handler",
+    [
+        (["construct", "--cap", "17", "--max-elements", "100"], "_cmd_construct"),
+        (["width", "--family", "poly", "--n", "10"], "_cmd_width"),
+        (["selftest"], "_cmd_selftest"),
+    ],
+)
+def test_csv_outside_hilbert_is_refused_before_the_handler_runs(capsys, monkeypatch, argv, handler):
+    def broken(args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr(cli, handler, broken)
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == f"error: csv output is not available for '{argv[0]}'\n"
 
 
 def test_internal_invariant_failure_exits_three_with_one_line(capsys, monkeypatch):

@@ -437,11 +437,19 @@ def test_json_round_trip():
         [[["1"]]],
         [[[True]]],
         [[[2**63]]],
+        [[[0, True], [0, 0]], [[0, 0], [0, 0]]],
     ],
-    ids=["null-entry", "entry-past-int64", "ragged", "fraction", "float", "string", "bool", "uint64"],
+    ids=[
+        "null-entry", "entry-past-int64", "ragged", "fraction", "float", "string", "bool", "uint64",
+        "bool-among-ints",
+    ],
 )
 def test_json_table_that_numpy_cannot_read_names_the_field(mul):
-    """Told to read int64, numpy would take 1.5 and 1.0 as 1, "1" as 1, and wrap 2^63."""
+    """Told to read int64, numpy would take 1.5 and 1.0 as 1, "1" as 1, and wrap 2^63.
+
+    Left to itself, it reads a true among integers as 1; that table is 2 x 2 x
+    2 against one label, so it is refused before the shape check.
+    """
     with pytest.raises(ValueError, match="^algebra field 'mul' must be a table of integers"):
         algebra_from_json({"p": 2, "labels": ["a"], "mul": mul})
 

@@ -1,5 +1,6 @@
 """Core truncated arithmetic: ring operations, valuations, and the circle group."""
 
+import itertools
 import math
 import random
 
@@ -252,6 +253,22 @@ def test_word_index_round_trip():
     assert word_indices(["y" * 63, "x" * 62 + "y"], 63).tolist() == [2**63 - 1, 1]
     with pytest.raises(ValueError, match="int64"):
         word_indices(["x" * 64], 64)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 63).flatmap(lambda d: st.tuples(st.just(d), st.lists(st.text("xy", min_size=d, max_size=d)))))
+def test_word_ranks_match_a_per_word_binary_reading(case):
+    """Ranks agree with reading each word as binary (x = 0, y = 1), and index_words inverts them."""
+    d, words = case
+    ranks = word_indices(words, d)
+    assert ranks.dtype == np.int64
+    assert ranks.tolist() == [int(w.translate(str.maketrans("xy", "01")), 2) for w in words]
+    assert index_words(ranks, d) == words
+
+
+def test_words_of_degree_is_the_lexicographic_product():
+    for d in range(13):
+        assert words_of_degree(d) == ["".join(t) for t in itertools.product("xy", repeat=d)]
 
 
 @st.composite

@@ -221,6 +221,7 @@ def test_generators_json_round_trip():
         ([[2, "x^2"], [2]], "ideal generator 1 must be a [degree, polynomial] pair"),
         ([[2, 5]], "ideal generator 0 needs an integer degree and a polynomial string"),
         ([["2", "x^2"]], "ideal generator 0 needs an integer degree and a polynomial string"),
+        ([[7, "xy"]], "ideal generator 0 has degree 2, not the stated 7"),
     ],
 )
 def test_generators_json_of_another_shape_is_refused(data, message):
@@ -330,8 +331,9 @@ def test_resource_guard_refuses_a_component_before_allocating_it(monkeypatch):
         ideal = ideal_of(p, 6, "xy - yx")
         below = ideal.component_basis(4)
         r, n = below.rank, below.ncols
-        # GF(2): r rows of 2n bits at most; mod p: the doubled 2r x 2(n - r) float32 block.
-        block = r * 2 * n // 8 if p == 2 else 4 * r * (n - r) * 4
+        # GF(2): r rows of 2n bits at most and 2 bytes per coordinate; mod p: the
+        # doubled 2r x 2(n - r) float32 block and 64 bytes per coordinate.
+        block = r * 2 * n // 8 + 2 * 2 * n if p == 2 else 4 * r * (n - r) * 4 + 64 * 2 * n
         assert block > 0
         with monkeypatch.context() as patch:
             patch.setattr(linalg, ceiling, block - 1)
@@ -342,3 +344,23 @@ def test_resource_guard_refuses_a_component_before_allocating_it(monkeypatch):
             patch.setattr(linalg, ceiling, block)
             assert ideal.component_basis(5).ncols == 1 << 5
     assert issubclass(ResourceLimitError, ValueError)
+
+
+def test_resource_guard_counts_the_coordinates_below_the_first_generator(monkeypatch):
+    """At rank 0 the doubled block is empty, yet every coordinate still costs memory."""
+
+    def refuse(*args):
+        raise AssertionError("the guarded engine was allocated")
+
+    ideal = ideal_of(3, 12, "x^12")
+    below = ideal.component_basis(11)
+    assert below.rank == 0
+    need = 64 * (1 << 12)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "MAX_BLOCK_BYTES", need - 1)
+        patch.setattr(type(below), "__init__", refuse)
+        with pytest.raises(ResourceLimitError, match=rf"^degree 12 component needs {need} bytes .* {need - 1} bytes$"):
+            ideal.component_basis(12)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "MAX_BLOCK_BYTES", need)
+        assert ideal.component_basis(12).rank == 1

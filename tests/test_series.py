@@ -67,6 +67,9 @@ def test_census_validation_and_normalization():
         GeneratorCensus({0: 1})
     with pytest.raises(ValueError, match="negative"):
         GeneratorCensus({3: -1})
+    for tail in (OnePerDegreeTail(1), GeometricTail(2, 1)):
+        with pytest.raises(ValueError, match="start at degree 2, got .* at degree 1$"):
+            GeneratorCensus(tails=(tail,))
     assert GeneratorCensus({2: 0, 3: 1}).counts == ((3, 1),)
     assert GeneratorCensus([(2, 1), (2, 2)]).counts == ((2, 3),)
     assert GeneratorCensus({3: 1, 2: 5}).counts == ((2, 5), (3, 1))
@@ -99,7 +102,7 @@ def test_witness_search():
     with pytest.raises(ValueError):
         witness_search(census, 1)
     # every grid point diverges for a fast tail: skipped, not an error
-    fast = GeneratorCensus(tails=(GeometricTail(16, 1),))
+    fast = GeneratorCensus(tails=(GeometricTail(256, 2),))
     assert witness_search(fast, 4) is None
 
 
