@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice, product
 
 from .factorization import factor_to_valuation, trace_to_json
-from .freealg import TruncatedPoly, homogeneous_parts, words_of_degree
+from .freealg import TruncatedPoly, check_context, homogeneous_parts, words_of_degree
 from .graded import GradedIdeal, normal_form
 from .series import GeneratorCensus, tail_bound_census
 from .text import format_poly
@@ -129,8 +129,10 @@ def run_construction(p, cap, max_elements):
     stops once the next threshold would exceed it (or after max_elements
     enumerated elements).  Caps below 14 cannot hold any I-generator at
     all; such runs return an empty I with cap_too_small set, but still
-    carry the torsion generators J.
+    carry the torsion generators J.  A p that is not prime or a cap below 1
+    is refused before any work.
     """
+    check_context(p, cap)
     if max_elements < 0:
         raise ValueError(f"max_elements must be nonnegative, got {max_elements}")
     alpha = torsion_exponent(p)

@@ -74,6 +74,14 @@ def is_prime(n):
     return True
 
 
+def check_context(p, cap):
+    """Refuse, with a ValueError, a modulus that is not prime or a degree cap below 1."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if cap < 1:
+        raise ValueError(f"degree cap must be at least 1, got {cap}")
+
+
 def _place_values(degree):
     """The word order: letter k of a degree-d word (x = 0, y = 1) counts 2^(d - 1 - k)."""
     if degree > 63:
@@ -166,10 +174,7 @@ class TruncatedPoly:
     __slots__ = ("p", "cap", "_terms", "_hash")
 
     def __init__(self, p, cap, terms=()):
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
-        if cap < 1:
-            raise ValueError(f"degree cap must be at least 1, got {cap}")
+        check_context(p, cap)
         clean = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for word, coeff in items:

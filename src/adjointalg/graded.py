@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .freealg import TruncatedPoly, homogeneous_parts, index_words, word_indices
+from .freealg import TruncatedPoly, check_context, homogeneous_parts, index_words, word_indices
 from .linalg import row_space
 from .text import format_poly, parse_poly
 
@@ -47,6 +47,7 @@ class GradedIdeal:
     """Two-sided ideal generated by homogeneous elements, with cached degree bases."""
 
     def __init__(self, p, cap, generators):
+        check_context(p, cap)
         self.p = p
         self.cap = cap
         gens = []

@@ -9,12 +9,13 @@ walking a bitmask of its pivots, and back-substitutes the basis only when
 rows are exported.  :class:`ModpRowSpace` always holds its span in
 reduced row-echelon form, stored compactly as the pivot columns, the free
 columns and the rank x free block of coefficients.  Reducing a batch of
-rows against it is one matrix product on the free block; inserting a
-batch reduces it that way, eliminates the small residual, and
-back-substitutes the old rows against the new pivots with one more
-product.  Coefficients are stored as float32 and products run as float64
-BLAS calls, split along the inner dimension so that every partial sum
-stays an exact integer below 2^53; both are exact for p up to 2^24.
+rows against it is one matrix product on the free block; a batch is
+inserted in blocks of rows, each reduced that way, eliminated by
+Gauss-Jordan steps, and merged by back-substituting the old rows against
+its new pivots with one more product.  Coefficients are stored as float32
+and products run as float64 BLAS calls, split along the inner dimension
+so that every partial sum stays an exact integer below 2^53; both are
+exact for p up to 2^24.
 
 ``encode(indices, coeffs)`` builds a row in an engine's format, which ``add``
 and ``reduce`` take, from nonzero residues at distinct coordinates, and
@@ -30,8 +31,8 @@ multiples in the sparse form of ``add``, whose ``columns`` and ``leads`` go
 together.  Rows stay in insertion order, and a row only ever changes by
 multiples of rows with lower pivots, so the rows after the left multiples
 still span the space modulo them.  Before it allocates, ``grown()`` refuses
-a degree whose estimated bytes, the doubled block and the arrays of one
-entry per coordinate, pass the engine's ceiling with a
+a degree whose estimated bytes, the engine's rows and buffers and the
+arrays of one entry per coordinate, pass the engine's ceiling with a
 :class:`ResourceLimitError`.
 """
 
@@ -41,20 +42,24 @@ import numpy as np
 
 #: Ceiling on the bytes of the arrays built for one odd-p degree component.
 #: For rank r and f free columns below, the doubled block (2r x 2f float32) is
-#: 4x the block below, and the residuals of the right multiples of the k new
-#: rows (k x 2f float64) keep the peak near three doubled blocks.  Arrays of
-#: one entry per coordinate come on top, even at rank 0: the int64 pivot and
-#: free-column indices, the int64 ``where`` map of the sparse ``add``, and a
-#: dense int64 row from ``encode`` with its float64 copies in ``add``, which
-#: peak at _MODP_COORD_BYTES per coordinate of the degree being built.
+#: 4x the block below.  The right multiples of the new rows go in blocks of
+#: about _PART_BYTES of float64 residual, and each block's merge builds the
+#: next coefficient block beside the one it replaces, so the peak is near two
+#: doubled blocks.  Arrays of one entry per coordinate come on top, even at
+#: rank 0: the int64 pivot and free-column indices, the int64 ``where`` map of
+#: the sparse ``add``, and a dense int64 row from ``encode`` with its float64
+#: copies in ``add``, which peak at _MODP_COORD_BYTES per coordinate of the
+#: degree being built.
 MAX_BLOCK_BYTES = 1 << 27
 _MODP_COORD_BYTES = 64
 
-#: Ceiling on the bytes a grown F_2 engine may hold.  Its rows are bignums
-#: of at most 2 * ncols bits, so the rank of the engine it grows from times
-#: 2 * ncols / 8 bounds the shifted copies of the basis.  On top come
-#: _GF2_COORD_BYTES per coordinate of the degree being built: the bool array
-#: of :func:`index_mask`, one byte per coordinate, and its packed copies.
+#: Ceiling on the bytes a grown F_2 engine may hold.  Its rows are bignums.
+#: The r rows of the engine it grows from, which its caller keeps and which
+#: serve as the x copies, take ncols / 8 bytes each, their y copies
+#: 2 * ncols / 8, and the byte and spread buffers of the k rows new since the
+#: last growth 3 * ncols / 8 more each.  On top come _GF2_COORD_BYTES per
+#: coordinate of the degree being built: the bool array of
+#: :func:`index_mask`, one byte per coordinate, and its packed copies.
 MAX_GF2_BLOCK_BYTES = 1 << 31
 _GF2_COORD_BYTES = 2
 
@@ -150,7 +155,8 @@ class Gf2RowSpace:
     def grown(self):
         """The engine one degree up, x V + y V + N x + N y (see the module docstring)."""
         n, rows, width = self.ncols, self._rows, (self.ncols + 7) // 8
-        _check_block(n, len(rows) * 2 * n // 8, _GF2_COORD_BYTES, MAX_GF2_BLOCK_BYTES)
+        k = len(rows) - self._inherited
+        _check_block(n, len(rows) * 3 * n // 8 + k * 3 * width, _GF2_COORD_BYTES, MAX_GF2_BLOCK_BYTES)
         space = Gf2RowSpace(2 * n)
         space._rows = {**rows, **{b + n: r << n for b, r in rows.items()}}
         space._mask, space._is_reduced, space._inherited = None, self._is_reduced, 2 * len(rows)
@@ -273,45 +279,27 @@ def _residues(x, p):
 
 
 def _eliminate(m, p):
-    """Reduced echelon form of the rows of m (highest nonzero entry leads).
+    """Reduced echelon form of the rows of m by Gauss-Jordan steps (highest nonzero entry leads).
 
     Returns the lead columns and the rows with those leads, each 1 at its
-    own lead and 0 at every other lead, in the order found.  The nonzero
-    rows of m go in blocks: one product reduces a block against the rows
-    found so far, Gauss-Jordan elimination inside the block finds its new
-    leads, and one more product clears those leads from the earlier rows.
+    own lead and 0 at every other lead, in the order found.
     """
-    leads, done = [], []
-    height = _part_rows(m.shape[1])
-    live = np.flatnonzero(m.max(axis=1, initial=0))
-    for top in range(0, live.size, height):
-        work = m[live[top:top + height]]
-        for cols, rows in zip(leads, done):
-            _submul(work, work[:, cols], rows, p)
-        cols, new = [], np.empty((0, m.shape[1]))
+    cols, new = [], np.empty((0, m.shape[1]))
+    work = m[m.max(axis=1, initial=0) > 0]
+    while work.shape[0]:
+        c = int(work[0].nonzero()[0][-1])
+        row = _mod(work[0, :c + 1] * pow(int(work[0, c]), -1, p), p)
+        # The row's entries past c are 0, so only columns up to c change.
+        work = work[1:]
+        work[:, :c + 1] -= work[:, c, None] * row
+        _mod(work, p)
         work = work[work.max(axis=1, initial=0) > 0]
-        while work.shape[0]:
-            c = int(work[0].nonzero()[0][-1])
-            row = _mod(work[0, :c + 1] * pow(int(work[0, c]), -1, p), p)
-            # The row's entries past c are 0, so only columns up to c change.
-            work = work[1:]
-            work[:, :c + 1] -= work[:, c, None] * row
-            _mod(work, p)
-            work = work[work.max(axis=1, initial=0) > 0]
-            new[:, :c + 1] -= new[:, c, None] * row
-            _mod(new, p)
-            new = np.concatenate([new, np.zeros((1, new.shape[1]))])
-            new[-1, :c + 1] = row
-            cols.append(c)
-        if cols:
-            cols = np.array(cols, dtype=np.int64)
-            for rows in done:
-                _submul(rows, rows[:, cols], new, p)
-            leads.append(cols)
-            done.append(new)
-    if not done:
-        return np.empty(0, dtype=np.int64), np.empty((0, m.shape[1]))
-    return np.concatenate(leads), np.concatenate(done)
+        new[:, :c + 1] -= new[:, c, None] * row
+        _mod(new, p)
+        new = np.concatenate([new, np.zeros((1, new.shape[1]))])
+        new[-1, :c + 1] = row
+        cols.append(c)
+    return np.array(cols, dtype=np.int64), new
 
 
 class ModpRowSpace:
@@ -399,33 +387,39 @@ class ModpRowSpace:
         By default each row has one entry per coordinate.  ``columns`` and
         ``leads`` go together: entry k of a row is then its coefficient at
         coordinate ``columns[k]``, row i has 1 more at coordinate ``leads[i]``,
-        and every other coordinate is 0.
+        and every other coordinate is 0.  A batch goes in blocks of about
+        ``_part_rows`` rows, each taken like a call of its own: reduced
+        against the basis, eliminated, and merged by back-substituting the
+        old rows against its new pivots.
         """
-        p = self.p
-        rows = _residues(rows, p)
+        p, rank = self.p, self.rank
+        rows = np.asarray(rows)
         if rows.ndim == 1:
             rows = rows[None, :]
-        new, added = _eliminate(self._residual(rows, columns, leads), p)
-        del rows  # free it before the merge allocates the new block
-        if not new.size:
-            return False
-        free, old = self._free, self._coef
-        keep = np.ones(free.size, dtype=bool)
-        keep[new] = False
-        added = added[:, keep]
-        r = self.rank
-        coef = np.empty((r + new.size, free.size - new.size), dtype=np.float32)
-        coef[r:] = added
-        # Back-substitute the old rows against the new pivots, a slice at a time.
-        at_new = old[:, new]
-        step = _part_rows(free.size)
-        for top in range(0, r, step):
-            block = np.compress(keep, old[top:top + step], axis=1).astype(np.float64)
-            coef[top:min(top + step, r)] = _submul(block, at_new[top:top + step], added, p)
-        self._piv = np.concatenate([self._piv, free[new]])
-        self._free = free[keep]
-        self._coef = coef
-        return True
+        height = _part_rows(self._free.size)
+        for top in range(0, rows.shape[0], height):
+            block = _residues(rows[top:top + height], p)
+            part = None if leads is None else leads[top:top + height]
+            new, added = _eliminate(self._residual(block, columns, part), p)
+            if not new.size:
+                continue
+            free, old = self._free, self._coef
+            keep = np.ones(free.size, dtype=bool)
+            keep[new] = False
+            added = added[:, keep]
+            r = self.rank
+            coef = np.empty((r + new.size, free.size - new.size), dtype=np.float32)
+            coef[r:] = added
+            # Back-substitute the old rows against the new pivots, a slice at a time.
+            at_new = old[:, new]
+            step = _part_rows(free.size)
+            for lo in range(0, r, step):
+                slab = np.compress(keep, old[lo:lo + step], axis=1).astype(np.float64)
+                coef[lo:min(lo + step, r)] = _submul(slab, at_new[lo:lo + step], added, p)
+            self._piv = np.concatenate([self._piv, free[new]])
+            self._free = free[keep]
+            self._coef = coef
+        return self.rank > rank
 
     def _dense(self, residual):
         out = np.zeros((residual.shape[0], self.ncols), dtype=np.int64)

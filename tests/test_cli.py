@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from adjointalg import cli, direct_sum, linalg, truncated_polynomial_algebra
+from adjointalg import cli, construction, direct_sum, linalg, truncated_polynomial_algebra
 from adjointalg.cli import main
 
 
@@ -262,6 +262,12 @@ def test_hilbert_missing_file_is_usage_error(capsys, tmp_path):
             "an algebra must be a JSON object with fields p, labels and mul",
             id="algebra-not-an-object",
         ),
+        pytest.param(
+            ["hilbert", "--p", "4", "--cap", "5", "--ideal-file"],
+            [],
+            "p must be prime, got 4",
+            id="ideal-over-a-composite-modulus",
+        ),
     ],
 )
 def test_malformed_input_file_is_a_usage_error(capsys, tmp_path, argv, document, message):
@@ -272,6 +278,29 @@ def test_malformed_input_file_is_a_usage_error(capsys, tmp_path, argv, document,
     assert err.count("\n") == 1
     assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["hilbert", "--p", "1", "--cap", "5"], "p must be prime, got 1"),
+        (["construct", "--p", "0", "--cap", "5"], "p must be prime, got 0"),
+        (["hilbert", "--p", "4", "--cap", "5"], "p must be prime, got 4"),
+        (["hilbert", "--p", "9", "--cap", "4", "--format", "csv"], "p must be prime, got 9"),
+        (["torsion", "--p", "-3", "--cap", "5"], "p must be prime, got -3"),
+        (["hilbert", "--cap", "0"], "degree cap must be at least 1, got 0"),
+        (["construct", "--cap", "-2"], "degree cap must be at least 1, got -2"),
+    ],
+    ids=["p-1", "p-0", "p-4", "p-9-csv", "p-negative", "cap-0", "cap-negative"],
+)
+def test_a_bad_modulus_or_cap_is_refused_before_any_work(capsys, monkeypatch, argv, message):
+    def broken(p):
+        raise AssertionError("the construction ran")
+
+    # torsion_exponent never returns for p < 2, so the refusal must come first.
+    monkeypatch.setattr(construction, "torsion_exponent", broken)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_construct_manifest(capsys):

@@ -47,6 +47,11 @@ def test_generator_validation():
         GradedIdeal(2, 4, [variable("x", 2, 3)])
     with pytest.raises(ValueError, match="context"):
         GradedIdeal(2, 4, [variable("x", 3, 4)])
+    # With no generator to check them, the modulus and the cap are still checked.
+    with pytest.raises(ValueError, match="p must be prime, got 4"):
+        GradedIdeal(4, 4, [])
+    with pytest.raises(ValueError, match="degree cap must be at least 1, got 0"):
+        GradedIdeal(2, 0, [])
 
 
 def test_component_degree_window():
@@ -331,9 +336,13 @@ def test_resource_guard_refuses_a_component_before_allocating_it(monkeypatch):
         ideal = ideal_of(p, 6, "xy - yx")
         below = ideal.component_basis(4)
         r, n = below.rank, below.ncols
-        # GF(2): r rows of 2n bits at most and 2 bytes per coordinate; mod p: the
-        # doubled 2r x 2(n - r) float32 block and 64 bytes per coordinate.
-        block = r * 2 * n // 8 + 2 * 2 * n if p == 2 else 4 * r * (n - r) * 4 + 64 * 2 * n
+        k = r - 2 * ideal.component_basis(3).rank  # rows new since degree 4 was grown
+        # GF(2): the r rows of n bits kept below, their y copies of 2n bits, byte
+        # and spread buffers of 3n bits for each of the k new rows, and 2 bytes
+        # per coordinate; mod p: the doubled 2r x 2(n - r) float32 block and 64
+        # bytes per coordinate.
+        block = 3 * r * n // 8 + 3 * k * n // 8 + 2 * 2 * n if p == 2 else 4 * r * (n - r) * 4 + 64 * 2 * n
+        assert k > 0
         assert block > 0
         with monkeypatch.context() as patch:
             patch.setattr(linalg, ceiling, block - 1)

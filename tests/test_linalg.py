@@ -1,6 +1,7 @@
 """Row-echelon engines: ranks, membership, reduced forms, and cross-engine agreement."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -282,7 +283,7 @@ def test_modp_is_exact_at_the_largest_prime_in_range():
 @pytest.mark.parametrize("p", [3, 7])
 def test_modp_sliced_products_and_blocks_match_the_oracle(p, monkeypatch):
     # Tiny slices: products run in pieces of 32 rows and columns, and a batch
-    # is eliminated in blocks whose new leads are cleared from earlier blocks.
+    # goes in blocks of 32 rows, each merged into the basis before the next.
     monkeypatch.setattr(linalg, "_PART_BYTES", 8)
     rng = random.Random(p)
     gens = [[rng.randrange(p) for _ in range(60)] for _ in range(55)]
@@ -310,17 +311,23 @@ def test_modp_batch_add_matches_rowwise_add_and_the_oracle(data):
     ncols = data.draw(st.integers(1, 12))
     rows = data.draw(_row_lists(p, ncols, 16))
     cut = data.draw(st.integers(0, len(rows)))
+    height = data.draw(st.integers(1, 4))
     batched, rowwise = ModpRowSpace(ncols, p), ModpRowSpace(ncols, p)
-    for part in (rows[:cut], rows[cut:]):
-        if part:
-            rank = batched.rank
-            assert batched.add(part) == (batched.rank > rank)
+    # Blocks of a few rows: each batch spans several blocks, each merged before the next.
+    with mock.patch.object(linalg, "_part_rows", lambda ncols: height):
+        for part in (rows[:cut], rows[cut:]):
+            if part:
+                rank = batched.rank
+                assert batched.add(part) == (batched.rank > rank)
     for r in rows:
         rank = rowwise.rank
         assert rowwise.add(r) == (rowwise.rank > rank)
     expected = rref_mod_p(rows, p)
     assert batched.row_vectors() == rowwise.row_vectors() == expected
     assert batched.pivots == [max(i for i, c in enumerate(r) if c) for r in expected]
+    # Leads are found in row order whatever the blocking, so the stored form is the same.
+    assert batched._piv.tolist() == rowwise._piv.tolist()
+    assert np.array_equal(batched._coef, rowwise._coef)
 
 
 @settings(max_examples=60, deadline=None)
@@ -422,5 +429,8 @@ def test_modp_grown_matches_the_naive_span(data):
     first = data.draw(_row_lists(p, ncols, 5).filter(bool))
     extra = data.draw(_row_lists(p, 2 * ncols, 3))
     export = data.draw(st.booleans())
-    for (rows,), expected in _grow_twice([ModpRowSpace(ncols, p)], first, extra, p, export):
-        assert rows == expected
+    height = data.draw(st.integers(1, 3))
+    # Blocks of a few rows, so the sparse right multiples span several blocks.
+    with mock.patch.object(linalg, "_part_rows", lambda ncols: height):
+        for (rows,), expected in _grow_twice([ModpRowSpace(ncols, p)], first, extra, p, export):
+            assert rows == expected
