@@ -6,7 +6,10 @@ payloads to stdout (or --out), with timing on stderr only.  Exit codes:
 0 on success, 1 when a checked property fails to hold, 2 on usage errors,
 3 when an internal invariant check fails (a bug, reported as one
 ``internal error:`` line on stderr).  Only ``hilbert`` writes CSV; ``--format
-csv`` on any other subcommand is refused before its work starts.
+csv`` on any other subcommand is refused before its work starts.  A
+construction whose torsion generators would pass the memory ceiling
+(``linalg.MAX_GF2_BLOCK_BYTES``) exits 2 before it builds them, and so does
+an ``--out`` file that cannot be written.
 """
 
 from __future__ import annotations
@@ -261,18 +264,18 @@ def main(argv=None):
             raise ValueError(f"csv output is not available for '{args.command}'")
         payload, csv_text, text, code = args.handler(args)
         rendered = _render(args, payload, csv_text, text)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(rendered)
+            print(f"wrote {args.out}", file=sys.stderr)
+        else:
+            sys.stdout.write(rendered)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(rendered)
     print(f"done in {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return code
 

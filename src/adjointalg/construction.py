@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice, product
 
+from . import linalg
 from .factorization import factor_to_valuation, trace_to_json
 from .freealg import TruncatedPoly, check_context, homogeneous_parts, words_of_degree
 from .graded import GradedIdeal, normal_form
@@ -32,6 +33,10 @@ MIN_RELATION_DEGREE = 14
 
 #: Sentinel for "no residual degrees yet": makes the first threshold 14.
 _NO_DEGREES_YET = MIN_RELATION_DEGREE - 1
+
+#: Bytes per term of a torsion generator h^q: tracemalloc read 89-95 on the
+#: generators at p = 2, 3 and 7 (a word key, a coefficient and a dict slot).
+_TERM_BYTES = 96
 
 
 def torsion_exponent(p):
@@ -113,8 +118,23 @@ class ConstructionState:
 
 
 def build_j_generators(p, cap):
-    """(degree, h^q) for one representative h per class per degree d with q*d <= cap."""
+    """(degree, h^q) for one representative h per class per degree d with q*d <= cap.
+
+    Before the first class is built, the generators are refused with a
+    :class:`~adjointalg.linalg.ResourceLimitError` if their terms, at most
+    every word of degree q*d for each class, would take more bytes than
+    ``linalg.MAX_GF2_BLOCK_BYTES``.  The sum stops at the first degree past
+    that ceiling, so even a huge cap is refused at once.
+    """
     q = p ** torsion_exponent(p)
+    terms, limit = 0, linalg.MAX_GF2_BLOCK_BYTES
+    for d in range(1, cap // q + 1):
+        terms += projective_class_count(p, d) << q * d
+        if terms * _TERM_BYTES > limit:
+            raise linalg.ResourceLimitError(
+                f"the torsion generators up to degree {q * d} may hold {terms} terms,"
+                f" about {terms * _TERM_BYTES} bytes, over the limit of {limit} bytes"
+            )
     out = []
     for d in range(1, cap // q + 1):
         for h in projective_class_reps(p, d, cap):

@@ -4,18 +4,19 @@ Two implementations share one interface, and both key each basis row by
 its pivot, the highest nonzero coordinate.  :class:`Gf2RowSpace` packs
 each row into a single Python integer, coordinate i living at bit i, so
 row reduction is bignum XOR (the kernel for the large degree components
-over F_2); it keeps a forward echelon basis, reduces a vector by
-walking a bitmask of its pivots, and back-substitutes the basis only when
-rows are exported.  :class:`ModpRowSpace` always holds its span in
-reduced row-echelon form, stored compactly as the pivot columns, the free
-columns and the rank x free block of coefficients.  Reducing a batch of
-rows against it is one matrix product on the free block; a batch is
-inserted in blocks of rows, each reduced that way, eliminated by
-Gauss-Jordan steps, and merged by back-substituting the old rows against
-its new pivots with one more product.  Coefficients are stored as float32
-and products run as float64 BLAS calls, split along the inner dimension
-so that every partial sum stays an exact integer below 2^53; both are
-exact for p up to 2^24.
+over F_2); it keeps a forward echelon basis and the bitmask of its pivots,
+reduces a vector by walking that mask, and exports each row reduced below
+its pivot.  :class:`ModpRowSpace` always holds its span in reduced
+row-echelon form, stored compactly as the pivot columns, the free columns
+and the rank x free block of coefficients.  Reducing a batch of rows
+against it is one matrix product on the free block; a batch is inserted in
+blocks of rows, each reduced that way, eliminated by Gauss-Jordan steps,
+and merged by back-substituting the old rows against its new pivots with
+one more product.  Coefficients are stored as float32 and products run as
+float64 BLAS calls, split along the inner dimension so that every partial
+sum stays an exact integer below 2^53; both are exact for p up to 2^24.
+Only ``add`` and ``grown()`` change an engine; ``reduce``, ``contains``,
+``pivots``, ``rows`` and ``row_vectors`` leave it as it was.
 
 ``encode(indices, coeffs)`` builds a row in an engine's format, which ``add``
 and ``reduce`` take, from nonzero residues at distinct coordinates, and
@@ -104,10 +105,9 @@ _SPREAD = np.array([sum((b >> i & 1) << 2 * i for i in range(8)) for b in range(
 class Gf2RowSpace:
     """Row space over F_2 with integers as rows (bit i = coordinate i).
 
-    Reduction walks a bitmask of the pivots: the highest pivot set in v
-    picks the next row to XOR in.  :meth:`add` only drops the mask, and the
-    first reduction after a change builds it again: a component takes all
-    its rows before it reduces anything.
+    ``_mask`` has a bit at each pivot; :meth:`add` and :meth:`grown` keep it
+    current.  Reduction walks it: the highest pivot set in v picks the next
+    row to XOR in.
     """
 
     p = 2
@@ -116,7 +116,6 @@ class Gf2RowSpace:
         self.ncols = ncols
         self._rows = {}
         self._mask = 0
-        self._is_reduced = True
         self._inherited = 0
 
     @property
@@ -137,8 +136,7 @@ class Gf2RowSpace:
             other = rows.get(b)
             if other is None:
                 rows[b] = row
-                self._mask = None
-                self._is_reduced = False
+                self._mask |= 1 << b
                 return True
             row ^= other
         return False
@@ -159,7 +157,7 @@ class Gf2RowSpace:
         _check_block(n, len(rows) * 3 * n // 8 + k * 3 * width, _GF2_COORD_BYTES, MAX_GF2_BLOCK_BYTES)
         space = Gf2RowSpace(2 * n)
         space._rows = {**rows, **{b + n: r << n for b, r in rows.items()}}
-        space._mask, space._is_reduced, space._inherited = None, self._is_reduced, 2 * len(rows)
+        space._mask, space._inherited = self._mask | self._mask << n, 2 * len(rows)
         # Spread the new rows' bytes in one lookup; a y multiple is the x one shifted by 1.
         new = b"".join(r.to_bytes(width, "little") for r in list(rows.values())[self._inherited:])
         spread = _SPREAD[np.frombuffer(new, dtype=np.uint8)].tobytes()
@@ -172,8 +170,6 @@ class Gf2RowSpace:
     def reduce(self, v):
         """The unique representative of v modulo the span with no pivot coordinate set."""
         rows, mask = self._rows, self._mask
-        if mask is None:
-            mask = self._mask = index_mask(np.fromiter(rows, dtype=np.int64, count=len(rows)))
         # Each XOR clears the highest pivot set and changes only lower bits.
         hit = v & mask
         while hit:
@@ -184,21 +180,9 @@ class Gf2RowSpace:
     def contains(self, v):
         return self.reduce(v) == 0
 
-    def _back_substitute(self):
-        if self._is_reduced:
-            return
-        rows = self._rows
-        # Below its own pivot b a row only meets the pivots under b; ascending
-        # order reduces against rows that are already reduced, one XOR per hit.
-        for b in sorted(rows):
-            lead = 1 << b
-            rows[b] = self.reduce(rows[b] ^ lead) | lead
-        self._is_reduced = True
-
     def rows(self):
         """Fully reduced rows (as integers), ascending by pivot."""
-        self._back_substitute()
-        return [self._rows[b] for b in sorted(self._rows)]
+        return [self.reduce(self._rows[b] ^ 1 << b) | 1 << b for b in sorted(self._rows)]
 
     def row_vectors(self):
         """Fully reduced rows as 0/1 coefficient lists of length ncols."""

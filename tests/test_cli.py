@@ -160,6 +160,26 @@ def test_hilbert_over_the_memory_ceiling_is_a_usage_error(capsys, tmp_path, monk
     assert err.startswith("error: degree 1 component needs 128 bytes for its doubled block")
 
 
+def test_torsion_generators_over_the_memory_ceiling_are_a_usage_error(capsys, monkeypatch):
+    def broken(p, d, cap):
+        raise AssertionError("a torsion generator was built")
+
+    # Degree 24 holds the 8th powers of the 255 classes of degree 3: up to 2^24 terms each.
+    monkeypatch.setattr(construction, "projective_class_reps", broken)
+    code, out, err = run_cli(capsys, "hilbert", "--p", "2", "--cap", "24", "--max-elements", "0")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: the torsion generators up to degree 24 may hold 4279173888 terms")
+
+
+def test_an_out_file_that_cannot_be_written_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "dir" / "f"
+    code, out, err = run_cli(capsys, "factor", "--a", "x", "--cap", "3", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_hilbert_from_construction(capsys):
     code, out, _ = run_cli(capsys, "hilbert", "--cap", "4")
     assert code == 0

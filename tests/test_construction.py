@@ -6,6 +6,7 @@ import pytest
 
 from adjointalg import (
     GradedIdeal,
+    ResourceLimitError,
     build_j_generators,
     census_from_state,
     combined_ideal,
@@ -168,6 +169,25 @@ def test_construction_ideal_dimensions_through_degree_15():
     """Quotient dims of the plain cap-15 construction: the benchmark's frozen cap-17 table, cut at 15."""
     dims = quotient_dimensions(combined_ideal(run_construction(2, 15, 100))).dims
     assert dims == (2, 4, 8, 16, 32, 64, 128, 253, 503, 1000, 1988, 3952, 7856, 15616, 31040)
+
+
+def test_construction_ideal_dimensions_over_f3_through_degree_14():
+    """An odd-p table: the 9th powers of the degree-1 classes enter at degree 9."""
+    dims = quotient_dimensions(combined_ideal(run_construction(3, 14, 100))).dims
+    assert dims == (2, 4, 8, 16, 32, 64, 128, 256, 508, 1012, 2016, 4016, 8000, 15936)
+
+
+def test_torsion_generators_past_the_ceiling_are_refused_before_any_is_built(monkeypatch):
+    def broken(p, d, cap):
+        raise AssertionError("a torsion generator was built")
+
+    monkeypatch.setattr(construction, "projective_class_reps", broken)
+    for p, cap in [(2, 24), (5, 25), (7, 21), (2, 100000)]:
+        with pytest.raises(ResourceLimitError, match="torsion generators"):
+            build_j_generators(p, cap)
+    # The largest runs that answer within the ceiling get past the estimate.
+    monkeypatch.setattr(construction, "projective_class_reps", lambda p, d, cap: iter(()))
+    assert build_j_generators(3, 18) == build_j_generators(7, 14) == build_j_generators(2, 23) == []
 
 
 def test_runs_are_deterministic():

@@ -434,3 +434,54 @@ def test_modp_grown_matches_the_naive_span(data):
     with mock.patch.object(linalg, "_part_rows", lambda ncols: height):
         for (rows,), expected in _grow_twice([ModpRowSpace(ncols, p)], first, extra, p, export):
             assert rows == expected
+
+
+def _state(space):
+    """A copy of every stored attribute of an engine."""
+    return {k: v.copy() if isinstance(v, (dict, np.ndarray)) else v for k, v in vars(space).items()}
+
+
+def _same_state(a, b):
+    return a.keys() == b.keys() and all(
+        isinstance(a[k], np.ndarray) and a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k])
+        or not isinstance(a[k], np.ndarray) and a[k] == b[k]
+        for k in a
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_reads_never_change_an_engine(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    ncols = data.draw(st.integers(1, 6))
+    first = data.draw(_row_lists(p, ncols, 5))
+    extra = data.draw(_row_lists(p, 2 * ncols, 3))
+    v = data.draw(st.lists(st.integers(0, p - 1), min_size=2 * ncols, max_size=2 * ncols))
+    space = row_space(ncols, p)
+    encode = vec_to_bits if p == 2 else np.array
+    for r in first:
+        space.add(encode(r))
+    space = space.grown()
+    for r in extra:
+        space.add(encode(r))
+    before = _state(space)
+    space.reduce(encode(v))
+    space.contains(encode(v))
+    space.pivots
+    space.rows()
+    space.row_vectors()
+    assert _same_state(_state(space), before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.integers(min_value=0)), max_size=30))
+def test_gf2_mask_holds_exactly_the_pivots(steps):
+    """None grows the engine; an integer is added as a row, cut to the current width."""
+    space = Gf2RowSpace(2)
+    for step in steps:
+        if step is None:
+            if space.ncols < 1 << 8:
+                space = space.grown()
+        else:
+            space.add(step % (1 << space.ncols))
+        assert space._mask == linalg.index_mask(np.array(space.pivots, dtype=np.int64))
