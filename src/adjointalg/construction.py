@@ -23,7 +23,7 @@ from itertools import combinations, islice, product
 
 from . import linalg
 from .factorization import factor_to_valuation, trace_to_json
-from .freealg import TruncatedPoly, check_context, homogeneous_parts, words_of_degree
+from .freealg import TERM_BYTES, TruncatedPoly, check_context, homogeneous_parts, words_of_degree
 from .graded import GradedIdeal, normal_form
 from .series import GeneratorCensus, tail_bound_census
 from .text import format_poly
@@ -33,11 +33,6 @@ MIN_RELATION_DEGREE = 14
 
 #: Sentinel for "no residual degrees yet": makes the first threshold 14.
 _NO_DEGREES_YET = MIN_RELATION_DEGREE - 1
-
-#: Bytes per term of a torsion generator h^q: tracemalloc read 89-95 on the
-#: generators at p = 2, 3 and 7 (a word key, a coefficient and a dict slot).
-_TERM_BYTES = 96
-
 
 def torsion_exponent(p):
     """Smallest alpha >= 1 with p^alpha >= 7."""
@@ -130,10 +125,10 @@ def build_j_generators(p, cap):
     terms, limit = 0, linalg.MAX_GF2_BLOCK_BYTES
     for d in range(1, cap // q + 1):
         terms += projective_class_count(p, d) << q * d
-        if terms * _TERM_BYTES > limit:
+        if terms * TERM_BYTES > limit:
             raise linalg.ResourceLimitError(
                 f"the torsion generators up to degree {q * d} may hold {terms} terms,"
-                f" about {terms * _TERM_BYTES} bytes, over the limit of {limit} bytes"
+                f" about {terms * TERM_BYTES} bytes, over the limit of {limit} bytes"
             )
     out = []
     for d in range(1, cap // q + 1):

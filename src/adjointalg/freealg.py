@@ -21,8 +21,11 @@ with constant term 1.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
+
+from . import linalg
 
 ALPHABET = "xy"
 _LETTERS = frozenset(ALPHABET)
@@ -80,6 +83,42 @@ def check_context(p, cap):
         raise ValueError(f"p must be prime, got {p}")
     if cap < 1:
         raise ValueError(f"degree cap must be at least 1, got {cap}")
+
+
+#: Bytes per term of a term dict: tracemalloc read 89-95 on the torsion
+#: generators at p = 2, 3 and 7 (a word key, a coefficient and a dict slot).
+TERM_BYTES = 96
+
+
+def _check_product_terms(terms, cap, what):
+    """Refuse products of these words whose terms may pass the memory ceiling, before any is built.
+
+    Every word of a product of terms' words up to the cap, and so of every
+    power of the element and of its circle inverse, is a concatenation of
+    its nonempty words.  With m_d of them of degree d, at most c(n) =
+    sum_d m_d c(n - d), c(0) = 1, such words have degree n, and never more
+    than the a^n words over the a letters they use.  If the sum of c(n) up
+    to the cap, at :data:`TERM_BYTES` a term, passes
+    ``linalg.MAX_GF2_BLOCK_BYTES``, a
+    :class:`~adjointalg.linalg.ResourceLimitError` names what was refused.
+    Up to cap 23 even every word fits, so nothing is counted.
+    """
+    limit = linalg.MAX_GF2_BLOCK_BYTES
+    if (2 << cap) * TERM_BYTES <= limit:
+        return
+    sizes = Counter(map(len, terms))
+    letters = sum(any(a in w for w in terms) for a in ALPHABET)
+    # every is letters^n clamped at the limit, which no count kept reaches, so it stays small.
+    counts, total, every = [1], 1, 1
+    for n in range(1, cap + 1):
+        every = min(every * letters, limit)
+        counts.append(min(sum(m * counts[n - d] for d, m in sizes.items() if 0 < d <= n), every))
+        total += counts[n]
+        if total * TERM_BYTES > limit:
+            raise linalg.ResourceLimitError(
+                f"{what} may hold {total} terms up to degree {n}, about"
+                f" {total * TERM_BYTES} bytes, over the limit of {limit} bytes"
+            )
 
 
 def _place_values(degree):
@@ -278,6 +317,10 @@ class TruncatedPoly:
             raise ValueError(f"exponent must be a nonnegative integer, got {k}")
         if k == 0:
             return one(self.p, self.cap)
+        if k > 1:
+            # A product of k terms has degree at most k times the largest.
+            top = min(self.cap, k * (self.max_degree() or 0))
+            _check_product_terms(self._terms, top, f"a power with exponent {k}")
         # Square only up to the top bit of k: one more square is never used.
         result = None
         base = self
@@ -377,14 +420,35 @@ def circle_mul(r, s):
 
 
 def circle_inv(r):
-    """Inverse of r in (A+, o): -r + r^2 - r^3 + ..., the powers of -r, zero past the cap."""
+    """Inverse s of r in (A+, o), solved one degree at a time from (1 + r)(1 + s) = 1.
+
+    s_n = -r_n - sum_{1 <= k < n} r_k s_(n - k) for n = 1 .. cap, r_k and s_k
+    being the degree-k slices.  Each product is homogeneous times
+    homogeneous, so together they cost about one product r*s.  Their sum is
+    one plain-int dict per degree, reduced mod p once.  The terms are
+    bounded first, as for :meth:`TruncatedPoly.__pow__`.
+    """
     _require_augmentation(r)
-    neg = -r
-    acc = power = neg
-    while not power.is_zero:
-        power = power * neg
-        acc = acc + power
-    return acc
+    p, cap = r.p, r.cap
+    _check_product_terms(r._terms, cap, "the circle inverse")
+    slices = {}
+    for w, c in r._terms.items():
+        slices.setdefault(len(w), []).append((w, c))
+    inverse, solved = {}, {}
+    for n in range(1, cap + 1):
+        acc = dict(slices.get(n, ()))
+        for k, left in slices.items():
+            right = solved.get(n - k)
+            if right:
+                for wa, ca in left:
+                    for wb, cb in right:
+                        w = wa + wb
+                        acc[w] = acc.get(w, 0) + ca * cb
+        part = [(w, -c % p) for w, c in acc.items() if c % p]
+        if part:
+            solved[n] = part
+            inverse.update(part)
+    return TruncatedPoly._raw(p, cap, inverse)
 
 
 def circle_pow(r, k):

@@ -13,6 +13,7 @@ from adjointalg import (
     INFINITY,
     CapMismatchError,
     ConstantTermError,
+    ResourceLimitError,
     TruncatedPoly,
     circle_inv,
     circle_mul,
@@ -26,7 +27,8 @@ from adjointalg import (
     words_of_degree,
     zero,
 )
-from adjointalg.freealg import index_words, is_prime, word_indices
+from adjointalg import freealg, linalg
+from adjointalg.freealg import TERM_BYTES, index_words, is_prime, word_indices
 from adjointalg.linalg import index_mask, mask_indices
 from adjointalg.oracle import naive_add, naive_mul
 
@@ -191,6 +193,66 @@ def test_circle_inverse_is_the_alternating_series_of_naive_products(p, data):
         expected = naive_add(expected, {w: (-1) ** k * c % p for w, c in power.items()}, p)
     assert naive_mul(power, r, p, cap) == {}
     assert circle_inv(TruncatedPoly(p, cap, r)).terms == expected
+
+
+@st.composite
+def inverse_inputs(draw):
+    """An element of A+ over p in {2, 3, 5, 7} at cap 8-10, often with a degree-1 term.
+
+    With x and y both in degree 1 the inverse holds every word up to the cap.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    cap = draw(st.integers(8, 10))
+    r = draw(polys(p=p, cap=cap, allow_const=False))
+    for letter in draw(st.sampled_from(["", "x", "y", "xy"])):
+        r = r + monomial(letter, p, cap, draw(st.integers(1, p - 1)))
+    return r
+
+
+@settings(max_examples=60, deadline=None)
+@given(inverse_inputs())
+def test_circle_inverse_recursion_matches_naive_circle_products(r):
+    """r o s and s o r, with naive products, are zero for s = circle_inv(r), and s inverts back to r."""
+    p, cap = r.p, r.cap
+    s = circle_inv(r)
+    rt, sv = r.terms, s.terms
+    assert naive_add(naive_add(rt, sv, p), naive_mul(rt, sv, p, cap), p) == {}
+    assert naive_add(naive_add(rt, sv, p), naive_mul(sv, rt, p, cap), p) == {}
+    assert circle_inv(s) == r
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 9), st.integers(2, 5), st.data())
+def test_term_bound_covers_every_inverse_and_power(p, cap, k, data):
+    """A ceiling one byte below the terms an answer holds refuses it, so the bound never undercounts."""
+    r = data.draw(polys(p=p, cap=cap, max_terms=4, allow_const=False))
+    for compute in (lambda: circle_inv(r), lambda: r**k):
+        size = len(compute().terms)
+        if size:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(linalg, "MAX_GF2_BLOCK_BYTES", size * TERM_BYTES - 1)
+                with pytest.raises(ResourceLimitError):
+                    compute()
+
+
+def test_inverses_and_powers_past_the_ceiling_are_refused_before_any_product(monkeypatch):
+    """x + y at p = 5, cap 25 would give 2^26 terms; tiny bounds at cap 60 still answer."""
+
+    def refuse(*args):
+        raise AssertionError("a product was built")
+
+    h = variable("x", 5, 25) + variable("y", 5, 25)
+    with monkeypatch.context() as patch:
+        patch.setattr(freealg, "_mul_terms", refuse)
+        with pytest.raises(ResourceLimitError, match="^a power with exponent 25 may hold 33554431 terms"):
+            h**25
+    with pytest.raises(ResourceLimitError, match="^the circle inverse may hold 33554431 terms"):
+        circle_inv(h)
+    # A low power stays far below the cap, so it answers.
+    assert len((h**3).terms) == 8
+    xx = monomial("xx", 5, 60)
+    assert circle_inv(xx) == sum((monomial("xx" * j, 5, 60, (-1) ** j) for j in range(1, 31)), zero(5, 60))
+    assert variable("x", 5, 60) ** 40 == monomial("x" * 40, 5, 60)
 
 
 def test_circle_requires_zero_constant_term():
