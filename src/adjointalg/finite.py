@@ -21,12 +21,26 @@ rows a, reduced mod p before a right factor meets them.  Each sum then
 stays below dim * p^2, which is exact in int64 for every p up to 2^24.
 The associativity check holds dim^3 entries at a time, but reads dim^4
 products in all, so it is refused past ``linalg.MAX_BLOCK_BYTES`` of them
-(dim > 64).  One chain of p-th circle powers, computed once per algebra
-(``quotient_exponents``), gives the exponents of all the quotients, and
-every reader takes them from there.  The width search multiplies
-product sets S by a cyclic subgroup C through its cosets: C holds every
-inverse, so S C is the union of the left cosets g C that meet S, and one
-gather covers a whole block of sets.
+(dim > 64).  One chain, computed once per algebra (``quotient_exponents``),
+gives the exponents of all the quotients, and every reader takes them from
+there.
+
+A commutative algebra (table[i, j] == table[j, i]) has an abelian adjoint
+group, since u o v - v o u = uv - vu.  In characteristic p its Frobenius map
+F: r -> r^p is F_p-linear and (1 + r)^p = 1 + r^p, so G^p = 1 + F(R).  Its
+cyclic width is then d(G) = log_p [G : G^p] = dim - rank F (at least 1), by
+the Burnside basis theorem and because in an abelian group a product of
+cyclic subgroups is the subgroup they generate; and the exponent of G/G_n
+is the least p^t with F^t(R) in R^(n+1).  Neither needs the elements, so
+neither guard below applies to it.
+
+Any other algebra goes the element-level way.  Its exponent chain takes
+p-th circle powers of all p^dim elements, guarded by ``MAX_POPULATION``.
+Its width is searched over product sets, on the group table guarded by
+``MAX_GROUP_ORDER``: the search multiplies product sets S by a cyclic
+subgroup C through its cosets (C holds every inverse, so S C is the union
+of the left cosets g C that meet S), and one gather covers a whole block
+of sets.
 """
 
 from __future__ import annotations
@@ -42,10 +56,10 @@ from . import linalg
 from .linalg import ModpRowSpace
 from .freealg import is_prime
 
-#: Hard ceiling on group orders for the exhaustive element-level diagnostics.
+#: Hard ceiling on group orders for the group table, and so for the width search.
 MAX_GROUP_ORDER = 4096
 
-#: Ceiling for population-style (all elements at once) exponent computations.
+#: Ceiling on the elements that the population exponent chain holds at once.
 MAX_POPULATION = 16384
 
 #: Batched products go in blocks of rows whose temporaries hold about this
@@ -127,26 +141,39 @@ class FiniteNilAlgebra:
         return self._chain[min(n, self.nilpotency_class) - 1]
 
     @cached_property
+    def frobenius(self):
+        """The matrix of r -> r^p, row i being e_i^p, when the algebra is commutative; else None.
+
+        On a commutative algebra in characteristic p the map is F_p-linear,
+        and (1 + r)^p = 1 + r^p, so it gives the p-th circle powers of every
+        element.  Once p reaches the nilpotency class, r^p lies in R^p = 0
+        and nothing is multiplied; otherwise p < class <= dim + 1 <= 65.
+        """
+        if not np.array_equal(self.table, self.table.transpose(1, 0, 2)):
+            return None
+        basis = np.eye(self.dim, dtype=np.int64)
+        if self.p >= self.nilpotency_class:
+            return np.zeros_like(basis)
+        left = _left(self, basis)
+        powers = basis
+        for _ in range(self.p - 1):
+            powers = (powers[:, None, :] @ left)[:, 0] % self.p
+        return powers
+
+    @cached_property
     def quotient_exponents(self):
         """Exponents of the quotients by G_1, ..., G_N (N the class; the last is exp(G)).
 
-        One chain of p-th powers of all elements: the exponent of G/G_n
-        divides that of G/G_(n+1), so it advances only while not in R^(n+1).
+        On a commutative algebra, the exponent of G/G_n is the least p^t with
+        F^t(R) in R^(n+1), F the Frobenius map: one chain of powers of one
+        matrix.  Otherwise one chain of p-th circle powers of all elements,
+        guarded by ``MAX_POPULATION``.
         """
-        if self.p**self.dim > MAX_POPULATION:
-            raise ValueError(f"population size {self.p**self.dim} exceeds {MAX_POPULATION}")
-        population = np.array(list(self.elements()), dtype=np.int64)
-        exponent = 1
-        exponents = []
-        for n in range(1, self.nilpotency_class + 1):
-            sub = self.power_space(n + 1)
-            while np.any(sub.reduce_matrix(population)):
-                population = _circle_pow_rows(self, population, self.p)
-                exponent *= self.p
-                if exponent > self.p**self.dim:
-                    raise AssertionError("quotient exponent exceeded the group order")
-            exponents.append(exponent)
-        return tuple(exponents)
+        frobenius = self.frobenius
+        if frobenius is None:
+            return _population_exponents(self)
+        basis = np.eye(self.dim, dtype=np.int64)
+        return _exponent_chain(self, basis, lambda rows: rows @ frobenius % self.p)
 
     def _row(self, u):
         return np.asarray(u, dtype=np.int64).reshape(1, self.dim) % self.p
@@ -351,6 +378,36 @@ def _circle_pow_rows(algebra, a, k):
     return acc
 
 
+def _exponent_chain(algebra, rows, pth_power):
+    """Exponents of G/G_1, ..., G/G_N from rows spanning or listing every element.
+
+    ``pth_power`` maps rows to the rows of their p-th circle powers.  The
+    exponent of G/G_n divides that of G/G_(n+1), so it advances only while
+    some row is not in R^(n+1).
+    """
+    exponent = 1
+    exponents = []
+    for n in range(1, algebra.nilpotency_class + 1):
+        sub = algebra.power_space(n + 1)
+        while np.any(sub.reduce_matrix(rows)):
+            rows = pth_power(rows)
+            exponent *= algebra.p
+            if exponent > algebra.p**algebra.dim:
+                raise AssertionError("quotient exponent exceeded the group order")
+        exponents.append(exponent)
+    return tuple(exponents)
+
+
+def _population_exponents(algebra):
+    """The quotient exponents from p-th circle powers of all p^dim elements, for any algebra."""
+    if algebra.p**algebra.dim > MAX_POPULATION:
+        raise ValueError(f"population size {algebra.p**algebra.dim} exceeds {MAX_POPULATION}")
+    population = np.array(list(algebra.elements()), dtype=np.int64)
+    return _exponent_chain(
+        algebra, population, lambda rows: _circle_pow_rows(algebra, rows, algebra.p)
+    )
+
+
 def quotient_exponent(algebra, n):
     """Exponent of the quotient of the adjoint group by G_n, the subgroup on R^(n+1)."""
     if n < 1:
@@ -420,15 +477,35 @@ def index_exponent_check(algebra, width):
 
 
 def cyclic_width(group, limit=8):
-    """Least m with the whole group a product C_1 C_2 ... C_m of cyclic subgroups.
+    """Least m with the whole group a product C_1 C_2 ... C_m of cyclic subgroups; None past limit.
 
-    Breadth-first over product sets from {identity}, each set seen once, so
-    the first level reaching the group is minimal (the trivial group has
-    width 1); None past the limit.  Guarded to orders up to MAX_GROUP_ORDER,
-    and refused once the seen sets hold more than ``linalg.MAX_BLOCK_BYTES``.
+    The trivial group has width 1.  On a commutative algebra the group is
+    abelian, and in an abelian p-group a product of cyclic subgroups is the
+    subgroup they generate.  So by the Burnside basis theorem the width is
+    d(G) = log_p [G : G^p], at least 1; with G^p = 1 + F(R) for the
+    Frobenius map F, that is dim - rank F, with no group table.  Other
+    groups are searched (``_search_width``), which needs their table and so
+    is guarded to orders up to ``MAX_GROUP_ORDER``.
     """
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
+    algebra = group.algebra
+    if algebra.frobenius is None:
+        return _search_width(group, limit)
+    image = ModpRowSpace(algebra.dim, algebra.p)
+    image.add(algebra.frobenius)
+    width = max(1, algebra.dim - image.rank)
+    return width if width <= limit else None
+
+
+def _search_width(group, limit):
+    """The cyclic width of any group, by search; None past the limit.
+
+    Breadth-first over product sets from {identity}, each set seen once, so
+    the first level reaching the group is minimal.  Guarded to orders up to
+    MAX_GROUP_ORDER, and refused once the seen sets hold more than
+    ``linalg.MAX_BLOCK_BYTES``.
+    """
     n = group.order
     if n > MAX_GROUP_ORDER:
         raise ValueError(f"group order {n} exceeds the limit {MAX_GROUP_ORDER}")

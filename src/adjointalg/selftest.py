@@ -27,6 +27,7 @@ from .construction import (
 from .factorization import factor_to_valuation
 from .finite import (
     AdjointGroup,
+    _search_width,
     cyclic_width,
     direct_sum,
     exp_bound_check,
@@ -194,24 +195,30 @@ def check_exponent_bounds(seed=DEFAULT_SEED):
 
 
 def check_cyclic_width(seed=DEFAULT_SEED):
+    """Widths by rank on abelian groups and by search on a nonabelian one; both routes agree."""
     w_chain = cyclic_width(AdjointGroup(truncated_polynomial_algebra(2, 3)))
     klein = direct_sum(
         truncated_polynomial_algebra(2, 2), truncated_polynomial_algebra(2, 2)
     )
     w_klein = cyclic_width(AdjointGroup(klein))
+    w_ut = cyclic_width(AdjointGroup(strictly_upper_triangular_algebra(2, 4)))
     big = truncated_polynomial_algebra(2, 9)
     w_big = cyclic_width(AdjointGroup(big))
+    w_searched = _search_width(AdjointGroup(big), 8)
     chain_report = index_exponent_check(big, w_big) if w_big else {"ok": False}
     checks = [
         w_chain == 1,
         w_klein == 2,
+        w_ut == 3,
         w_big is not None,
+        w_searched == w_big,
         chain_report["ok"],
         chain_report.get("aggregate_ok", False),
     ]
     detail = (
         f"width(order-4 chain group) = {w_chain}; width(Klein group) = {w_klein};"
-        f" width(order-256 group) = {w_big}, index bounds hold"
+        f" width(order-64 unitriangular group) = {w_ut};"
+        f" width(order-256 group) = {w_big} by rank, {w_searched} by search, index bounds hold"
     )
     return all(checks), detail
 

@@ -359,6 +359,26 @@ def test_width_text_output(capsys):
     assert out == "order: 4\nwidth: 1\n"
 
 
+def test_commutative_groups_past_the_table_ceiling_are_answered(capsys):
+    # Order 8192: the width is a rank of the Frobenius map, with no group table.
+    code, out, _ = run_cli(capsys, "width", "--family", "poly", "--p", "2", "--n", "14")
+    assert code == 0
+    assert json.loads(out) == {"order": 8192, "limit": 8, "width": 7}
+    # Order 32768, past the population ceiling: powers of one matrix.
+    code, out, _ = run_cli(capsys, "exponent", "--family", "poly", "--p", "2", "--n", "16")
+    assert code == 0
+    payload = json.loads(out)
+    assert [r["exponent"] for r in payload["rows"]] == [2, 4, 4] + [8] * 4 + [16] * 8
+    assert payload["ok"] is True
+
+
+def test_nonabelian_group_past_the_table_ceiling_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "width", "--family", "ut", "--p", "2", "--n", "6")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: group order 32768 exceeds the limit 4096")
+
+
 def test_width_past_the_associativity_ceiling_is_a_usage_error(capsys):
     # dim 199: the check would read 8 * 199^4 bytes of products, about 12.5 GB.
     code, out, err = run_cli(capsys, "width", "--family", "poly", "--n", "200")

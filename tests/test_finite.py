@@ -48,6 +48,27 @@ def in_basis(alg, m):
     return FiniteNilAlgebra(p, [f"f{i + 1}" for i in range(k)], table)
 
 
+def in_random_basis(alg, grid, stride):
+    """The algebra in the basis given by the invertible m = L U read off a grid.
+
+    L is unit lower triangular and U upper triangular with a nonzero
+    diagonal; entry (i, j) of either comes from grid[stride * i + j].
+    """
+    k, p = alg.dim, alg.p
+    lower = [
+        [grid[stride * i + j] % p if j < i else int(i == j) for j in range(k)] for i in range(k)
+    ]
+    upper = [
+        [
+            grid[stride * i + j] % p if j > i else (grid[(stride + 1) * i] % (p - 1) + 1) * (i == j)
+            for j in range(k)
+        ]
+        for i in range(k)
+    ]
+    m = [[sum(lower[i][t] * upper[t][j] for t in range(k)) % p for j in range(k)] for i in range(k)]
+    return in_basis(alg, m)
+
+
 def brute_powers(alg, u, count):
     """u^0, u^1, ..., u^(count - 1) under the circle product, by brute iteration."""
     rows = alg.table.tolist()
@@ -301,12 +322,14 @@ def test_quotient_exponent_agrees_with_direct_group_computation(monkeypatch):
     with pytest.raises(ValueError):
         quotient_exponent(truncated_polynomial_algebra(2, 4), 0)
     # One chain per algebra: the index check reads what the bound check computed.
+    # A commutative algebra takes powers of its Frobenius matrix instead, so the
+    # population chain is counted on a noncommutative one.
     calls = []
     chain_step = finite._circle_pow_rows
     monkeypatch.setattr(
         finite, "_circle_pow_rows", lambda *args: calls.append(args) or chain_step(*args)
     )
-    alg = truncated_polynomial_algebra(2, 9)
+    alg = direct_sum(strictly_upper_triangular_algebra(2, 3), truncated_polynomial_algebra(2, 4))
     exp_bound_check(alg)
     steps = len(calls)
     assert steps > 0
@@ -360,22 +383,24 @@ def test_cyclic_width_small_groups(make, expected):
 def test_cyclic_width_limit_and_guards(monkeypatch):
     klein = AdjointGroup(klein_algebra())
     assert cyclic_width(klein, limit=1) is None
+    assert finite._search_width(klein, 1) is None
     with pytest.raises(ValueError):
         cyclic_width(klein, limit=0)
     # The small ceilings hold only inside this block: the larger algebras
-    # below need the real one for their associativity check.
+    # below need the real one for their associativity check.  Klein's width
+    # is a rank, so the search that the ceiling guards is called directly.
     with monkeypatch.context() as patch:
         # The seen sets start with {identity}, 4 bytes; the first level adds more.
         patch.setattr(linalg, "MAX_BLOCK_BYTES", klein.order)
         with pytest.raises(ResourceLimitError, match="order 4 holds 8 bytes .* limit of 4 bytes"):
-            cyclic_width(klein)
+            finite._search_width(klein, 8)
         # It ends holding the identity and the three subgroups of order 2.
         patch.setattr(linalg, "MAX_BLOCK_BYTES", 4 * klein.order)
-        assert cyclic_width(klein) == 2
-    huge = AdjointGroup(truncated_polynomial_algebra(2, 14))  # order 8192
+        assert finite._search_width(klein, 8) == 2
+    vast = AdjointGroup(strictly_upper_triangular_algebra(2, 6))  # nonabelian, order 32768
+    assert vast.algebra.frobenius is None
     with pytest.raises(ValueError, match="order"):
-        cyclic_width(huge)
-    vast = AdjointGroup(truncated_polynomial_algebra(2, 16))  # order 32768
+        cyclic_width(vast)
     with pytest.raises(ValueError):
         vast.exponent()
     with pytest.raises(ValueError):
@@ -386,10 +411,10 @@ def test_cyclic_width_refusal_is_the_same_under_every_hash_seed():
     """The frontier keeps first-seen order, so the search stops at the same set."""
     # Small blocks split the frontier, so its order decides what each block adds.
     script = "\n".join([
-        "from adjointalg import AdjointGroup, cyclic_width, finite, linalg",
+        "from adjointalg import AdjointGroup, finite, linalg",
         "linalg.MAX_BLOCK_BYTES, finite._BLOCK_ENTRIES = 38000, 512",
         "try:",
-        "    cyclic_width(AdjointGroup(finite.truncated_polynomial_algebra(2, 8)))",
+        "    finite._search_width(AdjointGroup(finite.truncated_polynomial_algebra(2, 8)), 8)",
         "except linalg.ResourceLimitError as exc:",
         "    print(exc)",
     ])
@@ -502,17 +527,7 @@ def test_group_table_and_powers_match_brute_routes(case, grid, pick):
     minute.
     """
     p, spec = case
-    base = family(p, spec)
-    k = base.dim
-    # m = L U: L unit lower triangular below the grid's diagonal, U upper
-    # triangular with a nonzero diagonal, so m is invertible.
-    lower = [[grid[8 * i + j] % p if j < i else int(i == j) for j in range(k)] for i in range(k)]
-    upper = [
-        [grid[8 * i + j] % p if j > i else (grid[9 * i] % (p - 1) + 1) * (i == j) for j in range(k)]
-        for i in range(k)
-    ]
-    m = [[sum(lower[i][t] * upper[t][j] for t in range(k)) % p for j in range(k)] for i in range(k)]
-    alg = in_basis(base, m)
+    alg = in_random_basis(family(p, spec), grid, 8)
     rows = alg.table.tolist()
     elements = list(alg.elements())
     index = {e: i for i, e in enumerate(elements)}
@@ -535,3 +550,77 @@ def test_group_table_and_powers_match_brute_routes(case, grid, pick):
     for k in range(2 * q + 1):
         assert alg.circle_pow(u, k) == powers[k]
         assert brute_circle(rows, p, alg.circle_pow(u, -k), powers[k]) == alg.zero()
+
+
+#: (p, family spec) pairs of commutative algebras, Klein's among them, of order at most 512.
+COMMUTATIVE_GROUPS = [
+    (p, spec)
+    for p in (2, 3, 5, 7)
+    for spec in [("poly", n) for n in range(1, 11)]
+    + [("sum", ("poly", a), ("poly", b)) for a in range(2, 10) for b in range(a, 10)]
+    if p ** family(p, spec).dim <= 512
+]
+
+#: Noncommutative algebras: ut and its sums with poly, on either side.
+NONCOMMUTATIVE = [
+    (p, spec)
+    for p in (2, 3, 5)
+    for spec in [
+        ("ut", 3), ("ut", 4), ("sum", ("ut", 3), ("poly", 3)), ("sum", ("poly", 2), ("ut", 3)),
+        ("sum", ("ut", 3), ("ut", 3)),
+    ]
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(COMMUTATIVE_GROUPS),
+    st.lists(st.integers(0, 6), min_size=81, max_size=81),
+)
+@example((2, ("sum", ("poly", 2), ("poly", 2))), [0] * 81)
+def test_frobenius_route_matches_the_search_and_the_population(case, grid):
+    """Commutative algebras in random bases: the Frobenius route against the element-level one.
+
+    The search and the population chain stay the route of noncommutative
+    algebras, and here they are the oracle of the rank and the matrix powers.
+    """
+    p, spec = case
+    alg = in_random_basis(family(p, spec), grid, 9)
+    assert alg.frobenius is not None
+    group = AdjointGroup(alg)
+    assert cyclic_width(group) == finite._search_width(group, 8)
+    # A small limit: the width when it is at most 2, else None from both.
+    assert cyclic_width(group, limit=2) == finite._search_width(group, 2)
+    assert alg.quotient_exponents == finite._population_exponents(alg)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.sampled_from(NONCOMMUTATIVE),
+    st.lists(st.integers(0, 4), min_size=81, max_size=81),
+)
+def test_noncommutative_algebras_have_no_frobenius_map(case, grid):
+    p, spec = case
+    assert in_random_basis(family(p, spec), grid, 9).frobenius is None
+
+
+@pytest.mark.parametrize("p,top", [(2, 40), (3, 20)])
+def test_poly_widths_and_exponents_past_both_ceilings(p, top):
+    """Closed forms for x F_p[x] / (x^n): its p-th powers span x^p F_p[x] / (x^n).
+
+    So the width is (n - 1) - floor((n - 1) / p), at least 1, and an element
+    with a nonzero x term has order p^ceil(log_p m) modulo x^m.
+    """
+    def ceil_log(m):
+        t = 0
+        while p**t < m:
+            t += 1
+        return t
+
+    for n in range(1, top + 1):
+        alg = truncated_polynomial_algebra(p, n)
+        assert cyclic_width(AdjointGroup(alg), limit=64) == max(1, (n - 1) - (n - 1) // p)
+        # R / R^(m+1) is x F_p[x] / (x^min(m+1, n)).
+        expected = tuple(p ** ceil_log(min(m + 1, n)) for m in range(1, alg.nilpotency_class + 1))
+        assert alg.quotient_exponents == expected
+        assert AdjointGroup(alg).exponent() == p ** ceil_log(n)
