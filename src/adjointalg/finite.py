@@ -25,14 +25,19 @@ products in all, so it is refused past ``linalg.MAX_BLOCK_BYTES`` of them
 gives the exponents of all the quotients, and every reader takes them from
 there.
 
+In characteristic p, (1 + r)^(p^t) = 1 + r^(p^t) for every r in every
+algebra, since 1 commutes with r; so every element's order divides the least
+power of p at or above the nilpotency class.  One routine,
+``_circle_pow_rows``, takes every circle power, with k modulo that bound.
+
 A commutative algebra (table[i, j] == table[j, i]) has an abelian adjoint
-group, since u o v - v o u = uv - vu.  In characteristic p its Frobenius map
-F: r -> r^p is F_p-linear and (1 + r)^p = 1 + r^p, so G^p = 1 + F(R).  Its
-cyclic width is then d(G) = log_p [G : G^p] = dim - rank F (at least 1), by
-the Burnside basis theorem and because in an abelian group a product of
-cyclic subgroups is the subgroup they generate; and the exponent of G/G_n
-is the least p^t with F^t(R) in R^(n+1).  Neither needs the elements, so
-neither guard below applies to it.
+group, since u o v - v o u = uv - vu.  Commutativity only makes the
+Frobenius map F: r -> r^p F_p-linear, so a basis stands for every element,
+and G^p = 1 + F(R).  Its cyclic width is then d(G) = log_p [G : G^p] =
+dim - rank F (at least 1), by the Burnside basis theorem and because in an
+abelian group a product of cyclic subgroups is the subgroup they generate;
+and the exponent of G/G_n is the least p^t with F^t(R) in R^(n+1).
+Neither needs the elements, so neither guard below applies to it.
 
 Any other algebra goes the element-level way.  Its exponent chain takes
 p-th circle powers of all p^dim elements, guarded by ``MAX_POPULATION``.
@@ -49,6 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+import operator
 
 import numpy as np
 
@@ -144,21 +150,12 @@ class FiniteNilAlgebra:
     def frobenius(self):
         """The matrix of r -> r^p, row i being e_i^p, when the algebra is commutative; else None.
 
-        On a commutative algebra in characteristic p the map is F_p-linear,
-        and (1 + r)^p = 1 + r^p, so it gives the p-th circle powers of every
-        element.  Once p reaches the nilpotency class, r^p lies in R^p = 0
-        and nothing is multiplied; otherwise p < class <= dim + 1 <= 65.
+        Row i is the p-th circle power of e_i, which is e_i^p (module
+        docstring); it is zero, with nothing multiplied, once p reaches the class.
         """
         if not np.array_equal(self.table, self.table.transpose(1, 0, 2)):
             return None
-        basis = np.eye(self.dim, dtype=np.int64)
-        if self.p >= self.nilpotency_class:
-            return np.zeros_like(basis)
-        left = _left(self, basis)
-        powers = basis
-        for _ in range(self.p - 1):
-            powers = (powers[:, None, :] @ left)[:, 0] % self.p
-        return powers
+        return _circle_pow_rows(self, np.eye(self.dim, dtype=np.int64), self.p)
 
     @cached_property
     def quotient_exponents(self):
@@ -189,17 +186,8 @@ class FiniteNilAlgebra:
         return self.circle_pow(u, -1)
 
     def circle_pow(self, u, k):
-        """The k-th circle power of u, for any integer k.
-
-        Let q be the least power of p with q >= the nilpotency class N.  In
-        characteristic p, (1 + u)^q = 1 + u^q, and u^q lies in R^q = 0; so
-        every element's order divides q, k may be taken mod q, and a
-        negative k needs no inverse.
-        """
-        q = 1
-        while q < self.nilpotency_class:
-            q *= self.p
-        return tuple(_circle_pow_rows(self, self._row(u), k % q)[0].tolist())
+        """The k-th circle power of u, for any integer k (see ``_circle_pow_rows``)."""
+        return tuple(_circle_pow_rows(self, self._row(u), k)[0].tolist())
 
     def zero(self):
         return (0,) * self.dim
@@ -209,12 +197,21 @@ class FiniteNilAlgebra:
         return product(range(self.p), repeat=self.dim)
 
     def element_index(self, v):
+        """The position of v in ``elements()``: v must have dim entries in 0..p - 1."""
+        v = tuple(map(operator.index, v))
+        if len(v) != self.dim or not all(0 <= c < self.p for c in v):
+            raise ValueError(f"element {v} is not {self.dim} entries in 0..{self.p - 1}")
         i = 0
         for c in v:
             i = i * self.p + c
         return i
 
     def element_at(self, index):
+        """The element at position ``index`` of ``elements()``, which must be in 0..p^dim - 1."""
+        # Python ints: p^dim passes int64 long before the dimension ceiling.
+        index, size = operator.index(index), self.p**self.dim
+        if not 0 <= index < size:
+            raise ValueError(f"element index {index} is outside 0..{size - 1}")
         digits = []
         for _ in range(self.dim):
             index, c = divmod(index, self.p)
@@ -328,9 +325,7 @@ class AdjointGroup:
         """T[i, j] = index of element_i o element_j; guarded to small groups."""
         n = self.order
         if n > MAX_GROUP_ORDER:
-            raise ValueError(
-                f"group order {n} exceeds the table limit {MAX_GROUP_ORDER}"
-            )
+            raise linalg.ResourceLimitError(f"group order {n} exceeds the limit {MAX_GROUP_ORDER}")
         alg = self.algebra
         mat = np.array(list(alg.elements()), dtype=np.int64)
         weights = alg.p ** np.arange(alg.dim - 1, -1, -1, dtype=np.int64)
@@ -368,13 +363,24 @@ def _circle_rows(algebra, a, b):
 
 
 def _circle_pow_rows(algebra, a, k):
-    """Row-wise k-th circle powers (k >= 0) by square-and-multiply."""
-    acc = np.zeros_like(a)
-    while k:
-        if k & 1:
+    """Row-wise k-th circle powers, for any integer k, by square-and-multiply.
+
+    Every element's order divides q, the least power of p at or above the
+    nilpotency class (module docstring), so k is taken mod q: a negative k
+    needs no inverse, and k = p gives zero once p reaches the class.  The
+    bits of k are read from the top, so nothing is squared past it.
+    """
+    q = 1
+    while q < algebra.nilpotency_class:
+        q *= algebra.p
+    k %= q
+    if not k:
+        return np.zeros_like(a)
+    acc = a
+    for bit in bin(k)[3:]:
+        acc = _circle_rows(algebra, acc, acc)
+        if bit == "1":
             acc = _circle_rows(algebra, acc, a)
-        a = _circle_rows(algebra, a, a)
-        k >>= 1
     return acc
 
 
@@ -400,8 +406,9 @@ def _exponent_chain(algebra, rows, pth_power):
 
 def _population_exponents(algebra):
     """The quotient exponents from p-th circle powers of all p^dim elements, for any algebra."""
-    if algebra.p**algebra.dim > MAX_POPULATION:
-        raise ValueError(f"population size {algebra.p**algebra.dim} exceeds {MAX_POPULATION}")
+    size = algebra.p**algebra.dim
+    if size > MAX_POPULATION:
+        raise linalg.ResourceLimitError(f"population size {size} exceeds {MAX_POPULATION}")
     population = np.array(list(algebra.elements()), dtype=np.int64)
     return _exponent_chain(
         algebra, population, lambda rows: _circle_pow_rows(algebra, rows, algebra.p)
@@ -479,13 +486,10 @@ def index_exponent_check(algebra, width):
 def cyclic_width(group, limit=8):
     """Least m with the whole group a product C_1 C_2 ... C_m of cyclic subgroups; None past limit.
 
-    The trivial group has width 1.  On a commutative algebra the group is
-    abelian, and in an abelian p-group a product of cyclic subgroups is the
-    subgroup they generate.  So by the Burnside basis theorem the width is
-    d(G) = log_p [G : G^p], at least 1; with G^p = 1 + F(R) for the
-    Frobenius map F, that is dim - rank F, with no group table.  Other
-    groups are searched (``_search_width``), which needs their table and so
-    is guarded to orders up to ``MAX_GROUP_ORDER``.
+    The trivial group has width 1.  On a commutative algebra the width is
+    dim - rank F, at least 1, with no group table (module docstring).  Other
+    groups are searched (``_search_width``) on their table, which is guarded
+    to orders up to ``MAX_GROUP_ORDER``.
     """
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
@@ -502,13 +506,11 @@ def _search_width(group, limit):
     """The cyclic width of any group, by search; None past the limit.
 
     Breadth-first over product sets from {identity}, each set seen once, so
-    the first level reaching the group is minimal.  Guarded to orders up to
-    MAX_GROUP_ORDER, and refused once the seen sets hold more than
-    ``linalg.MAX_BLOCK_BYTES``.
+    the first level reaching the group is minimal.  Its group table is
+    guarded to orders up to MAX_GROUP_ORDER, and the search is refused once
+    the seen sets hold more than ``linalg.MAX_BLOCK_BYTES``.
     """
     n = group.order
-    if n > MAX_GROUP_ORDER:
-        raise ValueError(f"group order {n} exceeds the limit {MAX_GROUP_ORDER}")
     table = group.multiplication_index_table()
     g = np.arange(n)
     powers = [g]

@@ -251,6 +251,24 @@ def test_element_indexing_round_trip():
         assert alg.element_at(i) == v
 
 
+def test_element_indexing_refuses_what_it_would_wrap():
+    alg = truncated_polynomial_algebra(2, 4)  # order 8
+    for index in (8, -1):
+        with pytest.raises(ValueError, match=f"^element index {index} is outside 0..7$"):
+            alg.element_at(index)
+    for v in [(2, 0, 0), (0, -1, 0), (1, 0), (0, 0, 0, 0)]:
+        with pytest.raises(ValueError, match=r"is not 3 entries in 0\.\.1$"):
+            alg.element_index(v)
+    # p^dim passes int64 here, so the bounds must be Python ints.
+    p = 16777213
+    big = truncated_polynomial_algebra(p, 30)
+    top = (p - 1,) * 29
+    assert big.element_index(top) == p**29 - 1
+    assert big.element_at(p**29 - 1) == top
+    with pytest.raises(ValueError, match="outside"):
+        big.element_at(p**29)
+
+
 def test_multiplication_table_is_a_group_table():
     group = AdjointGroup(truncated_polynomial_algebra(2, 3))
     table = group.multiplication_index_table()
@@ -397,13 +415,21 @@ def test_cyclic_width_limit_and_guards(monkeypatch):
         # It ends holding the identity and the three subgroups of order 2.
         patch.setattr(linalg, "MAX_BLOCK_BYTES", 4 * klein.order)
         assert finite._search_width(klein, 8) == 2
+
+
+def test_every_size_refusal_is_a_resource_limit_error():
+    """The group-table and population ceilings, like the others, raise ResourceLimitError."""
     vast = AdjointGroup(strictly_upper_triangular_algebra(2, 6))  # nonabelian, order 32768
     assert vast.algebra.frobenius is None
-    with pytest.raises(ValueError, match="order"):
+    table_refusal = "^group order 32768 exceeds the limit 4096$"
+    with pytest.raises(ResourceLimitError, match=table_refusal):
+        vast.multiplication_index_table()
+    with pytest.raises(ResourceLimitError, match=table_refusal):
         cyclic_width(vast)
-    with pytest.raises(ValueError):
+    population_refusal = "^population size 32768 exceeds 16384$"
+    with pytest.raises(ResourceLimitError, match=population_refusal):
         vast.exponent()
-    with pytest.raises(ValueError):
+    with pytest.raises(ResourceLimitError, match=population_refusal):
         quotient_exponent(vast.algebra, 1)
 
 
@@ -602,6 +628,106 @@ def test_frobenius_route_matches_the_search_and_the_population(case, grid):
 def test_noncommutative_algebras_have_no_frobenius_map(case, grid):
     p, spec = case
     assert in_random_basis(family(p, spec), grid, 9).frobenius is None
+
+
+#: Shapes for the circle-power kernel: poly, ut and their sums, with p at or past the class too.
+KERNEL_SHAPES = [
+    (p, spec)
+    for p in (2, 3, 5, 7)
+    for spec in [("poly", n) for n in (1, 2, 3, 4, 6, 9)]
+    + [
+        ("ut", 3), ("ut", 4), ("sum", ("poly", 3), ("ut", 3)), ("sum", ("ut", 3), ("poly", 5)),
+        ("sum", ("poly", 4), ("poly", 6)),
+    ]
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(KERNEL_SHAPES),
+    st.lists(st.integers(0, 6), min_size=81, max_size=81),
+    st.lists(st.integers(0, 6), min_size=9, max_size=9),
+    st.integers(-2, 1),
+    st.integers(0, 1 << 16),
+)
+@example((2, ("poly", 9)), [0] * 81, [1] * 9, 1, 16)
+@example((7, ("sum", ("poly", 4), ("poly", 6))), [0] * 81, [1] * 9, -2, 0)
+def test_circle_pow_matches_brute_iteration_for_every_integer(
+    case, grid, coefficients, multiple, offset
+):
+    """k = multiple * q + offset mod (q + 1) in [-2q, 2q]: powers against brute iteration.
+
+    Offsets 0 and q give the multiples of q.  A negative power is pinned
+    down by its brute product with the opposite power, since inverses are
+    unique.
+    """
+    p, spec = case
+    alg = in_random_basis(family(p, spec), grid, 9)
+    rows = alg.table.tolist()
+    u = tuple(c % p for c in coefficients[:alg.dim])
+    q = power_period(alg)
+    k = multiple * q + offset % (q + 1)
+    power = alg.circle_pow(u, k)
+    powers = brute_powers(alg, u, abs(k) + 1)
+    if k >= 0:
+        assert power == powers[k]
+    else:
+        assert brute_circle(rows, p, power, powers[-k]) == alg.zero()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(
+        KERNEL_SHAPES + [(5, ("poly", 4)), (7, ("poly", 3)), (5, ("ut", 3)), (7, ("ut", 3))]
+    ),
+    st.lists(st.integers(0, 6), min_size=81, max_size=81),
+)
+@example((5, ("poly", 4)), [0] * 81)
+@example((7, ("poly", 3)), [0] * 81)
+@example((5, ("ut", 3)), [0] * 81)
+def test_frobenius_rows_are_brute_pth_powers_of_the_basis(case, grid):
+    """Row i of the kernel's p-th powers of the basis is the brute p-th circle power of e_i.
+
+    That matrix is ``frobenius`` on a commutative algebra (None on any
+    other), and it is zero once p reaches the nilpotency class.
+    """
+    p, spec = case
+    alg = in_random_basis(family(p, spec), grid, 9)
+    eye = np.eye(alg.dim, dtype=np.int64)
+    rows = finite._circle_pow_rows(alg, eye, p)
+    for i, e in enumerate(eye.tolist()):
+        assert tuple(rows[i].tolist()) == brute_powers(alg, tuple(e), p + 1)[p]
+    if p >= alg.nilpotency_class:
+        assert not rows.any()
+    if alg.frobenius is not None:
+        assert np.array_equal(alg.frobenius, rows)
+
+
+def test_circle_pow_rows_squares_only_up_to_the_top_bit(monkeypatch):
+    """k mod q is taken first; then bit_length - 1 squarings and popcount - 1 products."""
+    calls = []
+    product = finite._circle_rows
+    monkeypatch.setattr(
+        finite, "_circle_rows", lambda *args: calls.append(args) or product(*args)
+    )
+    alg = direct_sum(strictly_upper_triangular_algebra(2, 4), truncated_polynomial_algebra(2, 6))
+    q = power_period(alg)
+    assert q == 8
+    population = np.array(list(alg.elements()), dtype=np.int64)
+    finite._circle_pow_rows(alg, population, 2)
+    assert len(calls) == 1
+    for k in range(-2 * q, 2 * q + 1):
+        calls.clear()
+        finite._circle_pow_rows(alg, population, k)
+        r = k % q
+        assert len(calls) == (r.bit_length() - 1 + bin(r).count("1") - 1 if r else 0)
+    # At p >= class the p-th powers are zero, so neither the Frobenius matrix
+    # nor the population chain multiplies anything.
+    calls.clear()
+    for alg in (truncated_polynomial_algebra(7, 3), strictly_upper_triangular_algebra(7, 3)):
+        finite._population_exponents(alg)
+        assert alg.frobenius is None or not alg.frobenius.any()
+    assert calls == []
 
 
 @pytest.mark.parametrize("p,top", [(2, 40), (3, 20)])
