@@ -10,16 +10,20 @@ reaches m writes 1 + a as a product of homogeneous factors times
 1 + (terms of degree >= m); with m = cap + 1 the residual is identically
 zero and the factorization is exact in the truncated algebra.
 
-The seed and every round run one loop: each new factor 1 + h multiplies
-the current product (1 for the seed) out as prod + prod * h, and the
-residual is read off as prod - 1 - a.
+The seed and every round run one loop.  The product (1 for the seed) is
+held as one plain-int term dict per degree, seeded from 1 + a + residual.
+A factor 1 + h of degree e adds prod_d * h into prod_(d + e) for d from
+cap - e down to 0: top degree first, every slice is read before anything
+is added to it, so prod + prod * h is built in place.  A coefficient is
+reduced mod p when it is read, and the residual, prod - 1 - a, once at the
+end of the round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freealg import homogeneous_parts, one, valuation
+from .freealg import TruncatedPoly, homogeneous_parts, one, valuation
 from .text import format_poly
 
 
@@ -46,11 +50,33 @@ class FactorizationTrace:
 
 
 def _append_factors(trace, factors, steps):
-    """Multiply the trace's product by each 1 + h in order and read off the residual."""
-    a, prod = trace.target, trace.product()
+    """Multiply the trace's product by each homogeneous 1 + h in order and read off the residual."""
+    a = trace.target
+    p, cap = a.p, a.cap
+    prod = [{} for _ in range(cap + 1)]
+    prod[0][""] = 1
+    for terms in (a._terms, trace.residual._terms):
+        for w, c in terms.items():
+            slot = prod[len(w)]
+            slot[w] = slot.get(w, 0) + c
     for h in factors:
-        prod = prod + prod * h
-    return FactorizationTrace(a, trace.factors + tuple(factors), prod - one(a.p, a.cap) - a, steps)
+        right = list(h._terms.items())
+        e = len(right[0][0])
+        for d in range(cap - e, -1, -1):
+            out = prod[d + e]
+            for wa, ca in prod[d].items():
+                ca %= p
+                if ca:
+                    for wb, cb in right:
+                        w = wa + wb
+                        out[w] = out.get(w, 0) + ca * cb
+    # The seed put every word of a into prod, so the residual prod - 1 - a is read in place.
+    for w, c in a._terms.items():
+        prod[len(w)][w] -= c
+    residual = {w: c % p for slot in prod[1:] for w, c in slot.items() if c % p}
+    return FactorizationTrace(
+        a, trace.factors + tuple(factors), TruncatedPoly._raw(p, cap, residual), steps
+    )
 
 
 def initial_factorization(a):

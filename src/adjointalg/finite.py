@@ -81,6 +81,12 @@ class FiniteNilAlgebra:
     """Nilpotent associative algebra over F_p with an explicit basis."""
 
     def __init__(self, p, labels, table):
+        # A numpy integer p becomes a Python int, which the power and
+        # primality routines need.
+        try:
+            p = operator.index(p)
+        except TypeError:
+            raise ValueError(f"p must be an integer, got {p!r}") from None
         if not 2 <= p <= linalg.MAX_MODULUS:
             raise ValueError(
                 f"modulus {p} is outside 2..{linalg.MAX_MODULUS} (2^24), the range where"

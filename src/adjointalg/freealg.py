@@ -158,11 +158,6 @@ def index_words(indices, degree):
     return [text[k:k + degree] for k in range(0, len(text), degree)]
 
 
-def term_sort_key(word):
-    """Canonical term order: ascending degree, then lexicographic."""
-    return (len(word), word)
-
-
 def _mul_terms(at, bt, p, cap):
     """Multiply two term dicts, discarding products beyond the cap.
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 
-from .freealg import TruncatedPoly, term_sort_key
+from .freealg import TruncatedPoly
 
 _RUN = re.compile("x{2,}|y{2,}")
 _TOKEN = re.compile(r"\d+|\S")
@@ -120,23 +120,22 @@ def parse_poly(text, p, cap):
     return TruncatedPoly(p, cap, terms)
 
 
-def _compress(word):
-    """Run-length encode a word: 'xxy' -> 'x^2y'."""
-    return _RUN.sub(lambda run: f"{run[0][0]}^{len(run[0])}", word)
-
-
-def _format_term(word, coeff):
-    if not word:
-        return str(coeff)
-    head = "" if coeff == 1 else str(coeff)
-    return head + _compress(word)
+def _compress(text):
+    """Run-length encode the letter runs of a text: 'xxy + 2x' -> 'x^2y + 2x'."""
+    return _RUN.sub(lambda run: f"{run[0][0]}^{len(run[0])}", text)
 
 
 def format_poly(a):
-    """Canonical text for a: terms in degree-then-lexicographic order with ' + ' separators."""
+    """Canonical text for a: terms in degree-then-lexicographic order with ' + ' separators.
+
+    Digits, spaces and '+' separate the terms, so no run of one letter
+    crosses from a term into the next and one pass of :func:`_compress`
+    encodes the whole text.
+    """
     items = a._terms
     if not items:
         return "0"
-    return " + ".join(
-        _format_term(w, items[w]) for w in sorted(items, key=term_sort_key)
-    )
+    # The second sort is stable, so the order is (degree, word).
+    return _compress(" + ".join(
+        w if items[w] == 1 and w else f"{items[w]}{w}" for w in sorted(sorted(items), key=len)
+    ))

@@ -3,11 +3,12 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adjointalg import (
     INFINITY,
+    TruncatedPoly,
     correction_step,
     factor_to_valuation,
     initial_factorization,
@@ -16,7 +17,7 @@ from adjointalg import (
     trace_to_json,
 )
 from adjointalg.freealg import homogeneous_parts
-from adjointalg.oracle import expand_one_plus
+from adjointalg.oracle import expand_one_plus, naive_add, naive_mul
 
 from oracle import polys
 
@@ -166,3 +167,63 @@ def test_trace_json():
     exact = trace_to_json(factor_to_valuation(parse_poly("x + x^2", 2, 6), 7))
     assert exact["valuation"] == "infinity"
     assert exact["residual"] == "0"
+
+
+def _slices(terms):
+    """Homogeneous slices of a term dict, ascending in degree."""
+    by_degree = {}
+    for w, c in terms.items():
+        by_degree.setdefault(len(w), {})[w] = c
+    return [by_degree[d] for d in sorted(by_degree)]
+
+
+def _reference_rounds(a, p, cap):
+    """Every trace of the factorization as (factors, residual, steps), on naive term dicts.
+
+    The product starts at 1 and takes prod + prod * h for each factor 1 + h:
+    first the slices of a, then, each round, the negated slices of the
+    residual prod - 1 - a, until the residual is zero.
+    """
+    minus_one_a = {w: -c % p for w, c in naive_add({"": 1}, a, p).items()}
+    prod, factors, steps, new = {"": 1}, [], 0, _slices(a)
+    while True:
+        for h in new:
+            # Words past cap - deg h meet no word of h: naive_mul would only discard them.
+            room = cap - len(next(iter(h)))
+            left = {w: c for w, c in prod.items() if len(w) <= room}
+            prod = naive_add(prod, naive_mul(left, h, p, cap), p)
+        factors = factors + new
+        residual = naive_add(prod, minus_one_a, p)
+        yield factors, residual, steps
+        if not residual:
+            return
+        new = [{w: -c % p for w, c in part.items()} for part in _slices(residual)]
+        steps += 1
+
+
+@st.composite
+def factorization_targets(draw):
+    """Targets over p in {2, 3, 5, 7}, caps 1-14, up to six terms of any degree up to the cap."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    cap = draw(st.integers(1, 14))
+    words = st.integers(1, cap).flatmap(lambda d: st.text("xy", min_size=d, max_size=d))
+    terms = draw(st.dictionaries(words, st.integers(1, p - 1), min_size=1, max_size=6))
+    return TruncatedPoly(p, cap, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(factorization_targets())
+@example(parse_poly("x + 3y + 2xy + 5y^2x + 6x^2y^2 + xyxyx", 7, 14))
+@example(parse_poly("x + y^2 + xyx", 2, 14))
+@example(parse_poly("2y + x^2 + 2yxy^2", 3, 13))
+def test_factorization_matches_the_naive_product_loop(a):
+    """Every target valuation m gives the first naive trace whose residual reaches m."""
+    rounds = list(_reference_rounds(a.terms, a.p, a.cap))
+    for m in range(1, a.cap + 2):
+        factors, residual, steps = next(
+            t for t in rounds if not t[1] or min(map(len, t[1])) >= m
+        )
+        trace = factor_to_valuation(a, m)
+        assert [h.terms for h in trace.factors] == factors
+        assert trace.residual.terms == residual
+        assert trace.steps == steps

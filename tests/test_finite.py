@@ -1,6 +1,7 @@
 """Finite nilpotent algebras: structure validation, adjoint groups, bounds, width."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -512,6 +513,28 @@ def test_modulus_outside_the_exact_range_is_refused_before_the_primality_test(mo
 
     monkeypatch.setattr(finite, "is_prime", refuse)
     with pytest.raises(ValueError, match=r"^modulus -?\d+ is outside 2\.\.16777216 \(2\^24\)"):
+        FiniteNilAlgebra(p, ["a"], np.zeros((1, 1, 1)))
+
+
+@pytest.mark.parametrize(
+    "p,n", [(np.int64(2), 5), (np.int32(3), 7), (np.int64(3), 45), (np.int64(16777213), 30)]
+)
+def test_numpy_integer_modulus_answers_as_the_python_int(p, n):
+    alg, ref = truncated_polynomial_algebra(p, n), truncated_polynomial_algebra(int(p), n)
+    assert type(alg.p) is int and alg.p == ref.p
+    assert np.array_equal(alg.table, ref.table)
+    assert alg.nilpotency_class == ref.nilpotency_class
+    assert alg.quotient_exponents == ref.quotient_exponents
+    assert np.array_equal(alg.frobenius, ref.frobenius)
+    assert cyclic_width(AdjointGroup(alg), limit=64) == cyclic_width(AdjointGroup(ref), limit=64)
+    assert exp_bound_check(alg) == exp_bound_check(ref)
+    u = alg.element_at(alg.p - 1)
+    assert alg.circle_pow(u, -3) == ref.circle_pow(u, -3)
+
+
+@pytest.mark.parametrize("p", [2.0, np.float64(3.0), "3", None])
+def test_non_integer_modulus_is_refused_by_name(p):
+    with pytest.raises(ValueError, match=rf"^p must be an integer, got {re.escape(repr(p))}$"):
         FiniteNilAlgebra(p, ["a"], np.zeros((1, 1, 1)))
 
 

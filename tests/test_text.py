@@ -4,7 +4,7 @@ import tracemalloc
 from itertools import groupby
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adjointalg import (
@@ -192,3 +192,30 @@ def test_format_is_canonical(a):
 def test_compress_matches_a_groupby_reference(word):
     runs = ((ch, len(list(g))) for ch, g in groupby(word))
     assert _compress(word) == "".join(ch if n == 1 else f"{ch}^{n}" for ch, n in runs)
+
+
+#: Primes up to 101, so that two-digit coefficients meet letters ("12x^2y").
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79,
+          83, 89, 97, 101]
+
+
+@st.composite
+def formatted_polys(draw, cap=14):
+    """Polys over p up to 101 whose words are letter runs of any length up to the cap."""
+    p = draw(st.sampled_from(PRIMES))
+    runs = st.lists(st.tuples(st.sampled_from("xy"), st.integers(1, cap)), max_size=4)
+    words = runs.map(lambda rs: "".join(ch * n for ch, n in rs)[:cap])
+    return TruncatedPoly(p, cap, draw(st.dictionaries(words, st.integers(1, p - 1), max_size=8)))
+
+
+@settings(max_examples=200)
+@given(formatted_polys())
+@example(TruncatedPoly(13, 14, {"": 12, "xxy": 12, "x" * 12: 1, "yx": 10, "y" * 10: 3}))
+def test_format_matches_a_per_term_reference(a):
+    """One pass over the joined text equals compressing each word and sorting by (len, word)."""
+    terms = a.terms
+    texts = [
+        str(c) if not w else ("" if c == 1 else str(c)) + _compress(w)
+        for w, c in sorted(terms.items(), key=lambda item: (len(item[0]), item[0]))
+    ]
+    assert format_poly(a) == (" + ".join(texts) if texts else "0")
