@@ -147,7 +147,7 @@ def run_construction(p, cap, max_elements):
     carry the torsion generators J.  A p that is not prime or a cap below 1
     is refused before any work.
     """
-    check_context(p, cap)
+    p = check_context(p, cap)
     if max_elements < 0:
         raise ValueError(f"max_elements must be nonnegative, got {max_elements}")
     alpha = torsion_exponent(p)

@@ -2,9 +2,9 @@
 
 An algebra is given by structure constants: table[i, j, t] is the
 coefficient of basis element t in the product e_i * e_j.  Construction
-validates associativity on all basis triples, one basis element e_i at a
-time: with L_j = table[j], so that e_j v = v L_j for a row vector v, the
-left matrix of each e_i e_j must be L_j L_i.  It computes the
+validates associativity on all basis triples, a block of basis elements e_i
+at a time: with L_j = table[j], so that e_j v = v L_j for a row vector v,
+the left matrix of each e_i e_j must be L_j L_i.  It computes the
 chain of power ideals R = R^1 >= R^2 >= ... down to zero, failing loudly
 if the chain stalls before vanishing.  Because R is nilpotent, the circle
 operation u o v = u + v + uv makes the whole underlying set a finite
@@ -19,11 +19,11 @@ circle powers and inverses, the power chain and the group table) goes
 through one kernel, ``_left``: the matrices of v -> a v for a batch of
 rows a, reduced mod p before a right factor meets them.  Each sum then
 stays below dim * p^2, which is exact in int64 for every p up to 2^24.
-The associativity check holds dim^3 entries at a time, but reads dim^4
-products in all, so it is refused past ``linalg.MAX_BLOCK_BYTES`` of them
-(dim > 64).  One chain, computed once per algebra (``quotient_exponents``),
-gives the exponents of all the quotients, and every reader takes them from
-there.
+The associativity check holds about ``_BLOCK_ENTRIES`` entries (at least
+dim^3) at a time, but reads dim^4 products in all, so it is refused past
+``linalg.MAX_BLOCK_BYTES`` of them (dim > 64).  One chain, computed once per
+algebra (``quotient_exponents``), gives the exponents of all the quotients,
+and every reader takes them from there.
 
 In characteristic p, (1 + r)^(p^t) = 1 + r^(p^t) for every r in every
 algebra, since 1 commutes with r; so every element's order divides the least
@@ -41,11 +41,22 @@ Neither needs the elements, so neither guard below applies to it.
 
 Any other algebra goes the element-level way.  Its exponent chain takes
 p-th circle powers of all p^dim elements, guarded by ``MAX_POPULATION``.
-Its width is searched over product sets, on the group table guarded by
-``MAX_GROUP_ORDER``: the search multiplies product sets S by a cyclic
-subgroup C through its cosets (C holds every inverse, so S C is the union
-of the left cosets g C that meet S), and one gather covers a whole block
-of sets.
+Its width takes three steps on the group table, which is guarded by
+``MAX_GROUP_ORDER``, and each keeps the answer exact:
+
+- a lower bound L, the larger of two.  Let K be the ideal generated by the
+  commutators ab - ba.  R/K is commutative, and R -> R/K maps G onto the
+  adjoint group of R/K, whose width (the rank above) is at most that of G.
+  And a product of m cyclic subgroups has at most exp(G)^m elements.  On a
+  commutative algebra K = 0, and L is the width;
+- a witness: if one of a fixed number of seeded draws of L maximal cyclic
+  subgroups has all of G as its product, the width is L;
+- otherwise a breadth-first search over product sets, which stays the
+  oracle of the first two.
+
+A product set S times a cyclic subgroup C is taken through the cosets of C
+(C holds every inverse, so S C is the union of the left cosets g C that
+meet S): one gather for one set, or for a block of sets in the search.
 """
 
 from __future__ import annotations
@@ -55,18 +66,24 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 import operator
+import random
 
 import numpy as np
 
 from . import linalg
 from .linalg import ModpRowSpace
-from .freealg import is_prime
+from .freealg import as_modulus, is_prime
 
 #: Hard ceiling on group orders for the group table, and so for the width search.
 MAX_GROUP_ORDER = 4096
 
 #: Ceiling on the elements that the population exponent chain holds at once.
 MAX_POPULATION = 16384
+
+#: The width witness draws at most this many products of cyclic subgroups,
+#: from a ``random.Random`` with this seed, so that its answer is deterministic.
+_WITNESS_DRAWS = 2000
+_WITNESS_SEED = 2018
 
 #: Batched products go in blocks of rows whose temporaries hold about this
 #: many int64 entries (128 KiB), or eight times as many bools.
@@ -81,12 +98,7 @@ class FiniteNilAlgebra:
     """Nilpotent associative algebra over F_p with an explicit basis."""
 
     def __init__(self, p, labels, table):
-        # A numpy integer p becomes a Python int, which the power and
-        # primality routines need.
-        try:
-            p = operator.index(p)
-        except TypeError:
-            raise ValueError(f"p must be an integer, got {p!r}") from None
+        p = as_modulus(p)
         if not 2 <= p <= linalg.MAX_MODULUS:
             raise ValueError(
                 f"modulus {p} is outside 2..{linalg.MAX_MODULUS} (2^24), the range where"
@@ -115,13 +127,18 @@ class FiniteNilAlgebra:
                 f" bytes of products, over the limit of {linalg.MAX_BLOCK_BYTES} bytes"
             )
         # (e_i e_j) e_k = e_i (e_j e_k) for all j, k: the left matrix of e_i e_j is L_j L_i.
-        for i in range(self.dim):
-            bad = np.argwhere(_left(self, self.table[i]) != self.table @ self.table[i] % self.p)
+        # Several i go in one step, each taking two dim^3 arrays of products.
+        k, table = self.dim, self.table
+        step = max(1, _BLOCK_ENTRIES // max(k, 1) ** 3)
+        for top in range(0, k, step):
+            block = table[top:top + step]
+            left = _left(self, block.reshape(-1, k)).reshape(len(block), k, k, k)
+            bad = np.argwhere(left != table @ block[:, None] % self.p)
             if len(bad):
-                j, k, _ = bad[0]
+                i, j, m, _ = bad[0]
                 raise ValueError(
                     f"structure constants are not associative:"
-                    f" (e{i} e{j}) e{k} != e{i} (e{j} e{k})"
+                    f" (e{top + i} e{j}) e{m} != e{top + i} (e{j} e{m})"
                 )
 
     def _power_chain(self):
@@ -153,15 +170,19 @@ class FiniteNilAlgebra:
         return self._chain[min(n, self.nilpotency_class) - 1]
 
     @cached_property
-    def frobenius(self):
-        """The matrix of r -> r^p, row i being e_i^p, when the algebra is commutative; else None.
+    def _pth_powers(self):
+        """Row i is e_i^p, the p-th circle power of e_i (module docstring).
 
-        Row i is the p-th circle power of e_i, which is e_i^p (module
-        docstring); it is zero, with nothing multiplied, once p reaches the class.
+        It is zero, with nothing multiplied, once p reaches the class.
         """
+        return _circle_pow_rows(self, np.eye(self.dim, dtype=np.int64), self.p)
+
+    @cached_property
+    def frobenius(self):
+        """The matrix of r -> r^p, row i being e_i^p, when the algebra is commutative; else None."""
         if not np.array_equal(self.table, self.table.transpose(1, 0, 2)):
             return None
-        return _circle_pow_rows(self, np.eye(self.dim, dtype=np.int64), self.p)
+        return self._pth_powers
 
     @cached_property
     def quotient_exponents(self):
@@ -492,20 +513,104 @@ def index_exponent_check(algebra, width):
 def cyclic_width(group, limit=8):
     """Least m with the whole group a product C_1 C_2 ... C_m of cyclic subgroups; None past limit.
 
-    The trivial group has width 1.  On a commutative algebra the width is
-    dim - rank F, at least 1, with no group table (module docstring).  Other
-    groups are searched (``_search_width``) on their table, which is guarded
-    to orders up to ``MAX_GROUP_ORDER``.
+    The trivial group has width 1.  A noncommutative algebra's group table
+    comes first, guarded to orders up to ``MAX_GROUP_ORDER``.  Then the
+    width is at least L (``_width_bound``), which is the width itself on a
+    commutative algebra, with no group table.  Any other width is L when a
+    drawn product of L maximal cyclic subgroups covers the group
+    (``_witness``), and is searched (``_search_width``) only when none does.
     """
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     algebra = group.algebra
-    if algebra.frobenius is None:
-        return _search_width(group, limit)
-    image = ModpRowSpace(algebra.dim, algebra.p)
-    image.add(algebra.frobenius)
-    width = max(1, algebra.dim - image.rank)
-    return width if width <= limit else None
+    table = None if algebra.frobenius is not None else group.multiplication_index_table()
+    bound = _width_bound(algebra)
+    if bound > limit:
+        return None
+    if table is None or _witness(table, algebra.p, bound):
+        return bound
+    return _search_width(group, limit)
+
+
+def _width_bound(algebra):
+    """L, a lower bound on the cyclic width: the larger of two (module docstring).
+
+    K, the ideal generated by the commutators e_i e_j - e_j e_i, is closed
+    under products with the basis on both sides until its rank stops
+    growing.  R/K is commutative, and F(R/K) is spanned by the images of the
+    e_i^p, so the width of its group is dim R minus the rank of K + span{e_i^p}.
+    The other bound is the least m with exp(G)^m >= |G|.
+    """
+    k, p, table = algebra.dim, algebra.p, algebra.table
+    span = ModpRowSpace(k, p)
+    rows = table - table.transpose(1, 0, 2)
+    # Zero rows, as on every commutative algebra, are skipped before the echelon work.
+    while rows.any() and span.add(rows.reshape(-1, k)):
+        basis = np.array(span.rows())
+        # _left(basis)[i] has the rows b_i e_j, and (basis @ table)[j] the rows e_j b_i.
+        rows = np.concatenate([_left(algebra, basis), basis @ table % p], axis=None)
+    span.add(algebra._pth_powers)
+    bound = max(1, k - span.rank)
+    exponent = algebra.quotient_exponents[-1]
+    while exponent**bound < p**k:
+        bound += 1
+    return bound
+
+
+def _witness(table, p, width):
+    """Whether one of ``_WITNESS_DRAWS`` seeded draws of width maximal cyclic subgroups covers G.
+
+    <g> is a maximal cyclic subgroup exactly when g is not a p-th power (the
+    proper subgroups of a cyclic p-group lie in that of its p-th powers).
+    Every cyclic subgroup lies in a maximal one, so drawing only those loses
+    no product that covers G.
+    """
+    powers = _powers(table)
+    pth = set(powers[:, p - 1].tolist())
+    # Each maximal subgroup once, in the order of its first generator.
+    maximal = [frozenset(row) for g, row in enumerate(powers.tolist()) if g not in pth]
+    maximal = list(dict.fromkeys(maximal))
+    gathers = {}
+    rng = random.Random(_WITNESS_SEED)
+    start = np.arange(len(table)) == 0
+    for _ in range(_WITNESS_DRAWS):
+        covered = start
+        for _ in range(width):
+            i = rng.randrange(len(maximal))
+            if i not in gathers:
+                gathers[i] = _coset_gather(table, maximal[i])
+            cosets, ids = gathers[i]
+            covered = covered[cosets].any(axis=1)[ids]
+        if covered.all():
+            return True
+    return False
+
+
+def _powers(table):
+    """Row g lists g, g^2, ..., g^e = 1 (e = exp(G)) in the group with this index table."""
+    g = np.arange(len(table))
+    powers = [g]
+    while powers[-1].any():
+        powers.append(table[powers[-1], g])
+    return np.array(powers).T
+
+
+def _coset_gather(table, members):
+    """The left cosets g C of the subgroup C with these members, as (cosets, ids).
+
+    Row c of cosets lists the coset numbered c, and ids[g] numbers that of g.
+    C holds every inverse, so for a set S, S C is the union of the cosets
+    that meet S: ``S[..., cosets].any(axis=-1)[..., ids]``.  The cosets go
+    in the order of their least elements: g is one exactly when g is the
+    least element of g C.
+    """
+    n = len(table)
+    rows = table[:, list(members)]
+    least = rows.min(axis=1)
+    firsts = np.flatnonzero(least == np.arange(n))
+    number = np.empty(n, dtype=np.int64)
+    number[firsts] = np.arange(len(firsts))
+    return rows[firsts], number[least]
 
 
 def _search_width(group, limit):
@@ -518,18 +623,10 @@ def _search_width(group, limit):
     """
     n = group.order
     table = group.multiplication_index_table()
-    g = np.arange(n)
-    powers = [g]
-    while powers[-1].any():
-        powers.append(table[powers[-1], g])
-    subgroups = []
-    for members in {frozenset(column) for column in np.array(powers).T.tolist()}:
-        # The cosets g C, each named by its least element, which lies in it.
-        rows = table[:, list(members)]
-        least, ids = np.unique(rows.min(axis=1), return_inverse=True)
-        subgroups.append((rows[least], ids))
+    cyclic = {frozenset(row) for row in _powers(table).tolist()}
+    subgroups = [_coset_gather(table, members) for members in cyclic]
 
-    frontier = (g == 0)[None, :]
+    frontier = (np.arange(n) == 0)[None, :]
     seen = {frontier[0].tobytes()}
     step = max(1, 8 * _BLOCK_ENTRIES // n)
     for level in range(1, limit + 1):

@@ -21,6 +21,7 @@ with constant term 1.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 
 import numpy as np
@@ -77,12 +78,25 @@ def is_prime(n):
     return True
 
 
+def as_modulus(p):
+    """p as a Python int, which the power and primality routines need: a numpy integer converts.
+
+    Anything that is not an integer is refused with a ValueError.
+    """
+    try:
+        return operator.index(p)
+    except TypeError:
+        raise ValueError(f"p must be an integer, got {p!r}") from None
+
+
 def check_context(p, cap):
-    """Refuse, with a ValueError, a modulus that is not prime or a degree cap below 1."""
+    """p as a Python int (``as_modulus``); a p that is not prime or a cap below 1 is refused."""
+    p = as_modulus(p)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if cap < 1:
         raise ValueError(f"degree cap must be at least 1, got {cap}")
+    return p
 
 
 #: Bytes per term of a term dict: tracemalloc read 89-95 on the torsion
@@ -208,7 +222,7 @@ class TruncatedPoly:
     __slots__ = ("p", "cap", "_terms", "_hash")
 
     def __init__(self, p, cap, terms=()):
-        check_context(p, cap)
+        p = check_context(p, cap)
         clean = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for word, coeff in items:

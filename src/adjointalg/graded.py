@@ -47,7 +47,7 @@ class GradedIdeal:
     """Two-sided ideal generated by homogeneous elements, with cached degree bases."""
 
     def __init__(self, p, cap, generators):
-        check_context(p, cap)
+        p = check_context(p, cap)
         self.p = p
         self.cap = cap
         gens = []

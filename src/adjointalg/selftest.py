@@ -195,13 +195,15 @@ def check_exponent_bounds(seed=DEFAULT_SEED):
 
 
 def check_cyclic_width(seed=DEFAULT_SEED):
-    """Widths by rank on abelian groups and by search on a nonabelian one; both routes agree."""
+    """Widths by rank on abelian groups, by bound and witness on a nonabelian one; search agrees."""
     w_chain = cyclic_width(AdjointGroup(truncated_polynomial_algebra(2, 3)))
     klein = direct_sum(
         truncated_polynomial_algebra(2, 2), truncated_polynomial_algebra(2, 2)
     )
     w_klein = cyclic_width(AdjointGroup(klein))
-    w_ut = cyclic_width(AdjointGroup(strictly_upper_triangular_algebra(2, 4)))
+    ut = AdjointGroup(strictly_upper_triangular_algebra(2, 4))
+    w_ut = cyclic_width(ut)
+    w_ut_searched = _search_width(ut, 8)
     big = truncated_polynomial_algebra(2, 9)
     w_big = cyclic_width(AdjointGroup(big))
     w_searched = _search_width(AdjointGroup(big), 8)
@@ -210,6 +212,7 @@ def check_cyclic_width(seed=DEFAULT_SEED):
         w_chain == 1,
         w_klein == 2,
         w_ut == 3,
+        w_ut_searched == w_ut,
         w_big is not None,
         w_searched == w_big,
         chain_report["ok"],
@@ -217,7 +220,8 @@ def check_cyclic_width(seed=DEFAULT_SEED):
     ]
     detail = (
         f"width(order-4 chain group) = {w_chain}; width(Klein group) = {w_klein};"
-        f" width(order-64 unitriangular group) = {w_ut};"
+        f" width(order-64 unitriangular group) = {w_ut} by bound and witness,"
+        f" {w_ut_searched} by search;"
         f" width(order-256 group) = {w_big} by rank, {w_searched} by search, index bounds hold"
     )
     return all(checks), detail

@@ -1,9 +1,11 @@
 """Finite nilpotent algebras: structure validation, adjoint groups, bounds, width."""
 
 import os
+import random
 import re
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +143,41 @@ def test_constructor_validation(monkeypatch):
     assert FiniteNilAlgebra(2, ["a", "b"], np.zeros((2, 2, 2))).nilpotency_class == 2
     with pytest.raises(ResourceLimitError, match="3-dimensional algebra reads 648 bytes"):
         truncated_polynomial_algebra(2, 4)
+
+
+@pytest.mark.parametrize("entries", [1, 54, 1 << 14])
+def test_associativity_refusal_names_the_first_failing_triple(monkeypatch, entries):
+    """Blocks of one e_i, a few or all: the error names the least (i, j, k) a brute check finds."""
+    monkeypatch.setattr(finite, "_BLOCK_ENTRIES", entries)
+    rng = random.Random(entries)
+    refused = 0
+    for _ in range(60):
+        p, k = rng.choice((2, 3)), rng.randint(1, 4)
+        table = [
+            [[rng.randrange(p) if rng.random() < 0.3 else 0 for _ in range(k)] for _ in range(k)]
+            for _ in range(k)
+        ]
+
+        def left_first(i, j, m):
+            return [sum(table[i][j][t] * table[t][m][c] for t in range(k)) % p for c in range(k)]
+
+        def right_first(i, j, m):
+            return [sum(table[j][m][t] * table[i][t][c] for t in range(k)) % p for c in range(k)]
+
+        triples = product(range(k), repeat=3)
+        bad = next((t for t in triples if left_first(*t) != right_first(*t)), None)
+        if bad is None:
+            try:
+                FiniteNilAlgebra(p, [f"e{t}" for t in range(k)], table)
+            except NotNilpotentError:
+                pass
+            continue
+        i, j, m = bad
+        message = f"structure constants are not associative: (e{i} e{j}) e{m} != e{i} (e{j} e{m})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FiniteNilAlgebra(p, [f"e{t}" for t in range(k)], table)
+        refused += 1
+    assert refused >= 20
 
 
 def test_idempotent_is_rejected():
@@ -571,9 +608,10 @@ def test_group_table_and_powers_match_brute_routes(case, grid, pick):
     least d(G) = log_p [G : G^p [G, G]] cyclic factors, and an abelian one
     is a product of exactly d(G) cyclic groups.  The pure-Python frozenset
     search for the width is slow beyond order 64, so it runs on the smaller
-    groups only.  The width itself is skipped on the one nonabelian group
-    above order 64 (order 243, width 5), where the search takes about a
-    minute.
+    groups only.  Above that there are two nonabelian groups: ut(3) over F_5
+    (order 125, width 3, which ``_search_width`` confirms) and
+    poly(3) + ut(3) over F_3 (order 243), whose exponent 3 needs 5 cyclic
+    factors and whose width, 5, the search refuses after seconds.
     """
     p, spec = case
     alg = in_random_basis(family(p, spec), grid, 8)
@@ -585,14 +623,17 @@ def test_group_table_and_powers_match_brute_routes(case, grid, pick):
     assert group.multiplication_index_table().tolist() == expected
     assert group.exponent() == brute_exponent(alg)
     abelian = all(expected[i][j] == expected[j][i] for i in range(len(elements)) for j in range(i))
-    if abelian or len(elements) <= 64:
-        width = cyclic_width(group)
-        if len(elements) <= 64:
-            assert width == brute_cyclic_width(expected, 8)
-        d = frattini_rank(expected, p)
-        assert d <= width
-        if abelian:
-            assert max(d, 1) == width  # the trivial group has d = 0 but width 1
+    width = cyclic_width(group)
+    if len(elements) <= 64:
+        assert width == brute_cyclic_width(expected, 8)
+    elif not abelian and len(elements) == 243:
+        assert width == 5
+    elif not abelian:
+        assert width == finite._search_width(group, 8) == 3
+    d = frattini_rank(expected, p)
+    assert d <= width
+    if abelian:
+        assert max(d, 1) == width  # the trivial group has d = 0 but width 1
     u = elements[pick % len(elements)]
     q = power_period(alg)
     powers = brute_powers(alg, u, 2 * q + 1)
@@ -630,8 +671,9 @@ NONCOMMUTATIVE = [
 def test_frobenius_route_matches_the_search_and_the_population(case, grid):
     """Commutative algebras in random bases: the Frobenius route against the element-level one.
 
-    The search and the population chain stay the route of noncommutative
-    algebras, and here they are the oracle of the rank and the matrix powers.
+    The search is the fallback of noncommutative widths and the population
+    chain the route of their exponents; here they are the oracle of the rank
+    and the matrix powers.
     """
     p, spec = case
     alg = in_random_basis(family(p, spec), grid, 9)
@@ -651,6 +693,85 @@ def test_frobenius_route_matches_the_search_and_the_population(case, grid):
 def test_noncommutative_algebras_have_no_frobenius_map(case, grid):
     p, spec = case
     assert in_random_basis(family(p, spec), grid, 9).frobenius is None
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from(NONCOMMUTATIVE),
+    st.lists(st.integers(0, 4), min_size=81, max_size=81),
+)
+# ut(3) over F_2 is the dihedral group of order 8: a C4 times a C2, but no two
+# C4s, so a witness drawing only the largest cyclic subgroups never covers it.
+@example((2, ("ut", 3)), [0] * 81)
+def test_bound_and_witness_match_the_search(case, grid):
+    """Noncommutative algebras in random bases: the width against the search and the brute route.
+
+    L (``_width_bound``) and the Frattini rank d(G) are lower bounds.  Up to
+    order 125 the search answers at limits 8 and 2; above that it is run at
+    limit 2 only, where it answers None at once (at limit 8 it is refused
+    after seconds, and on order 3125 at both).  ut(4) over F_3 (order 729)
+    has no witness at L = 6, so its width is searched and refused, as it
+    was before the witness.  Past the table ceiling both routes refuse.
+    """
+    p, spec = case
+    alg = in_random_basis(family(p, spec), grid, 9)
+    group = AdjointGroup(alg)
+    if group.order > finite.MAX_GROUP_ORDER:
+        for width in (lambda: cyclic_width(group), lambda: finite._search_width(group, 8)):
+            with pytest.raises(ResourceLimitError, match="^group order .* exceeds the limit 4096$"):
+                width()
+        return
+    try:
+        width = cyclic_width(group)
+    except ResourceLimitError as exc:
+        assert (p, spec) == (3, ("ut", 4)) and "cyclic width search" in str(exc)
+        return
+    assert finite._width_bound(alg) <= width
+    if group.order <= 125:
+        assert width == finite._search_width(group, 8)
+        assert cyclic_width(group, limit=2) == finite._search_width(group, 2)
+        # No draw of fewer subgroups than the width covers the group.
+        table = group.multiplication_index_table()
+        assert width == 1 or not finite._witness(table, p, width - 1)
+    elif group.order <= 729:
+        assert cyclic_width(group, limit=2) is None
+        assert finite._search_width(group, 2) is None
+    table = group.multiplication_index_table().tolist()
+    if group.order <= 64:
+        assert width == brute_cyclic_width(table, 8)
+    if group.order <= 729:
+        assert frattini_rank(table, p) <= width
+
+
+def test_the_witness_answers_groups_the_search_refuses(monkeypatch):
+    """Widths 5 and 6 at orders 243 and 729, with no search, and every workload shape likewise."""
+    def refuse(group, limit):
+        raise AssertionError("the width was searched")
+
+    monkeypatch.setattr(finite, "_search_width", refuse)
+    ut3, poly = strictly_upper_triangular_algebra(3, 3), truncated_polynomial_algebra
+    assert cyclic_width(AdjointGroup(direct_sum(ut3, poly(3, 3)))) == 5
+    assert cyclic_width(AdjointGroup(direct_sum(ut3, ut3))) == 6
+    for alg, width in [
+        (strictly_upper_triangular_algebra(2, 4), 3),
+        (ut3, 3),
+        (direct_sum(strictly_upper_triangular_algebra(2, 3), poly(2, 4)), 4),
+        (direct_sum(ut3, poly(3, 2)), 4),
+        (strictly_upper_triangular_algebra(2, 3), 2),
+    ]:
+        assert cyclic_width(AdjointGroup(alg)) == width
+
+
+def test_without_a_witness_the_width_is_searched(monkeypatch):
+    searched = []
+    search = finite._search_width
+    monkeypatch.setattr(finite, "_WITNESS_DRAWS", 0)
+    monkeypatch.setattr(
+        finite, "_search_width", lambda *args: searched.append(args) or search(*args)
+    )
+    for size, width in [(3, 2), (4, 3)]:
+        assert cyclic_width(AdjointGroup(strictly_upper_triangular_algebra(2, size))) == width
+    assert len(searched) == 2
 
 
 #: Shapes for the circle-power kernel: poly, ut and their sums, with p at or past the class too.

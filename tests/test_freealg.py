@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,21 @@ def test_rejects_bad_construction():
         TruncatedPoly(2, 5, {"xz": 1})
     with pytest.raises(ValueError):
         TruncatedPoly(2, 3, {"xxxx": 1})
+
+
+@pytest.mark.parametrize("p", [np.int64(43), np.int32(7), np.int64(2), np.uint16(3)])
+def test_numpy_integer_modulus_is_stored_as_the_python_int(p):
+    """Past 41 the primality test takes powers of p, which numpy integers cannot do."""
+    poly = TruncatedPoly(p, 4, {"x": 1, "xy": 2})
+    assert type(poly.p) is int
+    assert poly == TruncatedPoly(int(p), 4, {"x": 1, "xy": 2})
+    assert type((poly * poly).p) is int
+
+
+@pytest.mark.parametrize("p", [43.0, np.float64(3.0), "3", None])
+def test_non_integer_modulus_is_refused_by_name(p):
+    with pytest.raises(ValueError, match=rf"^p must be an integer, got {re.escape(repr(p))}$"):
+        TruncatedPoly(p, 4, {"x": 1})
 
 
 def test_terms_normalized_mod_p():
