@@ -25,6 +25,12 @@ dim^3) at a time, but reads dim^4 products in all, so it is refused past
 algebra (``quotient_exponents``), gives the exponents of all the quotients,
 and every reader takes them from there.
 
+Every echelon here (the power chain, the commutator ideal, the membership
+tests of the exponent chain and the quotient algebra) is a :class:`Span`,
+built by one Gauss-Jordan routine, ``_echelon``, on int64 residues.  It is
+exact for the same reason: dim <= 64 and p <= 2^24, so each sum of products
+stays below dim * p^2 < 2^63.
+
 In characteristic p, (1 + r)^(p^t) = 1 + r^(p^t) for every r in every
 algebra, since 1 commutes with r; so every element's order divides the least
 power of p at or above the nilpotency class.  One routine,
@@ -71,7 +77,6 @@ import random
 import numpy as np
 
 from . import linalg
-from .linalg import ModpRowSpace
 from .freealg import as_modulus, is_prime
 
 #: Hard ceiling on group orders for the group table, and so for the width search.
@@ -143,14 +148,12 @@ class FiniteNilAlgebra:
 
     def _power_chain(self):
         """Echelon bases of R^1 >= R^2 >= ..., ending with the first zero power."""
-        full = ModpRowSpace(self.dim, self.p)
-        full.add(np.eye(self.dim, dtype=np.int64))
-        chain = [full]
+        identity = np.eye(self.dim, dtype=np.int64)
+        identity.flags.writeable = False
+        chain = [Span(self.p, tuple(range(self.dim)), identity)]
         while chain[-1].rank > 0:
             # R^(k+1) is spanned by the products of R^k's basis with every basis element.
-            rows = np.array(chain[-1].rows())
-            nxt = ModpRowSpace(self.dim, self.p)
-            nxt.add(_left(self, rows).reshape(-1, self.dim))
+            nxt = _echelon(_left(self, chain[-1].basis).reshape(-1, self.dim), self.p)
             if nxt.rank >= chain[-1].rank:
                 raise NotNilpotentError(
                     f"power chain stalls at rank {nxt.rank}; the algebra is not nilpotent"
@@ -164,7 +167,7 @@ class FiniteNilAlgebra:
         return len(self._chain)
 
     def power_space(self, n):
-        """Echelonized basis of R^n (n >= 1); the zero space once n reaches the class."""
+        """The :class:`Span` of R^n (n >= 1); the zero space once n reaches the class."""
         if n < 1:
             raise ValueError(f"power index must be at least 1, got {n}")
         return self._chain[min(n, self.nilpotency_class) - 1]
@@ -365,6 +368,62 @@ class AdjointGroup:
         return out
 
 
+@dataclass(frozen=True, eq=False)
+class Span:
+    """A subspace of F_p^dim in reduced row-echelon form, exact in int64 (module docstring).
+
+    ``basis`` is read-only, and its row i is 1 at ``pivots[i]``, its highest
+    nonzero coordinate, and 0 at every other pivot; the pivots ascend.
+    ``_echelon`` builds a span from any rows.
+    """
+
+    p: int
+    pivots: tuple
+    basis: np.ndarray
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def rows(self):
+        """The basis rows as int64 vectors, ascending by pivot."""
+        return list(self.basis)
+
+    def reduce_matrix(self, m):
+        """The rows of m (residues mod p), each reduced to its representative 0 at every pivot."""
+        return (m - m[:, self.pivots] @ self.basis) % self.p
+
+    def reduce(self, v):
+        """The representative of one row v of residues (see ``reduce_matrix``)."""
+        return self.reduce_matrix(np.asarray(v, dtype=np.int64)[None, :])[0]
+
+
+def _echelon(rows, p):
+    """The span over F_p of the rows of an int64 matrix, by Gauss-Jordan steps on its residues.
+
+    A row's highest nonzero entry leads.  The rows found so far stay at the
+    top of one array; each pivot costs one in-place update of that array,
+    whose entries then stay below p^2 in magnitude, and one reduction mod p,
+    after which the rows that reached zero are dropped.
+    """
+    m = np.asarray(rows, dtype=np.int64) % p
+    m = m[m.any(axis=1)]
+    pivots = []
+    while len(pivots) < len(m):
+        r = len(pivots)
+        c = int(m[r].nonzero()[0][-1])
+        row = m[r] * pow(int(m[r, c]), -1, p) % p
+        m -= m[:, c, None] * row
+        m %= p
+        m[r] = row
+        pivots.append(c)
+        m = m[m.any(axis=1)]
+    order = np.argsort(pivots)
+    basis = m[order]
+    basis.flags.writeable = False
+    return Span(p, tuple(sorted(pivots)), basis)
+
+
 def _left(algebra, a):
     """For each row a_i of a, the matrix of v -> a_i v, reduced mod p.
 
@@ -529,7 +588,7 @@ def cyclic_width(group, limit=8):
         return None
     if table is None or _witness(table, algebra.p, bound):
         return bound
-    return _search_width(group, limit)
+    return _search_width(table, limit)
 
 
 def _width_bound(algebra):
@@ -542,15 +601,18 @@ def _width_bound(algebra):
     The other bound is the least m with exp(G)^m >= |G|.
     """
     k, p, table = algebra.dim, algebra.p, algebra.table
-    span = ModpRowSpace(k, p)
+    basis = np.empty((0, k), dtype=np.int64)
     rows = table - table.transpose(1, 0, 2)
     # Zero rows, as on every commutative algebra, are skipped before the echelon work.
-    while rows.any() and span.add(rows.reshape(-1, k)):
-        basis = np.array(span.rows())
+    while rows.any():
+        grown = _echelon(np.concatenate([basis, rows.reshape(-1, k)]), p).basis
+        if len(grown) == len(basis):
+            break
+        basis = grown
         # _left(basis)[i] has the rows b_i e_j, and (basis @ table)[j] the rows e_j b_i.
         rows = np.concatenate([_left(algebra, basis), basis @ table % p], axis=None)
-    span.add(algebra._pth_powers)
-    bound = max(1, k - span.rank)
+    rank = _echelon(np.concatenate([basis, algebra._pth_powers]), p).rank
+    bound = max(1, k - rank)
     exponent = algebra.quotient_exponents[-1]
     while exponent**bound < p**k:
         bound += 1
@@ -613,16 +675,16 @@ def _coset_gather(table, members):
     return rows[firsts], number[least]
 
 
-def _search_width(group, limit):
-    """The cyclic width of any group, by search; None past the limit.
+def _search_width(table, limit):
+    """The cyclic width of the group with this index table, by search; None past the limit.
 
     Breadth-first over product sets from {identity}, each set seen once, so
-    the first level reaching the group is minimal.  Its group table is
-    guarded to orders up to MAX_GROUP_ORDER, and the search is refused once
-    the seen sets hold more than ``linalg.MAX_BLOCK_BYTES``.
+    the first level reaching the group is minimal.  The table comes from
+    ``AdjointGroup.multiplication_index_table``, guarded to orders up to
+    MAX_GROUP_ORDER, and the search is refused once the seen sets hold more
+    than ``linalg.MAX_BLOCK_BYTES``.
     """
-    n = group.order
-    table = group.multiplication_index_table()
+    n = len(table)
     cyclic = {frozenset(row) for row in _powers(table).tolist()}
     subgroups = [_coset_gather(table, members) for members in cyclic]
 

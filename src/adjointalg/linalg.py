@@ -17,6 +17,9 @@ float64 BLAS calls, split along the inner dimension so that every partial
 sum stays an exact integer below 2^53; both are exact for p up to 2^24.
 Only ``add`` and ``grown()`` change an engine; ``reduce``, ``contains``,
 ``pivots``, ``rows`` and ``row_vectors`` leave it as it was.
+``ModpRowSpace.reduce_matrix`` has no caller left in the package (``finite``
+has its own int64 span).  It stays because ``perfbench/tracer.py`` wraps it
+by name, until ROADMAP item 4 removes that hook.
 
 ``encode(indices, coeffs)`` builds a row in an engine's format, which ``add``
 and ``reduce`` take, from nonzero residues at distinct coordinates, and

@@ -203,10 +203,10 @@ def check_cyclic_width(seed=DEFAULT_SEED):
     w_klein = cyclic_width(AdjointGroup(klein))
     ut = AdjointGroup(strictly_upper_triangular_algebra(2, 4))
     w_ut = cyclic_width(ut)
-    w_ut_searched = _search_width(ut, 8)
+    w_ut_searched = _search_width(ut.multiplication_index_table(), 8)
     big = truncated_polynomial_algebra(2, 9)
     w_big = cyclic_width(AdjointGroup(big))
-    w_searched = _search_width(AdjointGroup(big), 8)
+    w_searched = _search_width(AdjointGroup(big).multiplication_index_table(), 8)
     chain_report = index_exponent_check(big, w_big) if w_big else {"ok": False}
     checks = [
         w_chain == 1,

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from adjointalg import (
     AdjointGroup,
     FiniteNilAlgebra,
+    ModpRowSpace,
     NotNilpotentError,
     ResourceLimitError,
     algebra_from_json,
@@ -438,8 +439,9 @@ def test_cyclic_width_small_groups(make, expected):
 
 def test_cyclic_width_limit_and_guards(monkeypatch):
     klein = AdjointGroup(klein_algebra())
+    klein_table = klein.multiplication_index_table()
     assert cyclic_width(klein, limit=1) is None
-    assert finite._search_width(klein, 1) is None
+    assert finite._search_width(klein_table, 1) is None
     with pytest.raises(ValueError):
         cyclic_width(klein, limit=0)
     # The small ceilings hold only inside this block: the larger algebras
@@ -449,10 +451,10 @@ def test_cyclic_width_limit_and_guards(monkeypatch):
         # The seen sets start with {identity}, 4 bytes; the first level adds more.
         patch.setattr(linalg, "MAX_BLOCK_BYTES", klein.order)
         with pytest.raises(ResourceLimitError, match="order 4 holds 8 bytes .* limit of 4 bytes"):
-            finite._search_width(klein, 8)
+            finite._search_width(klein_table, 8)
         # It ends holding the identity and the three subgroups of order 2.
         patch.setattr(linalg, "MAX_BLOCK_BYTES", 4 * klein.order)
-        assert finite._search_width(klein, 8) == 2
+        assert finite._search_width(klein_table, 8) == 2
 
 
 def test_every_size_refusal_is_a_resource_limit_error():
@@ -478,7 +480,8 @@ def test_cyclic_width_refusal_is_the_same_under_every_hash_seed():
         "from adjointalg import AdjointGroup, finite, linalg",
         "linalg.MAX_BLOCK_BYTES, finite._BLOCK_ENTRIES = 38000, 512",
         "try:",
-        "    finite._search_width(AdjointGroup(finite.truncated_polynomial_algebra(2, 8)), 8)",
+        "    group = AdjointGroup(finite.truncated_polynomial_algebra(2, 8))",
+        "    finite._search_width(group.multiplication_index_table(), 8)",
         "except linalg.ResourceLimitError as exc:",
         "    print(exc)",
     ])
@@ -629,7 +632,7 @@ def test_group_table_and_powers_match_brute_routes(case, grid, pick):
     elif not abelian and len(elements) == 243:
         assert width == 5
     elif not abelian:
-        assert width == finite._search_width(group, 8) == 3
+        assert width == finite._search_width(group.multiplication_index_table(), 8) == 3
     d = frattini_rank(expected, p)
     assert d <= width
     if abelian:
@@ -679,9 +682,10 @@ def test_frobenius_route_matches_the_search_and_the_population(case, grid):
     alg = in_random_basis(family(p, spec), grid, 9)
     assert alg.frobenius is not None
     group = AdjointGroup(alg)
-    assert cyclic_width(group) == finite._search_width(group, 8)
+    table = group.multiplication_index_table()
+    assert cyclic_width(group) == finite._search_width(table, 8)
     # A small limit: the width when it is at most 2, else None from both.
-    assert cyclic_width(group, limit=2) == finite._search_width(group, 2)
+    assert cyclic_width(group, limit=2) == finite._search_width(table, 2)
     assert alg.quotient_exponents == finite._population_exponents(alg)
 
 
@@ -717,7 +721,10 @@ def test_bound_and_witness_match_the_search(case, grid):
     alg = in_random_basis(family(p, spec), grid, 9)
     group = AdjointGroup(alg)
     if group.order > finite.MAX_GROUP_ORDER:
-        for width in (lambda: cyclic_width(group), lambda: finite._search_width(group, 8)):
+        for width in (
+            lambda: cyclic_width(group),
+            lambda: finite._search_width(group.multiplication_index_table(), 8),
+        ):
             with pytest.raises(ResourceLimitError, match="^group order .* exceeds the limit 4096$"):
                 width()
         return
@@ -727,16 +734,16 @@ def test_bound_and_witness_match_the_search(case, grid):
         assert (p, spec) == (3, ("ut", 4)) and "cyclic width search" in str(exc)
         return
     assert finite._width_bound(alg) <= width
+    table = group.multiplication_index_table()
     if group.order <= 125:
-        assert width == finite._search_width(group, 8)
-        assert cyclic_width(group, limit=2) == finite._search_width(group, 2)
+        assert width == finite._search_width(table, 8)
+        assert cyclic_width(group, limit=2) == finite._search_width(table, 2)
         # No draw of fewer subgroups than the width covers the group.
-        table = group.multiplication_index_table()
         assert width == 1 or not finite._witness(table, p, width - 1)
     elif group.order <= 729:
         assert cyclic_width(group, limit=2) is None
-        assert finite._search_width(group, 2) is None
-    table = group.multiplication_index_table().tolist()
+        assert finite._search_width(table, 2) is None
+    table = table.tolist()
     if group.order <= 64:
         assert width == brute_cyclic_width(table, 8)
     if group.order <= 729:
@@ -745,7 +752,7 @@ def test_bound_and_witness_match_the_search(case, grid):
 
 def test_the_witness_answers_groups_the_search_refuses(monkeypatch):
     """Widths 5 and 6 at orders 243 and 729, with no search, and every workload shape likewise."""
-    def refuse(group, limit):
+    def refuse(table, limit):
         raise AssertionError("the width was searched")
 
     monkeypatch.setattr(finite, "_search_width", refuse)
@@ -894,3 +901,116 @@ def test_poly_widths_and_exponents_past_both_ceilings(p, top):
         expected = tuple(p ** ceil_log(min(m + 1, n)) for m in range(1, alg.nilpotency_class + 1))
         assert alg.quotient_exponents == expected
         assert AdjointGroup(alg).exponent() == p ** ceil_log(n)
+
+
+#: Moduli for the span: the three least primes and the largest prime below 2^24.
+SPAN_MODULI = (2, 3, 5, 16777213)
+
+
+@st.composite
+def span_cases(draw):
+    """(p, k, rows, probes): rows of k <= 64 residues, some of them combinations of the others.
+
+    Entries lean to 0 and p - 1, which give sparse rows and the largest
+    products.  The probes are combinations of the rows and free vectors.
+    """
+    p = draw(st.sampled_from(SPAN_MODULI))
+    k = draw(st.integers(1, 64))
+    entry = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+    vectors = st.lists(st.lists(entry, min_size=k, max_size=k), max_size=8)
+    rows = draw(vectors)
+
+    def combinations(count):
+        coefficients = st.lists(entry, min_size=len(rows), max_size=len(rows))
+        picks = draw(st.lists(coefficients, max_size=count))
+        return [[sum(c * row[i] for c, row in zip(cs, rows)) % p for i in range(k)] for cs in picks]
+
+    rows += combinations(4)
+    return p, k, rows, combinations(4) + draw(vectors)
+
+
+def top_pivots(rows):
+    return [max(i for i, c in enumerate(row) if c) for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(span_cases())
+# Every entry p - 1 at the largest modulus and the widest algebra.
+@example((16777213, 64, [[16777212] * 64] * 64, [[16777212] * 64, [1] + [0] * 63]))
+def test_span_matches_the_textbook_echelon(case):
+    """``_echelon`` against ``rref_mod_p`` on Python ints: rank, pivots, rows and reductions."""
+    p, k, rows, probes = case
+    span = finite._echelon(np.array(rows, dtype=np.int64).reshape(len(rows), k), p)
+    expected = rref_mod_p(rows, p)
+    assert span.rank == len(expected)
+    assert list(span.pivots) == top_pivots(expected)
+    assert [row.tolist() for row in span.rows()] == expected
+
+    def in_span(v):
+        return len(rref_mod_p(expected + [v], p)) == len(expected)
+
+    reduced = span.reduce_matrix(np.array(probes, dtype=np.int64).reshape(len(probes), k))
+    for v, r in zip(probes, reduced.tolist()):
+        assert r == span.reduce(v).tolist()
+        assert (not any(r)) == in_span(v)
+        assert not any(r[c] for c in span.pivots)
+        assert in_span([(a - b) % p for a, b in zip(v, r)])
+
+
+def test_span_sums_reach_dim_p_squared_exactly():
+    """At p = 16777213 and 64 columns a reduction sums 63 products of (p - 1)^2, about 2^54."""
+    p = 16777213
+    # Row i is 1 at coordinate i and p - 1 at coordinate 0: pivots 1..63, one free column.
+    rows = [[p - 1] + [int(j == i) for j in range(1, 64)] for i in range(1, 64)]
+    span = finite._echelon(np.array(rows, dtype=np.int64), p)
+    assert span.pivots == tuple(range(1, 64))
+    probe = [p - 1] * 64
+    expected = (p - 1 - 63 * (p - 1) * (p - 1)) % p
+    assert span.reduce(probe).tolist() == [expected] + [0] * 63
+    assert [row.tolist() for row in span.rows()] == rref_mod_p(rows, p)
+
+
+def modp_power_chain(alg):
+    """R^1 >= R^2 >= ... down to zero on ``ModpRowSpace``, with products from einsum."""
+    p, k = alg.p, alg.dim
+    chain = [ModpRowSpace(k, p)]
+    chain[0].add(np.eye(k, dtype=np.int64))
+    while chain[-1].rank:
+        basis = np.array(chain[-1].rows(), dtype=np.int64)
+        # Row (i, j) is b_i e_j = sum_a b_i[a] e_a e_j.
+        products = np.einsum("ia,ajt->ijt", basis, alg.table) % p
+        chain.append(ModpRowSpace(k, p))
+        chain[-1].add(products.reshape(-1, k))
+    return chain
+
+
+#: Poly, ut and direct-sum algebras of dimension up to 9 for the span's chain.
+CHAIN_SHAPES = [
+    (p, spec)
+    for p in (2, 3, 5, 7)
+    for spec in [
+        ("poly", 5), ("poly", 10), ("ut", 3), ("ut", 4), ("sum", ("ut", 3), ("poly", 4)),
+        ("sum", ("poly", 3), ("ut", 4)), ("sum", ("poly", 4), ("poly", 6)),
+    ]
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(CHAIN_SHAPES),
+    st.lists(st.integers(0, 6), min_size=100, max_size=100),
+    st.randoms(use_true_random=False),
+)
+def test_power_chain_matches_the_float_engine(case, grid, rng):
+    """Random bases: every ``power_space`` equals the chain on ``ModpRowSpace``, reductions too."""
+    p, spec = case
+    alg = in_random_basis(family(p, spec), grid, 10)
+    chain = modp_power_chain(alg)
+    assert alg.nilpotency_class == len(chain)
+    probes = np.array([[rng.randrange(p) for _ in range(alg.dim)] for _ in range(8)])
+    for n in range(1, len(chain) + 2):
+        span, reference = alg.power_space(n), chain[min(n, len(chain)) - 1]
+        assert span.rank == reference.rank
+        assert list(span.pivots) == reference.pivots
+        assert [row.tolist() for row in span.rows()] == [row.tolist() for row in reference.rows()]
+        assert span.reduce_matrix(probes).tolist() == reference.reduce_matrix(probes).tolist()
