@@ -16,7 +16,7 @@ A factor 1 + h of degree e adds prod_d * h into prod_(d + e) for d from
 cap - e down to 0: top degree first, every slice is read before anything
 is added to it, so prod + prod * h is built in place.  A coefficient is
 reduced mod p when it is read, and the residual, prod - 1 - a, once at the
-end of the round.
+end of the round, into the per-degree slices the next round reads as they are.
 """
 
 from __future__ import annotations
@@ -55,13 +55,13 @@ def _append_factors(trace, factors, steps):
     p, cap = a.p, a.cap
     prod = [{} for _ in range(cap + 1)]
     prod[0][""] = 1
-    for terms in (a._terms, trace.residual._terms):
-        for w, c in terms.items():
-            slot = prod[len(w)]
+    for d, part in [*a._slices.items(), *trace.residual._slices.items()]:
+        slot = prod[d]
+        for w, c in part.items():
             slot[w] = slot.get(w, 0) + c
     for h in factors:
-        right = list(h._terms.items())
-        e = len(right[0][0])
+        ((e, right),) = h._slices.items()
+        right = right.items()
         for d in range(cap - e, -1, -1):
             out = prod[d + e]
             for wa, ca in prod[d].items():
@@ -71,9 +71,14 @@ def _append_factors(trace, factors, steps):
                         w = wa + wb
                         out[w] = out.get(w, 0) + ca * cb
     # The seed put every word of a into prod, so the residual prod - 1 - a is read in place.
-    for w, c in a._terms.items():
-        prod[len(w)][w] -= c
-    residual = {w: c % p for slot in prod[1:] for w, c in slot.items() if c % p}
+    residual = {}
+    for d in range(1, cap + 1):
+        slot = prod[d]
+        for w, c in a._slices.get(d, {}).items():
+            slot[w] -= c
+        part = {w: c % p for w, c in slot.items() if c % p}
+        if part:
+            residual[d] = part
     return FactorizationTrace(
         a, trace.factors + tuple(factors), TruncatedPoly._raw(p, cap, residual), steps
     )

@@ -550,15 +550,15 @@ def index_exponent_check(algebra, width):
     index by (p(n+1))^width.
     """
     rows = []
-    for r in exp_bound_check(algebra)["rows"]:
-        index = algebra.p ** r["quotient_dim"]
+    for n, e in enumerate(algebra.quotient_exponents[:-1], 1):
+        index = algebra.p ** (algebra.dim - algebra.power_space(n + 1).rank)
         rows.append(
             {
-                "n": r["n"],
+                "n": n,
                 "index": index,
-                "exponent": r["exponent"],
-                "index_le_exp_pow_width": index <= r["exponent"] ** width,
-                "index_le_linear_bound_pow_width": index <= r["bound"] ** width,
+                "exponent": e,
+                "index_le_exp_pow_width": index <= e**width,
+                "index_le_linear_bound_pow_width": index <= (algebra.p * (n + 1)) ** width,
             }
         )
     return {

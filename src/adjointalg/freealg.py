@@ -3,9 +3,13 @@
 Everything here works in the quotient of F_p<x, y> by the two-sided ideal
 spanned by words longer than a fixed degree cap, so every element has
 finitely many terms and all arithmetic is exact.  Words are plain strings
-over the alphabet "xy"; an element is stored as a mapping from words to
-nonzero coefficients in [1, p).  Words of one degree are ordered by one
-place-value vector, 2^(d - 1), ..., 2, 1 (x = 0, y = 1): :func:`_place_values`.
+over the alphabet "xy".  An element stores its terms per degree: degree d
+maps to its slice, a dict from words of length d to nonzero coefficients in
+[1, p); the constant is at degree 0 and no slice is empty.  Only the
+constructor reads a word's length, so homogeneous parts and degrees are
+reads, and products run per pair of degrees.  Words of one degree are
+ordered by one place-value vector, 2^(d - 1), ..., 2, 1 (x = 0, y = 1):
+:func:`_place_values`.
 
 On top of the ring operations the module provides the adjoint (circle)
 operations
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 
 import numpy as np
 
@@ -104,10 +107,10 @@ def check_context(p, cap):
 TERM_BYTES = 96
 
 
-def _check_product_terms(terms, cap, what):
-    """Refuse products of these words whose terms may pass the memory ceiling, before any is built.
+def _check_product_terms(slices, cap, what):
+    """Refuse products of these slices' words whose terms may pass the memory ceiling, before any is built.
 
-    Every word of a product of terms' words up to the cap, and so of every
+    Every word of a product of the words up to the cap, and so of every
     power of the element and of its circle inverse, is a concatenation of
     its nonempty words.  With m_d of them of degree d, at most c(n) =
     sum_d m_d c(n - d), c(0) = 1, such words have degree n, and never more
@@ -120,8 +123,8 @@ def _check_product_terms(terms, cap, what):
     limit = linalg.MAX_GF2_BLOCK_BYTES
     if (2 << cap) * TERM_BYTES <= limit:
         return
-    sizes = Counter(map(len, terms))
-    letters = sum(any(a in w for w in terms) for a in ALPHABET)
+    sizes = {d: len(part) for d, part in slices.items()}
+    letters = sum(any(a in w for part in slices.values() for w in part) for a in ALPHABET)
     # every is letters^n clamped at the limit, which no count kept reaches, so it stays small.
     counts, total, every = [1], 1, 1
     for n in range(1, cap + 1):
@@ -172,41 +175,43 @@ def index_words(indices, degree):
     return [text[k:k + degree] for k in range(0, len(text), degree)]
 
 
-def _mul_terms(at, bt, p, cap):
-    """Multiply two term dicts, discarding products beyond the cap.
+def _accumulate(acc, left, right):
+    """Add every product of a term of slice left and a term of slice right into acc, unreduced."""
+    right = right.items()
+    for wa, ca in left.items():
+        for wb, cb in right:
+            w = wa + wb
+            acc[w] = acc.get(w, 0) + ca * cb
 
-    p prime keeps every product ca * cb of nonzero residues nonzero mod p,
-    so wherever the words wa + wb are known to be distinct the result is
-    one dict comprehension with nothing to cancel.  That holds whenever the
-    right operand is homogeneous, of degree d, whatever the left one: each
-    product word splits one way, into its last d letters and the rest.
+
+def _mul_slices(left, right, p, cap):
+    """Multiply two slice dicts, discarding products beyond the cap.
+
+    The products of slices of degrees d and e are the words wa + wb of
+    degree d + e, and each splits one way, into its first d letters and the
+    rest, so they are distinct; p prime keeps every ca * cb nonzero mod p.
+    So an output degree that one pair of slices reaches is one dict
+    comprehension with nothing to cancel, and one that several pairs reach
+    is summed once and reduced once.
     """
-    if not at or not bt:
-        return {}
-    # A fixed word on the left makes the products distinct too.  The
-    # comprehensions read names the general loop does not use: a name read
-    # inside a comprehension becomes a cell variable, slower in that loop.
-    if len(at) == 1:
-        ((word, coeff),) = at.items()
-        top = cap - len(word)
-        return {word + w: coeff * c % p for w, c in bt.items() if len(w) <= top}
-    by_degree = {}
-    for w, c in bt.items():
-        by_degree.setdefault(len(w), []).append((w, c))
-    if len(by_degree) == 1:
-        ((db, right),) = by_degree.items()
-        top = cap - db
-        return {wa + wb: ca * cb % p for wa, ca in at.items() if len(wa) <= top for wb, cb in right}
+    reach = {}
+    for d, a in left.items():
+        for e, b in right.items():
+            if d + e <= cap:
+                reach.setdefault(d + e, []).append((a, b))
     out = {}
-    for wa, ca in at.items():
-        room = cap - len(wa)
-        for db, terms in by_degree.items():
-            if db > room:
-                continue
-            for wb, cb in terms:
-                w = wa + wb
-                out[w] = out.get(w, 0) + ca * cb
-    return {w: c % p for w, c in out.items() if c % p}
+    for n, pairs in reach.items():
+        if len(pairs) == 1:
+            ((a, b),) = pairs
+            out[n] = {wa + wb: ca * cb % p for wa, ca in a.items() for wb, cb in b.items()}
+            continue
+        acc = {}
+        for a, b in pairs:
+            _accumulate(acc, a, b)
+        part = {w: c % p for w, c in acc.items() if c % p}
+        if part:
+            out[n] = part
+    return out
 
 
 class TruncatedPoly:
@@ -216,63 +221,67 @@ class TruncatedPoly:
     silently dropped: truncation is supposed to happen inside arithmetic,
     and anything else reaching the constructor is a bug worth surfacing.
     Operations between elements with different p or cap raise
-    :class:`CapMismatchError`.
+    :class:`CapMismatchError`.  Elements share slices, so no slice is ever changed.
     """
 
-    __slots__ = ("p", "cap", "_terms", "_hash")
+    __slots__ = ("p", "cap", "_slices", "_hash")
 
     def __init__(self, p, cap, terms=()):
         p = check_context(p, cap)
-        clean = {}
+        slices = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for word, coeff in items:
             if not _LETTERS.issuperset(word):
                 raise ValueError(f"bad word {word!r}: letters must come from {ALPHABET!r}")
-            if len(word) > cap:
-                raise ValueError(f"word {word!r} has degree {len(word)}, beyond the cap {cap}")
-            c = (clean.get(word, 0) + coeff) % p
+            degree = len(word)
+            if degree > cap:
+                raise ValueError(f"word {word!r} has degree {degree}, beyond the cap {cap}")
+            part = slices.setdefault(degree, {})
+            c = (part.get(word, 0) + coeff) % p
             if c:
-                clean[word] = c
+                part[word] = c
             else:
-                clean.pop(word, None)
+                part.pop(word, None)
         self.p = p
         self.cap = cap
-        self._terms = clean
+        self._slices = {d: part for d, part in slices.items() if part}
         self._hash = None
 
     @classmethod
-    def _raw(cls, p, cap, terms):
-        """Fast constructor for term dicts that are already normalized."""
+    def _raw(cls, p, cap, slices):
+        """Fast constructor for slice dicts that are already canonical: no empty slice."""
         self = object.__new__(cls)
         self.p = p
         self.cap = cap
-        self._terms = terms
+        self._slices = slices
         self._hash = None
         return self
 
     @property
     def terms(self):
-        """Read-only view of the term dict (word -> coefficient)."""
-        return dict(self._terms)
+        """The terms of every degree as one new dict (word -> coefficient)."""
+        return {w: c for part in self._slices.values() for w, c in part.items()}
+
+    # ``_terms`` has no caller left in the package.  It stays because
+    # ``perfbench/tracer.py`` counts ``len(x._terms)``, until that hook reads ``terms``.
+    _terms = terms
 
     @property
     def is_zero(self):
-        return not self._terms
+        return not self._slices
 
     @property
     def constant_term(self):
-        return self._terms.get("", 0)
+        return self._slices.get(0, {}).get("", 0)
 
     @property
     def is_homogeneous(self):
         """True for 0 and for elements whose terms all share one degree."""
-        return len(set(map(len, self._terms))) <= 1
+        return len(self._slices) <= 1
 
     def max_degree(self):
         """Largest degree with a nonzero term, or None for the zero element."""
-        if not self._terms:
-            return None
-        return max(map(len, self._terms))
+        return max(self._slices, default=None)
 
     def _check_compatible(self, other):
         if self.p != other.p or self.cap != other.cap:
@@ -285,18 +294,26 @@ class TruncatedPoly:
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            s = (out.get(w, 0) + c) % self.p
-            if s:
-                out[w] = s
+        p = self.p
+        out = dict(self._slices)
+        for d, part in other._slices.items():
+            merged = dict(out.get(d, ()))
+            for w, c in part.items():
+                s = (merged.get(w, 0) + c) % p
+                if s:
+                    merged[w] = s
+                else:
+                    del merged[w]
+            if merged:
+                out[d] = merged
             else:
-                out.pop(w, None)
-        return TruncatedPoly._raw(self.p, self.cap, out)
+                del out[d]
+        return TruncatedPoly._raw(p, self.cap, out)
 
     def __neg__(self):
+        p = self.p
         return TruncatedPoly._raw(
-            self.p, self.cap, {w: self.p - c for w, c in self._terms.items()}
+            p, self.cap, {d: {w: p - c for w, c in part.items()} for d, part in self._slices.items()}
         )
 
     def __sub__(self, other):
@@ -305,19 +322,16 @@ class TruncatedPoly:
         return self + (-other)
 
     def __mul__(self, other):
+        p = self.p
         if isinstance(other, int):
-            c = other % self.p
-            if c == 0:
-                return TruncatedPoly._raw(self.p, self.cap, {})
-            return TruncatedPoly._raw(
-                self.p, self.cap, {w: (a * c) % self.p for w, a in self._terms.items()}
-            )
+            k = other % p
+            return TruncatedPoly._raw(p, self.cap, {
+                d: {w: c * k % p for w, c in part.items()} for d, part in self._slices.items()
+            } if k else {})
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
         self._check_compatible(other)
-        return TruncatedPoly._raw(
-            self.p, self.cap, _mul_terms(self._terms, other._terms, self.p, self.cap)
-        )
+        return TruncatedPoly._raw(p, self.cap, _mul_slices(self._slices, other._slices, p, self.cap))
 
     __rmul__ = __mul__
 
@@ -329,7 +343,7 @@ class TruncatedPoly:
         if k > 1:
             # A product of k terms has degree at most k times the largest.
             top = min(self.cap, k * (self.max_degree() or 0))
-            _check_product_terms(self._terms, top, f"a power with exponent {k}")
+            _check_product_terms(self._slices, top, f"a power with exponent {k}")
         # Square only up to the top bit of k: one more square is never used.
         result = None
         base = self
@@ -345,12 +359,12 @@ class TruncatedPoly:
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
         return (
-            self.p == other.p and self.cap == other.cap and self._terms == other._terms
+            self.p == other.p and self.cap == other.cap and self._slices == other._slices
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.p, self.cap, frozenset(self._terms.items())))
+            self._hash = hash((self.p, self.cap, frozenset(self.terms.items())))
         return self._hash
 
     def __str__(self):
@@ -383,16 +397,13 @@ def monomial(word, p, cap, coeff=1):
 
 def valuation(a):
     """Least degree carrying a nonzero term; INFINITY for the zero element."""
-    if not a._terms:
-        return INFINITY
-    return min(map(len, a._terms))
+    return min(a._slices, default=INFINITY)
 
 
 def homogeneous_part(a, d):
     """The degree-d slice of a, as an element of the same algebra."""
-    return TruncatedPoly._raw(
-        a.p, a.cap, {w: c for w, c in a._terms.items() if len(w) == d}
-    )
+    part = a._slices.get(d)
+    return TruncatedPoly._raw(a.p, a.cap, {d: part} if part else {})
 
 
 def homogeneous_parts(a):
@@ -401,16 +412,10 @@ def homogeneous_parts(a):
     A homogeneous a is its own only slice; elements are immutable, so it is
     returned as it is.
     """
-    degrees = set(map(len, a._terms))
-    if len(degrees) == 1:
-        return [(degrees.pop(), a)]
-    buckets = {}
-    for w, c in a._terms.items():
-        buckets.setdefault(len(w), {})[w] = c
-    return [
-        (d, TruncatedPoly._raw(a.p, a.cap, terms))
-        for d, terms in sorted(buckets.items())
-    ]
+    slices = a._slices
+    if len(slices) == 1:
+        return [(next(iter(slices)), a)]
+    return [(d, TruncatedPoly._raw(a.p, a.cap, {d: slices[d]})) for d in sorted(slices)]
 
 
 def _require_augmentation(*elements):
@@ -434,30 +439,25 @@ def circle_inv(r):
     s_n = -r_n - sum_{1 <= k < n} r_k s_(n - k) for n = 1 .. cap, r_k and s_k
     being the degree-k slices.  Each product is homogeneous times
     homogeneous, so together they cost about one product r*s.  Their sum is
-    one plain-int dict per degree, reduced mod p once.  The terms are
-    bounded first, as for :meth:`TruncatedPoly.__pow__`.
+    one plain-int dict per degree, reduced mod p once, and the solved
+    slices are the inverse.  The terms are bounded first, as for
+    :meth:`TruncatedPoly.__pow__`.
     """
     _require_augmentation(r)
     p, cap = r.p, r.cap
-    _check_product_terms(r._terms, cap, "the circle inverse")
-    slices = {}
-    for w, c in r._terms.items():
-        slices.setdefault(len(w), []).append((w, c))
-    inverse, solved = {}, {}
+    slices = r._slices
+    _check_product_terms(slices, cap, "the circle inverse")
+    solved = {}
     for n in range(1, cap + 1):
         acc = dict(slices.get(n, ()))
         for k, left in slices.items():
             right = solved.get(n - k)
             if right:
-                for wa, ca in left:
-                    for wb, cb in right:
-                        w = wa + wb
-                        acc[w] = acc.get(w, 0) + ca * cb
-        part = [(w, -c % p) for w, c in acc.items() if c % p]
+                _accumulate(acc, left, right)
+        part = {w: -c % p for w, c in acc.items() if c % p}
         if part:
             solved[n] = part
-            inverse.update(part)
-    return TruncatedPoly._raw(p, cap, inverse)
+    return TruncatedPoly._raw(p, cap, solved)
 
 
 def circle_pow(r, k):

@@ -34,13 +34,15 @@ NOT_CERTIFIED = None
 
 def encode_part(part, degree, space):
     """The row of a homogeneous slice of the given degree, in the engine's format."""
-    return space.encode(word_indices(part._terms, degree), part._terms.values())
+    terms = part._slices.get(degree, {})
+    return space.encode(word_indices(terms, degree), terms.values())
 
 
 def decode_vector(row, degree, space, cap):
     """Inverse of :func:`encode_part`: the polynomial of a row of the engine."""
     indices, coeffs = space.decode(row)
-    return TruncatedPoly._raw(space.p, cap, dict(zip(index_words(indices, degree), coeffs)))
+    part = dict(zip(index_words(indices, degree), coeffs))
+    return TruncatedPoly._raw(space.p, cap, {degree: part} if part else {})
 
 
 class GradedIdeal:

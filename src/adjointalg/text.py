@@ -132,10 +132,10 @@ def format_poly(a):
     crosses from a term into the next and one pass of :func:`_compress`
     encodes the whole text.
     """
-    items = a._terms
-    if not items:
+    slices = a._slices
+    if not slices:
         return "0"
-    # The second sort is stable, so the order is (degree, word).
     return _compress(" + ".join(
-        w if items[w] == 1 and w else f"{items[w]}{w}" for w in sorted(sorted(items), key=len)
+        w if part[w] == 1 and w else f"{part[w]}{w}"
+        for part in map(slices.get, sorted(slices)) for w in sorted(part)
     ))

@@ -1,9 +1,9 @@
-"""Hypothesis strategies and seeded inputs shared by the test files.
+"""Hypothesis strategies, seeded inputs and a form check shared by the test files.
 
 The reference routines the suite checks against live in
 :mod:`adjointalg.oracle`, which imports nothing from the package; this
-module only draws random elements, so every test file draws from the
-same shapes.
+module draws random elements, so every test file draws from the same
+shapes, and checks the stored form of an element.
 """
 
 from hypothesis import strategies as st
@@ -28,3 +28,17 @@ def polys(p=2, cap=6, max_degree=None, max_terms=5, allow_const=True):
     return term_dicts(p, md, max_terms, allow_const).map(
         lambda t: TruncatedPoly(p, cap, t)
     )
+
+
+def assert_canonical(a):
+    """a's terms are stored per degree in canonical form.
+
+    Every slice is nonempty, every word of slice d has d letters from "xy"
+    and d is at most the cap, and every coefficient lies in 1..p - 1.
+    """
+    for d, part in a._slices.items():
+        assert part, f"empty slice at degree {d}"
+        assert 0 <= d <= a.cap
+        for w, c in part.items():
+            assert len(w) == d and set(w) <= set("xy"), (d, w)
+            assert type(c) is int and 1 <= c < a.p, (w, c)

@@ -394,6 +394,39 @@ def test_quotient_exponent_agrees_with_direct_group_computation(monkeypatch):
     assert len(calls) == steps
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_index_check_reads_the_exponents_without_the_bound_report(seed, monkeypatch):
+    """The index check equals its composition from exp_bound_check's rows, and never calls it."""
+    rng = random.Random(seed)
+    for alg in (
+        truncated_polynomial_algebra(2, 5),
+        strictly_upper_triangular_algebra(3, 3),
+        direct_sum(strictly_upper_triangular_algebra(2, 3), truncated_polynomial_algebra(2, 3)),
+    ):
+        grid = [rng.randrange(alg.p) for _ in range(alg.dim * (alg.dim + 2))]
+        alg = in_random_basis(alg, grid, alg.dim + 1)
+        width = rng.randint(1, 4)
+        composed = [
+            {
+                "n": r["n"],
+                "index": alg.p ** r["quotient_dim"],
+                "exponent": r["exponent"],
+                "index_le_exp_pow_width": alg.p ** r["quotient_dim"] <= r["exponent"] ** width,
+                "index_le_linear_bound_pow_width": alg.p ** r["quotient_dim"] <= r["bound"] ** width,
+            }
+            for r in exp_bound_check(alg)["rows"]
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(finite, "exp_bound_check", lambda *args: pytest.fail("called"))
+            report = index_exponent_check(alg, width)
+        assert report == {
+            "width": width,
+            "rows": composed,
+            "ok": all(r["index_le_exp_pow_width"] for r in composed),
+            "aggregate_ok": all(r["index_le_linear_bound_pow_width"] for r in composed),
+        }
+
+
 def test_exponent_bound_report():
     report = exp_bound_check(truncated_polynomial_algebra(2, 4))
     assert [r["exponent"] for r in report["rows"]] == [2, 4, 4]

@@ -14,15 +14,19 @@ from adjointalg import (
     INFINITY,
     CapMismatchError,
     ConstantTermError,
+    GradedIdeal,
     ResourceLimitError,
     TruncatedPoly,
     circle_inv,
     circle_mul,
     circle_pow,
+    factor_to_valuation,
     homogeneous_part,
     homogeneous_parts,
     monomial,
+    normal_form,
     one,
+    parse_poly,
     valuation,
     variable,
     words_of_degree,
@@ -33,7 +37,7 @@ from adjointalg.freealg import TERM_BYTES, index_words, is_prime, word_indices
 from adjointalg.linalg import index_mask, mask_indices
 from adjointalg.oracle import naive_add, naive_mul
 
-from oracle import polys, seeded_poly
+from oracle import assert_canonical, polys, seeded_poly
 
 
 def test_is_prime_agrees_with_trial_division_below_10_to_the_5():
@@ -251,6 +255,34 @@ def test_term_bound_covers_every_inverse_and_power(p, cap, k, data):
                     compute()
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 6), st.data())
+def test_every_route_keeps_the_canonical_form(p, cap, data):
+    """Each operation stores nonempty slices of words of their degree with residues in 1..p - 1."""
+    a = data.draw(polys(p=p, cap=cap, max_terms=6))
+    b = data.draw(polys(p=p, cap=cap, max_terms=6))
+    r = data.draw(polys(p=p, cap=cap, max_terms=4, allow_const=False))
+    d = data.draw(st.integers(0, cap))
+    k = data.draw(st.integers(-2 * p, 2 * p))
+    trace = factor_to_valuation(r, data.draw(st.integers(1, cap + 1)))
+    # A homogeneous generator of degree at least 1, so the ideal has a component to reduce by.
+    g = homogeneous_part(a + b, max(d, 1))
+    g = g if not g.is_zero else monomial("x" * max(d, 1), p, cap)
+    results = [
+        a + b, a - b, a - homogeneous_part(a, d), b + (-b + a), -a, a * k, a * p, k * a,
+        a * b, a ** data.draw(st.integers(0, 4)), circle_inv(r),
+        circle_pow(r, data.draw(st.integers(-3, 3))), homogeneous_part(a, d),
+        *(part for _, part in homogeneous_parts(a)), parse_poly(str(a), p, cap),
+        parse_poly(f"{a} + {-a} + {b}", p, cap),
+        *trace.factors, trace.residual, normal_form(a, GradedIdeal(p, cap, [g])),
+    ]
+    for x in results:
+        assert_canonical(x)
+    # Equal elements built by different routes are equal and hash alike.
+    for x, y in ((a - a, zero(p, cap)), (a, TruncatedPoly(p, cap, a.terms)), (a * p, a - a)):
+        assert x == y and hash(x) == hash(y)
+
+
 def test_inverses_and_powers_past_the_ceiling_are_refused_before_any_product(monkeypatch):
     """x + y at p = 5, cap 25 would give 2^26 terms; tiny bounds at cap 60 still answer."""
 
@@ -259,7 +291,7 @@ def test_inverses_and_powers_past_the_ceiling_are_refused_before_any_product(mon
 
     h = variable("x", 5, 25) + variable("y", 5, 25)
     with monkeypatch.context() as patch:
-        patch.setattr(freealg, "_mul_terms", refuse)
+        patch.setattr(freealg, "_mul_slices", refuse)
         with pytest.raises(ResourceLimitError, match="^a power with exponent 25 may hold 33554431 terms"):
             h**25
     with pytest.raises(ResourceLimitError, match="^the circle inverse may hold 33554431 terms"):
