@@ -3,13 +3,25 @@
 Everything here works in the quotient of F_p<x, y> by the two-sided ideal
 spanned by words longer than a fixed degree cap, so every element has
 finitely many terms and all arithmetic is exact.  Words are plain strings
-over the alphabet "xy".  An element stores its terms per degree: degree d
-maps to its slice, a dict from words of length d to nonzero coefficients in
-[1, p); the constant is at degree 0 and no slice is empty.  Only the
-constructor reads a word's length, so homogeneous parts and degrees are
-reads, and products run per pair of degrees.  Words of one degree are
-ordered by one place-value vector, 2^(d - 1), ..., 2, 1 (x = 0, y = 1):
-:func:`_place_values`.
+over the alphabet "xy".  Words of one degree are ordered by one place-value
+vector, 2^(d - 1), ..., 2, 1 (x = 0, y = 1): :func:`_place_values`, and a
+word's position in that order is its rank.
+
+An element stores its terms per degree, in one or both of two views of the
+same value.  Its slices map degree d to a dict from words of length d to
+nonzero coefficients in [1, p).  Its ranks map d to a pair of arrays, the
+ranks of those words and their coefficients, in no particular order.  The
+constant is at degree 0, and no slice or rank pair is empty.  A product,
+and so every power, and a row decoded by :mod:`adjointalg.graded` hold
+only ranks; every other element holds only slices.  A missing view is
+built from the other when first read and kept, and elements are
+immutable, so the two always agree.  Products and the row engines read
+ranks; sums, the circle inverse, factorization, text, ``terms``, ``==``
+and ``hash`` read slices; degrees, the constant term and homogeneous parts
+read the view the element was made with.  The ranks and coefficients of
+one algebra share one dtype, :func:`_rank_dtype`: int64 while every rank
+(cap <= 63) and every coefficient product (p < 2^31) fits, Python ints in
+object arrays otherwise.
 
 On top of the ring operations the module provides the adjoint (circle)
 operations
@@ -104,11 +116,12 @@ def check_context(p, cap):
 
 #: Bytes per term of a term dict: tracemalloc read 89-95 on the torsion
 #: generators at p = 2, 3 and 7 (a word key, a coefficient and a dict slot).
+#: A product's rank arrays keep 16 bytes a term, but its words may still be built.
 TERM_BYTES = 96
 
 
-def _check_product_terms(slices, cap, what):
-    """Refuse products of these slices' words whose terms may pass the memory ceiling, before any is built.
+def _check_product_terms(a, cap, what):
+    """Refuse products of a's words whose terms may pass the memory ceiling, before any is built.
 
     Every word of a product of the words up to the cap, and so of every
     power of the element and of its circle inverse, is a concatenation of
@@ -118,13 +131,24 @@ def _check_product_terms(slices, cap, what):
     to the cap, at :data:`TERM_BYTES` a term, passes
     ``linalg.MAX_GF2_BLOCK_BYTES``, a
     :class:`~adjointalg.linalg.ResourceLimitError` names what was refused.
-    Up to cap 23 even every word fits, so nothing is counted.
+    Up to cap 23 even every word fits, so nothing is counted.  The sizes
+    and letters come from the view a was made with, so no word is built.
     """
     limit = linalg.MAX_GF2_BLOCK_BYTES
     if (2 << cap) * TERM_BYTES <= limit:
         return
-    sizes = {d: len(part) for d, part in slices.items()}
-    letters = sum(any(a in w for part in slices.values() for w in part) for a in ALPHABET)
+    born = a._born
+    if _holds_ranks(born):
+        sizes = {d: r.size for d, (r, _) in born.items()}
+        # A word of degree d has a y unless its rank is 0, and an x unless it is 2^d - 1.
+        words = [(d, r) for d, (r, _) in born.items() if d]
+        letters = (
+            any(bool((r != 0).any()) for _, r in words)
+            + any(bool((r != (1 << d) - 1).any()) for d, r in words)
+        )
+    else:
+        sizes = {d: len(part) for d, part in born.items()}
+        letters = sum(any(x in w for part in born.values() for w in part) for x in ALPHABET)
     # every is letters^n clamped at the limit, which no count kept reaches, so it stays small.
     counts, total, every = [1], 1, 1
     for n in range(1, cap + 1):
@@ -150,12 +174,31 @@ def words_of_degree(d):
     return index_words(np.arange(1 << d), d)
 
 
-def word_indices(words, degree):
-    """Ranks of words of one degree, their positions in :func:`words_of_degree`, as int64.
+def _rank_dtype(p, cap):
+    """The dtype of an algebra's ranks and coefficients: int64 while they fit, object otherwise.
 
-    A rank is the word's 0/1 letters times :func:`_place_values`, as an einsum,
-    which casts the letters a buffer at a time; past 63 letters it is refused.
+    A rank of degree at most 63 fits in int64, and so does a product of two
+    coefficients below 2^31, and a sum of two residues.  Past either, object
+    arrays hold Python ints, which never overflow.
     """
+    return np.int64 if cap <= 63 and p < 2**31 else object
+
+
+#: Letters to binary digits and back, for ranks held as Python ints.
+_DIGITS = str.maketrans("xy", "01")
+_LETTERS_OF_DIGITS = str.maketrans("01", "xy")
+
+
+def word_indices(words, degree, dtype=np.int64):
+    """Ranks of words of one degree, their positions in :func:`words_of_degree`.
+
+    As int64, a rank is the word's 0/1 letters times :func:`_place_values`,
+    as an einsum, which casts the letters a buffer at a time; past 63
+    letters it is refused.  With ``dtype=object`` the ranks are Python ints
+    read from the words as binary numbers, at any degree.
+    """
+    if dtype is object:
+        return np.array([int(w.translate(_DIGITS), 2) if degree else 0 for w in words], dtype=object)
     if degree == 0:
         return np.zeros(len(words), dtype=np.int64)
     letters = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8) - ord("x")
@@ -163,9 +206,14 @@ def word_indices(words, degree):
 
 
 def index_words(indices, degree):
-    """Inverse of :func:`word_indices`: the words of the given ranks, as a list of strings."""
+    """Inverse of :func:`word_indices`: the words of the given ranks, as a list of strings.
+
+    An object array of Python ints is read at any degree; anything else as int64.
+    """
     if degree == 0:
         return [""] * len(indices)
+    if isinstance(indices, np.ndarray) and indices.dtype == object:
+        return [format(r, f"0{degree}b").translate(_LETTERS_OF_DIGITS) for r in indices.tolist()]
     # Each AND is cast to bool as it is computed, so a letter takes one byte, not eight.
     ranks = np.asarray(indices, dtype=np.int64)[:, None]
     bits = np.empty((ranks.size, degree), dtype=bool)
@@ -184,34 +232,54 @@ def _accumulate(acc, left, right):
             acc[w] = acc.get(w, 0) + ca * cb
 
 
-def _mul_slices(left, right, p, cap):
-    """Multiply two slice dicts, discarding products beyond the cap.
+def _sum_ranks(ranks, coeffs, p):
+    """Terms with equal ranks summed mod p, zeros dropped: one stable sort and one reduceat."""
+    order = np.argsort(ranks, kind="stable")
+    ranks, coeffs = ranks[order], coeffs[order]
+    starts = np.flatnonzero(np.concatenate(([True], ranks[1:] != ranks[:-1])))
+    coeffs = np.add.reduceat(coeffs, starts) % p
+    keep = np.flatnonzero(coeffs)
+    return ranks[starts[keep]], coeffs[keep]
 
-    The products of slices of degrees d and e are the words wa + wb of
-    degree d + e, and each splits one way, into its first d letters and the
-    rest, so they are distinct; p prime keeps every ca * cb nonzero mod p.
-    So an output degree that one pair of slices reaches is one dict
-    comprehension with nothing to cancel, and one that several pairs reach
-    is summed once and reduced once.
+
+def _mul_ranks(left, right, p, cap):
+    """Multiply two rank views, discarding products beyond the cap.
+
+    A word of rank ra and degree d followed by one of rank rb and degree e
+    is the word of rank ra << e | rb, so the products of two rank pairs are
+    an outer shift-or of their ranks and an outer product of their
+    coefficients mod p.  Those words are distinct, each splitting one way
+    into its first d letters and the rest, and p prime keeps every product
+    nonzero: an output degree that one pair reaches is that pair's arrays,
+    with nothing to cancel or sort.  Where several pairs reach it, each
+    pair's products are summed into the degree's terms as they are made,
+    so what is held at once is those terms and one pair's products, each
+    at most the words of that degree, not every pair's products together.
     """
     reach = {}
     for d, a in left.items():
         for e, b in right.items():
             if d + e <= cap:
-                reach.setdefault(d + e, []).append((a, b))
+                reach.setdefault(d + e, []).append((a, e, b))
     out = {}
     for n, pairs in reach.items():
-        if len(pairs) == 1:
-            ((a, b),) = pairs
-            out[n] = {wa + wb: ca * cb % p for wa, ca in a.items() for wb, cb in b.items()}
-            continue
-        acc = {}
-        for a, b in pairs:
-            _accumulate(acc, a, b)
-        part = {w: c % p for w, c in acc.items() if c % p}
-        if part:
-            out[n] = part
+        ranks = None
+        for (ra, ca), e, (rb, cb) in pairs:
+            products = np.bitwise_or.outer(ra << e, rb).ravel()
+            terms = np.multiply.outer(ca, cb).ravel()
+            terms %= p
+            if ranks is None:
+                ranks, coeffs = products, terms
+            else:
+                ranks, coeffs = _sum_ranks(np.concatenate((ranks, products)), np.concatenate((coeffs, terms)), p)
+        if ranks.size:
+            out[n] = ranks, coeffs
     return out
+
+
+def _holds_ranks(view):
+    """True if a view's parts are (ranks, coefficients) pairs; the empty view counts as slices."""
+    return type(next(iter(view.values()), None)) is tuple
 
 
 class TruncatedPoly:
@@ -221,10 +289,16 @@ class TruncatedPoly:
     silently dropped: truncation is supposed to happen inside arithmetic,
     and anything else reaching the constructor is a bug worth surfacing.
     Operations between elements with different p or cap raise
-    :class:`CapMismatchError`.  Elements share slices, so no slice is ever changed.
+    :class:`CapMismatchError`.  Elements share slices and rank arrays, so
+    none is ever changed.
+
+    ``_born`` is the view the element was made with, its slices or its
+    ranks (see the module docstring).  The other view's slot stays unset
+    until first read, when :meth:`__getattr__` builds and keeps it; a read
+    of a view the element holds is a plain slot read.
     """
 
-    __slots__ = ("p", "cap", "_slices", "_hash")
+    __slots__ = ("p", "cap", "_born", "_slices", "_ranks", "_hash")
 
     def __init__(self, p, cap, terms=()):
         p = check_context(p, cap)
@@ -244,7 +318,7 @@ class TruncatedPoly:
                 part.pop(word, None)
         self.p = p
         self.cap = cap
-        self._slices = {d: part for d, part in slices.items() if part}
+        self._born = self._slices = {d: part for d, part in slices.items() if part}
         self._hash = None
 
     @classmethod
@@ -253,9 +327,42 @@ class TruncatedPoly:
         self = object.__new__(cls)
         self.p = p
         self.cap = cap
-        self._slices = slices
+        self._born = self._slices = slices
         self._hash = None
         return self
+
+    @classmethod
+    def _from_ranks(cls, p, cap, ranks):
+        """Fast constructor for a rank view: degree -> (ranks, nonzero residues), none empty.
+
+        The arrays have the algebra's :func:`_rank_dtype`.
+        """
+        self = object.__new__(cls)
+        self.p = p
+        self.cap = cap
+        self._born = self._ranks = ranks
+        self._hash = None
+        return self
+
+    @classmethod
+    def _from_view(cls, p, cap, view):
+        """The element made with view, slices or ranks, whichever its parts are."""
+        return (cls._from_ranks if _holds_ranks(view) else cls._raw)(p, cap, view)
+
+    def __getattr__(self, name):
+        # Reached only for an unset slot: a missing view is built from the born one and kept.
+        if name == "_slices":
+            view = {d: dict(zip(index_words(r, d), c.tolist())) for d, (r, c) in self._born.items()}
+        elif name == "_ranks":
+            dtype = _rank_dtype(self.p, self.cap)
+            view = {
+                d: (word_indices(part, d, dtype), np.array(list(part.values()), dtype=dtype))
+                for d, part in self._born.items()
+            }
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        setattr(self, name, view)
+        return view
 
     @property
     def terms(self):
@@ -268,20 +375,23 @@ class TruncatedPoly:
 
     @property
     def is_zero(self):
-        return not self._slices
+        return not self._born
 
     @property
     def constant_term(self):
-        return self._slices.get(0, {}).get("", 0)
+        part = self._born.get(0)
+        if part is None:
+            return 0
+        return int(part[1][0]) if type(part) is tuple else part[""]
 
     @property
     def is_homogeneous(self):
         """True for 0 and for elements whose terms all share one degree."""
-        return len(self._slices) <= 1
+        return len(self._born) <= 1
 
     def max_degree(self):
         """Largest degree with a nonzero term, or None for the zero element."""
-        return max(self._slices, default=None)
+        return max(self._born, default=None)
 
     def _check_compatible(self, other):
         if self.p != other.p or self.cap != other.cap:
@@ -331,7 +441,7 @@ class TruncatedPoly:
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
         self._check_compatible(other)
-        return TruncatedPoly._raw(p, self.cap, _mul_slices(self._slices, other._slices, p, self.cap))
+        return TruncatedPoly._from_ranks(p, self.cap, _mul_ranks(self._ranks, other._ranks, p, self.cap))
 
     __rmul__ = __mul__
 
@@ -343,7 +453,7 @@ class TruncatedPoly:
         if k > 1:
             # A product of k terms has degree at most k times the largest.
             top = min(self.cap, k * (self.max_degree() or 0))
-            _check_product_terms(self._slices, top, f"a power with exponent {k}")
+            _check_product_terms(self, top, f"a power with exponent {k}")
         # Square only up to the top bit of k: one more square is never used.
         result = None
         base = self
@@ -397,25 +507,26 @@ def monomial(word, p, cap, coeff=1):
 
 def valuation(a):
     """Least degree carrying a nonzero term; INFINITY for the zero element."""
-    return min(a._slices, default=INFINITY)
+    return min(a._born, default=INFINITY)
 
 
 def homogeneous_part(a, d):
-    """The degree-d slice of a, as an element of the same algebra."""
-    part = a._slices.get(d)
-    return TruncatedPoly._raw(a.p, a.cap, {d: part} if part else {})
+    """The degree-d slice of a, as an element of the same algebra, in the view a was made with."""
+    part = a._born.get(d)
+    return TruncatedPoly._from_view(a.p, a.cap, {} if part is None else {d: part})
 
 
 def homogeneous_parts(a):
     """Nonzero homogeneous slices of a as (degree, part) pairs, ascending in degree.
 
     A homogeneous a is its own only slice; elements are immutable, so it is
-    returned as it is.
+    returned as it is.  The parts keep the view a was made with.
     """
-    slices = a._slices
-    if len(slices) == 1:
-        return [(next(iter(slices)), a)]
-    return [(d, TruncatedPoly._raw(a.p, a.cap, {d: slices[d]})) for d in sorted(slices)]
+    born = a._born
+    if len(born) == 1:
+        return [(next(iter(born)), a)]
+    make = TruncatedPoly._from_ranks if _holds_ranks(born) else TruncatedPoly._raw
+    return [(d, make(a.p, a.cap, {d: born[d]})) for d in sorted(born)]
 
 
 def _require_augmentation(*elements):
@@ -445,8 +556,8 @@ def circle_inv(r):
     """
     _require_augmentation(r)
     p, cap = r.p, r.cap
+    _check_product_terms(r, cap, "the circle inverse")
     slices = r._slices
-    _check_product_terms(slices, cap, "the circle inverse")
     solved = {}
     for n in range(1, cap + 1):
         acc = dict(slices.get(n, ()))
@@ -461,8 +572,13 @@ def circle_inv(r):
 
 
 def circle_pow(r, k):
-    """k-th circle power of r, i.e. (1 + r)^k - 1; negative k uses the circle inverse."""
+    """k-th circle power of r, i.e. (1 + r)^k - 1; negative k uses the circle inverse.
+
+    (1 + r)^k has constant term 1, so the power less 1 is its parts of
+    positive degree, taken in the view the power was made with.
+    """
     _require_augmentation(r)
     if k < 0:
         return circle_pow(circle_inv(r), -k)
-    return (one(r.p, r.cap) + r) ** k - one(r.p, r.cap)
+    power = (one(r.p, r.cap) + r) ** k
+    return TruncatedPoly._from_view(r.p, r.cap, {d: part for d, part in power._born.items() if d})

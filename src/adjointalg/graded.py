@@ -22,7 +22,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .freealg import TruncatedPoly, check_context, homogeneous_parts, index_words, word_indices
+import numpy as np
+
+from .freealg import TruncatedPoly, _rank_dtype, check_context, homogeneous_parts
 from .linalg import row_space
 from .text import format_poly, parse_poly
 
@@ -32,17 +34,26 @@ log = logging.getLogger(__name__)
 NOT_CERTIFIED = None
 
 
+_NO_TERMS = (np.empty(0, dtype=np.int64), ())
+
+
 def encode_part(part, degree, space):
-    """The row of a homogeneous slice of the given degree, in the engine's format."""
-    terms = part._slices.get(degree, {})
-    return space.encode(word_indices(terms, degree), terms.values())
+    """The row of a homogeneous slice of the given degree, in the engine's format.
+
+    It reads the slice's ranks, which are the engine's coordinates.  Past
+    cap 63 they are Python ints, but an engine's degree is far below 63, so
+    they fit in the engine's int64 indices.
+    """
+    ranks, coeffs = part._ranks.get(degree, _NO_TERMS)
+    return space.encode(ranks.astype(np.int64, copy=False), coeffs)
 
 
 def decode_vector(row, degree, space, cap):
-    """Inverse of :func:`encode_part`: the polynomial of a row of the engine."""
+    """Inverse of :func:`encode_part`: the polynomial of a row of the engine, holding only ranks."""
     indices, coeffs = space.decode(row)
-    part = dict(zip(index_words(indices, degree), coeffs))
-    return TruncatedPoly._raw(space.p, cap, {degree: part} if part else {})
+    dtype = _rank_dtype(space.p, cap)
+    part = indices.astype(dtype, copy=False), np.array(coeffs, dtype=dtype)
+    return TruncatedPoly._from_ranks(space.p, cap, {degree: part} if len(indices) else {})
 
 
 class GradedIdeal:
@@ -133,16 +144,19 @@ def quotient_dimensions(ideal):
 
 
 def normal_form(a, ideal):
-    """Canonical representative of a modulo the ideal (constant term untouched)."""
+    """Canonical representative of a modulo the ideal (constant term untouched).
+
+    The reduced parts are distinct degrees of one rank view, so no word is built.
+    """
     if a.p != ideal.p or a.cap != ideal.cap:
         raise ValueError("element and ideal live in different algebras")
-    total = TruncatedPoly(a.p, a.cap, {"": a.constant_term})
+    ranks = {}
     for d, part in homogeneous_parts(a):
-        if d == 0:
-            continue
-        space = ideal._space(d)
-        total = total + decode_vector(space.reduce(encode_part(part, d, space)), d, space, a.cap)
-    return total
+        if d:
+            space = ideal._space(d)
+            part = decode_vector(space.reduce(encode_part(part, d, space)), d, space, a.cap)
+        ranks.update(part._ranks)
+    return TruncatedPoly._from_ranks(a.p, a.cap, ranks)
 
 
 def nilpotency_bound(a, ideal):

@@ -42,3 +42,25 @@ def assert_canonical(a):
         for w, c in part.items():
             assert len(w) == d and set(w) <= set("xy"), (d, w)
             assert type(c) is int and 1 <= c < a.p, (w, c)
+
+
+def view_terms(a):
+    """a's terms read from each of its two views: (from the slices, from the ranks).
+
+    The ranks are read back one bit at a time, first letter highest, not by
+    the package's own decoder.  Each rank pair must be nonempty, hold
+    distinct ranks of its degree and residues in 1..p - 1, and have the
+    dtype its algebra calls for: int64 up to cap 63 and below p = 2^31,
+    Python ints in object arrays past either.
+    """
+    dtype = object if a.cap > 63 or a.p >= 2**31 else "int64"
+    from_slices = {w: c for part in a._slices.values() for w, c in part.items()}
+    from_ranks = {}
+    for d, (ranks, coeffs) in a._ranks.items():
+        assert ranks.dtype == coeffs.dtype == dtype and ranks.size == coeffs.size > 0, d
+        for r, c in zip(ranks.tolist(), coeffs.tolist()):
+            word = "".join("xy"[r >> (d - 1 - k) & 1] for k in range(d))
+            assert 0 <= r < 2**d and word not in from_ranks, (d, r)
+            assert type(c) is int and 1 <= c < a.p, (word, c)
+            from_ranks[word] = c
+    return from_slices, from_ranks

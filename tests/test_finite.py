@@ -746,9 +746,10 @@ def test_bound_and_witness_match_the_search(case, grid):
     L (``_width_bound``) and the Frattini rank d(G) are lower bounds.  Up to
     order 125 the search answers at limits 8 and 2; above that it is run at
     limit 2 only, where it answers None at once (at limit 8 it is refused
-    after seconds, and on order 3125 at both).  ut(4) over F_3 (order 729)
-    has no witness at L = 6, so its width is searched and refused, as it
-    was before the witness.  Past the table ceiling both routes refuse.
+    after seconds, and on order 3125 at both).  ut(4) over F_3 (order 729,
+    quotient exponents 3, 3, 9, 9) has no witness at L = 3, the least m
+    with 9^m >= 729, so its width is searched and refused, as it was
+    before the witness.  Past the table ceiling both routes refuse.
     """
     p, spec = case
     alg = in_random_basis(family(p, spec), grid, 9)

@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adjointalg import (
@@ -21,12 +21,14 @@ from adjointalg import (
     circle_mul,
     circle_pow,
     factor_to_valuation,
+    format_poly,
     homogeneous_part,
     homogeneous_parts,
     monomial,
     normal_form,
     one,
     parse_poly,
+    trace_to_json,
     valuation,
     variable,
     words_of_degree,
@@ -37,7 +39,7 @@ from adjointalg.freealg import TERM_BYTES, index_words, is_prime, word_indices
 from adjointalg.linalg import index_mask, mask_indices
 from adjointalg.oracle import naive_add, naive_mul
 
-from oracle import assert_canonical, polys, seeded_poly
+from oracle import assert_canonical, polys, seeded_poly, view_terms
 
 
 def test_is_prime_agrees_with_trial_division_below_10_to_the_5():
@@ -284,16 +286,23 @@ def test_every_route_keeps_the_canonical_form(p, cap, data):
 
 
 def test_inverses_and_powers_past_the_ceiling_are_refused_before_any_product(monkeypatch):
-    """x + y at p = 5, cap 25 would give 2^26 terms; tiny bounds at cap 60 still answer."""
+    """x + y at p = 5, cap 25 would give 2^26 terms; tiny bounds at cap 60 still answer.
+
+    The bound reads the view the element was made with, so a power of a
+    product is refused before any word is built, as is one of a parsed sum.
+    """
 
     def refuse(*args):
-        raise AssertionError("a product was built")
+        raise AssertionError("a product or a word was built")
 
     h = variable("x", 5, 25) + variable("y", 5, 25)
+    ranked = h * one(5, 25)
     with monkeypatch.context() as patch:
-        patch.setattr(freealg, "_mul_slices", refuse)
-        with pytest.raises(ResourceLimitError, match="^a power with exponent 25 may hold 33554431 terms"):
-            h**25
+        patch.setattr(freealg, "_mul_ranks", refuse)
+        patch.setattr(freealg, "index_words", refuse)
+        for base in (h, ranked):
+            with pytest.raises(ResourceLimitError, match="^a power with exponent 25 may hold 33554431 terms"):
+                base**25
     with pytest.raises(ResourceLimitError, match="^the circle inverse may hold 33554431 terms"):
         circle_inv(h)
     # A low power stays far below the cap, so it answers.
@@ -301,6 +310,10 @@ def test_inverses_and_powers_past_the_ceiling_are_refused_before_any_product(mon
     xx = monomial("xx", 5, 60)
     assert circle_inv(xx) == sum((monomial("xx" * j, 5, 60, (-1) ** j) for j in range(1, 31)), zero(5, 60))
     assert variable("x", 5, 60) ** 40 == monomial("x" * 40, 5, 60)
+    # x + x^2 has 2 words but one letter: its powers stay one word per degree, in either view.
+    chain = variable("x", 5, 60) + monomial("xx", 5, 60)
+    expected = sum((monomial("x" * (40 + j), 5, 60, math.comb(40, j)) for j in range(21)), zero(5, 60))
+    assert chain**40 == (chain * one(5, 60)) ** 40 == expected
 
 
 def test_circle_requires_zero_constant_term():
@@ -469,3 +482,129 @@ def test_prime_power_circle_identity():
         beyond = p ** (5 if p == 2 else 3)
         f = seeded_poly(rng, p, 12, max_degree=3)
         assert circle_pow(f, beyond).is_zero
+
+
+#: The Mersenne prime 2^61 - 1: a product of two residues passes int64.
+BIG_P = 2**61 - 1
+
+
+@st.composite
+def rank_operands(draw):
+    """(p, cap, terms of a, terms of b) over p in {2, 3, 5} and caps up to 6."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    cap = draw(st.integers(1, 6))
+    a, b = (draw(polys(p=p, cap=cap, max_terms=6)) for _ in range(2))
+    return p, cap, a.terms, b.terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(rank_operands())
+# Past the int64 range: residues whose products pass 2^63, and output degrees 64-70,
+# where several pairs of degrees meet (69 = 35 + 34 = 34 + 35) and cancel (34 = 33 + 1 = 34 + 0).
+@example((BIG_P, 6, {"xy": BIG_P - 1, "y": 2**60, "": 3}, {"x": BIG_P - 2, "yx": 5, "": BIG_P - 1}))
+@example((
+    BIG_P, 70,
+    {"x" * 35: BIG_P - 1, "y" * 34: 2**40 + 1, "x" * 33: 1, "x" * 34: 1, "xy": 7},
+    {"y" * 35: BIG_P - 2, "x" * 30 + "y" * 4: 3, "x": BIG_P - 1, "": 1},
+))
+@example((
+    2, 70,
+    {"x" * 32 + "y" * 32: 1, "y" * 33: 1, "x" * 33: 1, "x" * 34: 1, "": 1},
+    {"y" * 6: 1, "x" * 37: 1, "xy" * 3: 1, "x": 1, "": 1},
+))
+@example((3, 64, {"y" * 32: 2, "x" * 31 + "y": 1, "y": 1}, {"x" * 32: 2, "y" * 33: 1, "": 2}))
+def test_rank_born_products_and_powers_match_the_oracle(case):
+    """Products of elements made by products, and their powers, agree with the naive oracle.
+
+    Both views of every result give the same terms; a result equals and
+    hashes like its twin built from terms; degrees, constant term,
+    homogeneous parts and, where an engine reaches, normal forms agree too.
+    """
+    p, cap, ta, tb = case
+    a, b = TruncatedPoly(p, cap, ta), TruncatedPoly(p, cap, tb)
+    ranked_a, ranked_b = (a * one(p, cap), ta), (b * one(p, cap), tb)
+    pairs = [(ranked_a, ranked_b), (ranked_b, ranked_a), (ranked_a, (b, tb)), ((a, ta), ranked_b), (ranked_a, ranked_a)]
+    results = [(x * y, naive_mul(tx, ty, p, cap)) for (x, tx), (y, ty) in pairs]
+    expected = {"": 1}
+    for k in range(5):
+        results.append((ranked_a[0] ** k, expected))
+        expected = naive_mul(expected, ta, p, cap)
+    # An ideal whose engines reach every degree of the random draws; none reaches the examples past int64.
+    ideal = None
+    if cap <= 6 and p <= linalg.MAX_MODULUS:
+        ideal = GradedIdeal(p, cap, [parse_poly("xy + yx" if cap > 1 else "x", p, cap)])
+    for product, expected in results:
+        twin = TruncatedPoly(p, cap, expected)
+        assert (product.is_zero, product.max_degree(), product.is_homogeneous, product.constant_term) == (
+            twin.is_zero, twin.max_degree(), twin.is_homogeneous, twin.constant_term)
+        assert valuation(product) == valuation(twin)
+        parts = homogeneous_parts(product)
+        assert [d for d, _ in parts] == [d for d, _ in homogeneous_parts(twin)]
+        assert all(part == homogeneous_part(twin, d) for d, part in parts)
+        if ideal is not None:
+            assert normal_form(product, ideal) == normal_form(twin, ideal)
+        assert view_terms(product) == (expected, expected)
+        assert product == twin and twin == product and hash(product) == hash(twin)
+    assert view_terms(a) == (ta, ta) and view_terms(ranked_a[0]) == (ta, ta)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 80).flatmap(lambda d: st.tuples(st.just(d), st.lists(st.text("xy", min_size=d, max_size=d)))))
+def test_python_int_ranks_read_words_at_any_degree(case):
+    """With dtype=object a rank is the word read as binary at any degree, and index_words inverts it."""
+    d, words = case
+    ranks = word_indices(words, d, object)
+    assert ranks.dtype == object
+    assert ranks.tolist() == [int("0" + w.translate(str.maketrans("xy", "01")), 2) for w in words]
+    assert index_words(ranks, d) == words
+
+
+def built_views(monkeypatch):
+    """A list that records each view an element builds from the other, by slot name."""
+    built = []
+    build = TruncatedPoly.__getattr__
+
+    def spy(self, name):
+        built.append(name)
+        return build(self, name)
+
+    monkeypatch.setattr(TruncatedPoly, "__getattr__", spy)
+    return built
+
+
+def read_without_words(q):
+    """Degrees, constant term, valuation and homogeneous parts: the reads of the view q was made with."""
+    parts = [(d, part.max_degree(), part.constant_term) for d, part in homogeneous_parts(q)]
+    return q.is_zero, q.max_degree(), q.is_homogeneous, q.constant_term, valuation(q), parts
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_text_factoring_and_inverses_build_no_ranks_and_sandwiches_build_no_words(p, monkeypatch):
+    """Dict-born input stays words through text, factoring and inverses; products stay ranks.
+
+    A sandwich u * g * w of monomials around a generator, a product
+    outside the ideal, and their normal forms are made and reduced without
+    one word being built.  Dict-born generators and monomials build their
+    ranks once, when first multiplied or encoded.
+    """
+    cap = 10
+    ideal = GradedIdeal(p, cap, [parse_poly("xy + 2yx", p, cap), parse_poly("x^3 + y^3", p, cap)])
+    built = built_views(monkeypatch)
+    a = parse_poly("x^2 + 2xy + y^2x", p, cap)
+    trace = factor_to_valuation(a, cap + 1)
+    inverse = circle_inv(a)
+    for x in (a, inverse, trace.residual, *trace.factors):
+        format_poly(x)
+    trace_to_json(trace)
+    assert built == []
+    g = ideal.generators[0][1]
+    sandwich = monomial("yxy", p, cap) * g * monomial("xxyx", p, cap)
+    outside = monomial("y", p, cap) * parse_poly("yx + xyx", p, cap) * variable("x", p, cap)
+    residues = [normal_form(q, ideal) for q in (sandwich, outside)]
+    elements = (sandwich, outside, *residues)
+    reads = [read_without_words(q) for q in elements]
+    assert "_slices" not in built and "_ranks" in built
+    assert residues[0].is_zero and not residues[1].is_zero
+    assert reads == [read_without_words(TruncatedPoly(p, cap, q.terms)) for q in elements]
+    # Read as words only now: the outside product reduces as its twin built from terms does.
+    assert residues[1] == normal_form(TruncatedPoly(p, cap, outside.terms), ideal)

@@ -14,6 +14,7 @@ from adjointalg import (
     ModpRowSpace,
     ResourceLimitError,
     TruncatedPoly,
+    format_poly,
     generators_to_json,
     graded,
     homogeneous_part,
@@ -31,7 +32,7 @@ from adjointalg import (
 
 from adjointalg.oracle import component_span_vectors, rref_mod_p, span_closure
 
-from oracle import polys, seeded_poly
+from oracle import polys, seeded_poly, view_terms
 
 
 def ideal_of(p, cap, *texts):
@@ -168,6 +169,23 @@ def test_normal_form_fixes_constant_and_kills_generators():
     assert normal_form(a, ideal) == parse_poly("2 + x", 3, 4)
     assert normal_form(parse_poly("x^2", 3, 4), ideal).is_zero
     assert normal_form(parse_poly("2x^2y", 3, 4), ideal).is_zero
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_normal_forms_past_cap_63_match_those_at_a_small_cap(p):
+    """Past cap 63 ranks are Python ints; the engines still take them as int64 coordinates.
+
+    A component depends only on its degree, so the normal form at cap 70
+    equals the one at cap 8, for a product and for its parts.
+    """
+    text = "2 + x^2y + 2yxy + y^3x^2 + xyx^4y"
+    forms = []
+    for cap in (8, 70):
+        ideal = ideal_of(p, cap, "xy + yx", "x^3")
+        a = parse_poly(text, p, cap)
+        forms.append([format_poly(normal_form(q, ideal)) for q in (a, a * one(p, cap), a * a)])
+    assert forms[0] == forms[1]
+    assert view_terms(normal_form(a * a, ideal))[1] == normal_form(a * a, ideal).terms
 
 
 def test_normal_form_requires_matching_context():
