@@ -27,9 +27,9 @@ and every reader takes them from there.
 
 Every echelon here (the power chain, the commutator ideal, the membership
 tests of the exponent chain and the quotient algebra) is a :class:`Span`,
-built by one Gauss-Jordan routine, ``_echelon``, on int64 residues.  It is
-exact for the same reason: dim <= 64 and p <= 2^24, so each sum of products
-stays below dim * p^2 < 2^63.
+built from ``linalg.echelon``, whose int64 entries stay below p^2.  Its
+reductions are exact for the same reason as ``_left``: dim <= 64 and
+p <= 2^24, so each sum of products stays below dim * p^2 < 2^63.
 
 In characteristic p, (1 + r)^(p^t) = 1 + r^(p^t) for every r in every
 algebra, since 1 commutes with r; so every element's order divides the least
@@ -399,29 +399,12 @@ class Span:
 
 
 def _echelon(rows, p):
-    """The span over F_p of the rows of an int64 matrix, by Gauss-Jordan steps on its residues.
-
-    A row's highest nonzero entry leads.  The rows found so far stay at the
-    top of one array; each pivot costs one in-place update of that array,
-    whose entries then stay below p^2 in magnitude, and one reduction mod p,
-    after which the rows that reached zero are dropped.
-    """
-    m = np.asarray(rows, dtype=np.int64) % p
-    m = m[m.any(axis=1)]
-    pivots = []
-    while len(pivots) < len(m):
-        r = len(pivots)
-        c = int(m[r].nonzero()[0][-1])
-        row = m[r] * pow(int(m[r, c]), -1, p) % p
-        m -= m[:, c, None] * row
-        m %= p
-        m[r] = row
-        pivots.append(c)
-        m = m[m.any(axis=1)]
-    order = np.argsort(pivots)
+    """The span over F_p of the rows of an int64 matrix: ``linalg.echelon``'s rows by lead."""
+    leads, m = linalg.echelon(rows, p)
+    order = np.argsort(leads)
     basis = m[order]
     basis.flags.writeable = False
-    return Span(p, tuple(sorted(pivots)), basis)
+    return Span(p, tuple(leads[order].tolist()), basis)
 
 
 def _left(algebra, a):

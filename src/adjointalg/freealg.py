@@ -36,6 +36,7 @@ with constant term 1.
 
 from __future__ import annotations
 
+from itertools import accumulate
 import math
 import operator
 
@@ -120,22 +121,24 @@ def check_context(p, cap):
 TERM_BYTES = 96
 
 
-def _check_product_terms(a, cap, what):
+def _check_product_terms(a, windows, what):
     """Refuse products of a's words whose terms may pass the memory ceiling, before any is built.
 
     Every word of a product of the words up to the cap, and so of every
     power of the element and of its circle inverse, is a concatenation of
     its nonempty words.  With m_d of them of degree d, at most c(n) =
     sum_d m_d c(n - d), c(0) = 1, such words have degree n, and never more
-    than the a^n words over the a letters they use.  If the sum of c(n) up
-    to the cap, at :data:`TERM_BYTES` a term, passes
+    than the a^n words over the a letters they use.  ``windows`` holds one
+    (lo, hi) range of degrees for each product to be formed.  If the sum of
+    c(n) over one of them, at :data:`TERM_BYTES` a term, passes
     ``linalg.MAX_GF2_BLOCK_BYTES``, a
     :class:`~adjointalg.linalg.ResourceLimitError` names what was refused.
-    Up to cap 23 even every word fits, so nothing is counted.  The sizes
+    Up to degree 23 even every word fits, so nothing is counted.  The sizes
     and letters come from the view a was made with, so no word is built.
     """
     limit = linalg.MAX_GF2_BLOCK_BYTES
-    if (2 << cap) * TERM_BYTES <= limit:
+    top = max(hi for _, hi in windows)
+    if (2 << top) * TERM_BYTES <= limit:
         return
     born = a._born
     if _holds_ranks(born):
@@ -149,17 +152,18 @@ def _check_product_terms(a, cap, what):
     else:
         sizes = {d: len(part) for d, part in born.items()}
         letters = sum(any(x in w for part in born.values() for w in part) for x in ALPHABET)
-    # every is letters^n clamped at the limit, which no count kept reaches, so it stays small.
-    counts, total, every = [1], 1, 1
-    for n in range(1, cap + 1):
+    # every is letters^n clamped at the limit, and so is each count, so they stay small.
+    counts, every = [1], 1
+    for n in range(1, top + 1):
         every = min(every * letters, limit)
         counts.append(min(sum(m * counts[n - d] for d, m in sizes.items() if 0 < d <= n), every))
-        total += counts[n]
-        if total * TERM_BYTES > limit:
-            raise linalg.ResourceLimitError(
-                f"{what} may hold {total} terms up to degree {n}, about"
-                f" {total * TERM_BYTES} bytes, over the limit of {limit} bytes"
-            )
+    for lo, hi in windows:
+        for n, total in enumerate(accumulate(counts[lo:hi + 1]), lo):
+            if total * TERM_BYTES > limit:
+                raise linalg.ResourceLimitError(
+                    f"{what} may hold {total} terms of degree {lo} to {n}, about"
+                    f" {total * TERM_BYTES} bytes, over the limit of {limit} bytes"
+                )
 
 
 def _place_values(degree):
@@ -450,10 +454,13 @@ class TruncatedPoly:
             raise ValueError(f"exponent must be a nonnegative integer, got {k}")
         if k == 0:
             return one(self.p, self.cap)
-        if k > 1:
-            # A product of k terms has degree at most k times the largest.
-            top = min(self.cap, k * (self.max_degree() or 0))
-            _check_product_terms(self, top, f"a power with exponent {k}")
+        if k > 1 and self._born:
+            # The loop holds a^j for j = 2^i up to the top bit of k and for j = k mod 2^(i + 1)
+            # at each set bit i, and a^j has degrees j * low to j * high.
+            low, high, bits = min(self._born), max(self._born), range(k.bit_length())
+            formed = {1 << i for i in bits} | {k & ((2 << i) - 1) for i in bits if k >> i & 1}
+            windows = [(j * low, min(self.cap, j * high)) for j in sorted(formed)]
+            _check_product_terms(self, windows, f"a power with exponent {k}")
         # Square only up to the top bit of k: one more square is never used.
         result = None
         base = self
@@ -556,7 +563,7 @@ def circle_inv(r):
     """
     _require_augmentation(r)
     p, cap = r.p, r.cap
-    _check_product_terms(r, cap, "the circle inverse")
+    _check_product_terms(r, [(0, cap)], "the circle inverse")
     slices = r._slices
     solved = {}
     for n in range(1, cap + 1):

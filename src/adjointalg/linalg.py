@@ -10,16 +10,17 @@ its pivot.  :class:`ModpRowSpace` always holds its span in reduced
 row-echelon form, stored compactly as the pivot columns, the free columns
 and the rank x free block of coefficients.  Reducing a batch of rows
 against it is one matrix product on the free block; a batch is inserted in
-blocks of rows, each reduced that way, eliminated by Gauss-Jordan steps,
-and merged by back-substituting the old rows against its new pivots with
-one more product.  Coefficients are stored as float32 and products run as
+blocks of rows, each reduced that way, eliminated by :func:`echelon` (the
+one Gauss-Jordan routine, which :mod:`adjointalg.finite` shares), and
+merged by back-substituting the old rows against its new pivots with one
+more product.  Coefficients are stored as float32 and products run as
 float64 BLAS calls, split along the inner dimension so that every partial
 sum stays an exact integer below 2^53; both are exact for p up to 2^24.
 Only ``add`` and ``grown()`` change an engine; ``reduce``, ``contains``,
 ``pivots``, ``rows`` and ``row_vectors`` leave it as it was.
-``ModpRowSpace.reduce_matrix`` has no caller left in the package (``finite``
-has its own int64 span).  It stays because ``perfbench/tracer.py`` wraps it
-by name, until ROADMAP item 4 removes that hook.
+``ModpRowSpace.reduce_matrix`` has no caller left in the package.  It stays
+because ``perfbench/tracer.py`` wraps it by name, until ROADMAP item 4
+removes that hook.
 
 ``encode(indices, coeffs)`` builds a row in an engine's format, which ``add``
 and ``reduce`` take, from nonzero residues at distinct coordinates, and
@@ -265,28 +266,27 @@ def _residues(x, p):
     return _mod(np.array(x, dtype=np.result_type(x.dtype, np.float32)), p)
 
 
-def _eliminate(m, p):
-    """Reduced echelon form of the rows of m by Gauss-Jordan steps (highest nonzero entry leads).
+def echelon(rows, p):
+    """The leads, in the order found, and the reduced rows of a matrix of integers over F_p.
 
-    Returns the lead columns and the rows with those leads, each 1 at its
-    own lead and 0 at every other lead, in the order found.
+    A row's highest nonzero entry leads.  Gauss-Jordan steps on int64
+    residues, whole rows in place: every entry stays below p^2 <= 2^48, so
+    they are exact for p up to 2^24 at any width.  Row i of the result is 1
+    at lead i and 0 at every other lead.
     """
-    cols, new = [], np.empty((0, m.shape[1]))
-    work = m[m.max(axis=1, initial=0) > 0]
-    while work.shape[0]:
-        c = int(work[0].nonzero()[0][-1])
-        row = _mod(work[0, :c + 1] * pow(int(work[0, c]), -1, p), p)
-        # The row's entries past c are 0, so only columns up to c change.
-        work = work[1:]
-        work[:, :c + 1] -= work[:, c, None] * row
-        _mod(work, p)
-        work = work[work.max(axis=1, initial=0) > 0]
-        new[:, :c + 1] -= new[:, c, None] * row
-        _mod(new, p)
-        new = np.concatenate([new, np.zeros((1, new.shape[1]))])
-        new[-1, :c + 1] = row
-        cols.append(c)
-    return np.array(cols, dtype=np.int64), new
+    m = np.asarray(rows, dtype=np.int64) % p
+    m = m[m.any(axis=1)]
+    leads = []
+    while len(leads) < len(m):
+        r = len(leads)
+        c = int(m[r].nonzero()[0][-1])
+        row = m[r] * pow(int(m[r, c]), -1, p) % p
+        m -= m[:, c, None] * row
+        m %= p
+        m[r] = row
+        leads.append(c)
+        m = m[m.any(axis=1)]
+    return np.array(leads, dtype=np.int64), m
 
 
 class ModpRowSpace:
@@ -387,7 +387,7 @@ class ModpRowSpace:
         for top in range(0, rows.shape[0], height):
             block = _residues(rows[top:top + height], p)
             part = None if leads is None else leads[top:top + height]
-            new, added = _eliminate(self._residual(block, columns, part), p)
+            new, added = echelon(self._residual(block, columns, part), p)
             if not new.size:
                 continue
             free, old = self._free, self._coef

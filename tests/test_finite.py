@@ -972,13 +972,28 @@ def top_pivots(rows):
 # Every entry p - 1 at the largest modulus and the widest algebra.
 @example((16777213, 64, [[16777212] * 64] * 64, [[16777212] * 64, [1] + [0] * 63]))
 def test_span_matches_the_textbook_echelon(case):
-    """``_echelon`` against ``rref_mod_p`` on Python ints: rank, pivots, rows and reductions."""
+    """``_echelon`` against ``rref_mod_p`` on Python ints: rank, pivots, rows and reductions.
+
+    ``linalg.echelon`` also takes the rows as float64 residues, the form
+    ``ModpRowSpace.add`` hands it, and returns the leads in the order found.
+    """
     p, k, rows, probes = case
-    span = finite._echelon(np.array(rows, dtype=np.int64).reshape(len(rows), k), p)
+    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+    span = finite._echelon(matrix, p)
     expected = rref_mod_p(rows, p)
     assert span.rank == len(expected)
     assert list(span.pivots) == top_pivots(expected)
     assert [row.tolist() for row in span.rows()] == expected
+
+    # Row i finds the one pivot that the span of rows[:i + 1] has and that of rows[:i] lacks.
+    found, before = [], set()
+    for i in range(len(rows)):
+        after = set(top_pivots(rref_mod_p(rows[:i + 1], p)))
+        found += after - before
+        before = after
+    leads, reduced = linalg.echelon(matrix.astype(np.float64), p)
+    assert leads.tolist() == found
+    assert [reduced[i].tolist() for i in np.argsort(leads)] == expected
 
     def in_span(v):
         return len(rref_mod_p(expected + [v], p)) == len(expected)

@@ -290,10 +290,15 @@ def test_inverses_and_powers_past_the_ceiling_are_refused_before_any_product(mon
 
     The bound reads the view the element was made with, so a power of a
     product is refused before any word is built, as is one of a parsed sum.
+    A power is bounded by the degrees of the powers its loop forms: h^25
+    by its 2^25 words of degree 25, and h^24, whose 2^24 words fit, passes.
     """
 
+    class Built(Exception):
+        pass
+
     def refuse(*args):
-        raise AssertionError("a product or a word was built")
+        raise Built
 
     h = variable("x", 5, 25) + variable("y", 5, 25)
     ranked = h * one(5, 25)
@@ -301,8 +306,11 @@ def test_inverses_and_powers_past_the_ceiling_are_refused_before_any_product(mon
         patch.setattr(freealg, "_mul_ranks", refuse)
         patch.setattr(freealg, "index_words", refuse)
         for base in (h, ranked):
-            with pytest.raises(ResourceLimitError, match="^a power with exponent 25 may hold 33554431 terms"):
+            with pytest.raises(ResourceLimitError, match="^a power with exponent 25 may hold 33554432 terms"):
                 base**25
+            # The bound passes, and the first product is the sentinel: nothing was built.
+            with pytest.raises(Built):
+                base**24
     with pytest.raises(ResourceLimitError, match="^the circle inverse may hold 33554431 terms"):
         circle_inv(h)
     # A low power stays far below the cap, so it answers.
