@@ -50,11 +50,13 @@ p-th circle powers of all p^dim elements, guarded by ``MAX_POPULATION``.
 Its width takes three steps on the group table, which is guarded by
 ``MAX_GROUP_ORDER``, and each keeps the answer exact:
 
-- a lower bound L, the larger of two.  Let K be the ideal generated by the
-  commutators ab - ba.  R/K is commutative, and R -> R/K maps G onto the
-  adjoint group of R/K, whose width (the rank above) is at most that of G.
-  And a product of m cyclic subgroups has at most exp(G)^m elements.  On a
-  commutative algebra K = 0, and L is the width;
+- a lower bound L from ranks alone, the larger of two.  Let K be the ideal
+  generated by the commutators ab - ba.  R/K is commutative, and R -> R/K
+  maps G onto the adjoint group of R/K, whose width (the rank above) is at
+  most that of G.  And so is that of each G/G_n, of order p^(dim - rank
+  R^(n+1)) and, by the identity above, of exponent at most p^t, the least
+  power of p at or above n + 1: it needs log_p |G/G_n| / t cyclic factors.
+  On a commutative algebra K = 0, and L is the width;
 - a witness: if one of a fixed number of seeded draws of L maximal cyclic
   subgroups has all of G as its product, the width is L;
 - otherwise a breadth-first search over product sets, which stays the
@@ -575,13 +577,13 @@ def cyclic_width(group, limit=8):
 
 
 def _width_bound(algebra):
-    """L, a lower bound on the cyclic width: the larger of two (module docstring).
+    """L, a lower bound on the cyclic width, from ranks alone (module docstring).
 
     K, the ideal generated by the commutators e_i e_j - e_j e_i, is closed
     under products with the basis on both sides until its rank stops
     growing.  R/K is commutative, and F(R/K) is spanned by the images of the
     e_i^p, so the width of its group is dim R minus the rank of K + span{e_i^p}.
-    The other bound is the least m with exp(G)^m >= |G|.
+    Each rung n of the power chain gives ceil(log_p |G/G_n| / t) more.
     """
     k, p, table = algebra.dim, algebra.p, algebra.table
     basis = np.empty((0, k), dtype=np.int64)
@@ -594,11 +596,10 @@ def _width_bound(algebra):
         basis = grown
         # _left(basis)[i] has the rows b_i e_j, and (basis @ table)[j] the rows e_j b_i.
         rows = np.concatenate([_left(algebra, basis), basis @ table % p], axis=None)
-    rank = _echelon(np.concatenate([basis, algebra._pth_powers]), p).rank
-    bound = max(1, k - rank)
-    exponent = algebra.quotient_exponents[-1]
-    while exponent**bound < p**k:
-        bound += 1
+    bound = max(1, k - _echelon(np.concatenate([basis, algebra._pth_powers]), p).rank)
+    for n in range(1, algebra.nilpotency_class):
+        t = next(t for t in range(1, n + 1) if p**t > n)  # p^t, the least power >= n + 1
+        bound = max(bound, -(-(k - algebra.power_space(n + 1).rank) // t))
     return bound
 
 

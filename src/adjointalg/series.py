@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+import sys
 
 
 class DivergentTailError(ValueError):
@@ -230,11 +232,67 @@ def gs_recursion_check(table, census):
     return True, None
 
 
+def _denominator_bits(census, tau):
+    """(bits, name): the term of highest degree, and 2^bits at most the denominator of f(tau).
+
+    Let tau = a/b and q be a prime of b.  A count r at degree n has q-adic
+    valuation v_q(r) - n v_q(b); so has 1 with r = 1 at n = 0, -2 tau with
+    r = 2 at n = 1, and a one-per-degree tail with r = 1 at n = start - 1.
+    A geometric tail has at least 0 unless q divides a growth of more bits
+    than the step, and such q are left out.  A count r alone at the top
+    degree D, the next at D2, then has the least valuation wherever
+    v_q(r) < (D - D2) v_q(b): at each q prime to r, and at each q once
+    bits(r) <= D - D2.  There q^(D v_q(b) - v_q(r)) divides the denominator.
+    """
+    base = tau.denominator
+    terms = [(0, 1, "1"), (1, 2, "-2 tau")]
+    terms += [(n, r, f"census degree {n}") for n, r in census.counts]
+    geometric = []
+    for t in census.tails:
+        if isinstance(t, OnePerDegreeTail):
+            terms.append((t.start - 1, 1, f"one_per_degree tail field 'start' {t.start}"))
+        else:
+            geometric.append((t.step, 0, f"geometric tail field 'step' {t.step}"))
+            if t.step < t.growth.bit_length():
+                base = _coprime_part(base, t.growth)
+    terms.sort(key=lambda term: term[0])
+    (below, _, _), (top, count, _) = terms[-2:]
+    name = max(terms + geometric, key=lambda term: term[0])[2]
+    if below == top:
+        return 0, name
+    bits = top * (_coprime_part(base, count).bit_length() - 1)
+    if count.bit_length() <= top - below:
+        bits = max(bits, top * (base.bit_length() - 1) - count.bit_length())
+    return bits, name
+
+
+def _coprime_part(b, m):
+    """The largest divisor of b prime to m: b / gcd(b, m^bits(b)), as v_q(b) < bits(b)."""
+    return b // gcd(b, pow(m, b.bit_length(), b))
+
+
 def gs_report(census, tau):
-    """JSON-ready report of an exact evaluation at tau."""
+    """JSON-ready report of an exact evaluation at tau.
+
+    A value with an integer past the interpreter's limit on printing one is
+    refused, naming the term of highest degree (``_denominator_bits``) and
+    tau: before evaluation when its denominator has more than 10/3 bits a
+    digit allowed, since 10^limit < 2^(10 limit / 3), and otherwise after it.
+    """
+    tau = Fraction(tau)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    bits, name = _denominator_bits(census, tau)
+    refusal = ValueError(
+        f"{name} at tau {tau}: f(tau) holds an integer of more than {limit} digits,"
+        " past the interpreter's limit on printing one"
+    )
+    if limit and bits > 10 * limit // 3:
+        raise refusal
     value = f_eval(census, tau)
+    if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
+        raise refusal
     return {
-        "tau": str(Fraction(tau)),
+        "tau": str(tau),
         "f_value_exact": f"{value.numerator}/{value.denominator}",
         "f_value_decimal": float(value),
         "negative": value < 0,

@@ -1,10 +1,11 @@
 """Command-line interface: payloads, formats, exit codes, and determinism."""
 
 import json
+import sys
 
 import pytest
 
-from adjointalg import cli, construction, direct_sum, linalg, truncated_polynomial_algebra
+from adjointalg import cli, construction, direct_sum, linalg, series, truncated_polynomial_algebra
 from adjointalg.cli import main
 
 
@@ -92,6 +93,42 @@ def test_factor_text_format(capsys):
     assert code == 0
     assert "residual valuation: 4" in out
     assert "correction rounds: 1" in out
+
+
+@pytest.mark.parametrize(
+    "census, term",
+    [
+        ({"counts": {"20000": 1}}, "census degree 20000"),
+        ({"counts": {"30000000": 1}}, "census degree 30000000"),
+        ({"counts": {"30000000": 1, "29999999": 5}}, "census degree 30000000"),
+        ({"counts": {"30000000": 2, "7": 1}}, "census degree 30000000"),
+        (
+            {"tails": [{"kind": "one_per_degree", "start": 30000000}]},
+            "one_per_degree tail field 'start' 30000000",
+        ),
+    ],
+)
+def test_gs_check_refuses_a_value_past_the_digit_limit_before_evaluating_it(
+    capsys, tmp_path, monkeypatch, census, term
+):
+    """f(3/4) has a denominator of 12 042 digits at degree 20 000, 18 million at 30 000 000."""
+    def refuse(*args):
+        raise AssertionError("f(tau) was evaluated")
+
+    path = tmp_path / "census.json"
+    path.write_text(json.dumps(census))
+    monkeypatch.setattr(series, "f_eval", refuse)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(capsys, "gs-check", "--census-file", str(path))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {term} at tau 3/4: f(tau) holds an integer of more than 4300 digits,"
+        " past the interpreter's limit on printing one\n"
+    )
 
 
 def test_factor_bad_polynomial_is_usage_error(capsys):

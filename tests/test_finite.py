@@ -743,13 +743,13 @@ def test_noncommutative_algebras_have_no_frobenius_map(case, grid):
 def test_bound_and_witness_match_the_search(case, grid):
     """Noncommutative algebras in random bases: the width against the search and the brute route.
 
-    L (``_width_bound``) and the Frattini rank d(G) are lower bounds.  Up to
-    order 125 the search answers at limits 8 and 2; above that it is run at
-    limit 2 only, where it answers None at once (at limit 8 it is refused
-    after seconds, and on order 3125 at both).  ut(4) over F_3 (order 729,
-    quotient exponents 3, 3, 9, 9) has no witness at L = 3, the least m
-    with 9^m >= 729, so its width is searched and refused, as it was
-    before the witness.  Past the table ceiling both routes refuse.
+    L (``_width_bound``) and the Frattini rank d(G) are lower bounds, and L
+    is never below the least m with exp(G)^m >= |G|.  Up to order 125 the
+    search answers at limits 8 and 2; above that it is run at limit 2 only,
+    where it answers None at once (at limit 8 it is refused after seconds,
+    and on order 3125 at both).  ut(4) over F_3 (order 729, exponent 9)
+    has width 5: the power chain gives L = 5 where the exponent gives 3,
+    and the witness closes there.  Past the table ceiling both routes refuse.
     """
     p, spec = case
     alg = in_random_basis(family(p, spec), grid, 9)
@@ -762,12 +762,11 @@ def test_bound_and_witness_match_the_search(case, grid):
             with pytest.raises(ResourceLimitError, match="^group order .* exceeds the limit 4096$"):
                 width()
         return
-    try:
-        width = cyclic_width(group)
-    except ResourceLimitError as exc:
-        assert (p, spec) == (3, ("ut", 4)) and "cyclic width search" in str(exc)
-        return
-    assert finite._width_bound(alg) <= width
+    width = cyclic_width(group)
+    bound = finite._width_bound(alg)
+    assert bound <= width
+    exponent = alg.quotient_exponents[-1]
+    assert exponent**bound >= group.order
     table = group.multiplication_index_table()
     if group.order <= 125:
         assert width == finite._search_width(table, 8)
@@ -785,7 +784,12 @@ def test_bound_and_witness_match_the_search(case, grid):
 
 
 def test_the_witness_answers_groups_the_search_refuses(monkeypatch):
-    """Widths 5 and 6 at orders 243 and 729, with no search, and every workload shape likewise."""
+    """Widths 5 and 6 at orders 243 to 1024, with no search, and every workload shape likewise.
+
+    On ut(5) over F_2 and ut(4) over F_3 the exponent alone gives L = 4 and
+    3; the power chain gives 5, from R/R^4 of order 2^9 and exponent 4, and
+    from R/R^3 of order 3^5 and exponent 3.
+    """
     def refuse(table, limit):
         raise AssertionError("the width was searched")
 
@@ -793,6 +797,8 @@ def test_the_witness_answers_groups_the_search_refuses(monkeypatch):
     ut3, poly = strictly_upper_triangular_algebra(3, 3), truncated_polynomial_algebra
     assert cyclic_width(AdjointGroup(direct_sum(ut3, poly(3, 3)))) == 5
     assert cyclic_width(AdjointGroup(direct_sum(ut3, ut3))) == 6
+    assert cyclic_width(AdjointGroup(strictly_upper_triangular_algebra(2, 5))) == 5
+    assert cyclic_width(AdjointGroup(strictly_upper_triangular_algebra(3, 4))) == 5
     for alg, width in [
         (strictly_upper_triangular_algebra(2, 4), 3),
         (ut3, 3),
@@ -801,6 +807,30 @@ def test_the_witness_answers_groups_the_search_refuses(monkeypatch):
         (strictly_upper_triangular_algebra(2, 3), 2),
     ]:
         assert cyclic_width(AdjointGroup(alg)) == width
+
+
+#: Widths of the noncommutative shapes of order at most 729: NONCOMMUTATIVE's,
+#: then the two workload shapes it does not hold.
+SMALL_NONCOMMUTATIVE_WIDTHS = {
+    (2, ("ut", 3)): 2, (2, ("ut", 4)): 3, (2, ("sum", ("ut", 3), ("poly", 3))): 3,
+    (2, ("sum", ("poly", 2), ("ut", 3))): 3, (2, ("sum", ("ut", 3), ("ut", 3))): 4,
+    (3, ("ut", 3)): 3, (3, ("ut", 4)): 5, (3, ("sum", ("ut", 3), ("poly", 3))): 5,
+    (3, ("sum", ("poly", 2), ("ut", 3))): 4, (3, ("sum", ("ut", 3), ("ut", 3))): 6,
+    (5, ("ut", 3)): 3, (5, ("sum", ("poly", 2), ("ut", 3))): 4,
+    (2, ("sum", ("ut", 3), ("poly", 4))): 4, (3, ("sum", ("ut", 3), ("poly", 2))): 4,
+}
+
+
+def test_the_width_reads_no_population(monkeypatch):
+    """The width bound reads ranks of the power chain, never the exponents of all elements."""
+    def refuse(algebra):
+        raise AssertionError("the population was read")
+
+    monkeypatch.setattr(finite, "_population_exponents", refuse)
+    small = {(p, spec) for p, spec in NONCOMMUTATIVE if p ** family(p, spec).dim <= 729}
+    assert small <= SMALL_NONCOMMUTATIVE_WIDTHS.keys()
+    for (p, spec), width in SMALL_NONCOMMUTATIVE_WIDTHS.items():
+        assert cyclic_width(AdjointGroup(family(p, spec))) == width, (p, spec)
 
 
 def test_without_a_witness_the_width_is_searched(monkeypatch):

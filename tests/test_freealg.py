@@ -257,6 +257,15 @@ def test_term_bound_covers_every_inverse_and_power(p, cap, k, data):
                     compute()
 
 
+def test_power_bound_counts_the_partial_products(monkeypatch):
+    """(x + y)^3 at p = 2 holds 8 terms and its squares at most 4: the last product is counted."""
+    h = variable("x", 2, 9) + variable("y", 2, 9)
+    assert len((h**3).terms) == 8
+    monkeypatch.setattr(linalg, "MAX_GF2_BLOCK_BYTES", 8 * TERM_BYTES - 1)
+    with pytest.raises(ResourceLimitError, match="^a power with exponent 3 may hold 8 terms"):
+        h**3
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 6), st.data())
 def test_every_route_keeps_the_canonical_form(p, cap, data):

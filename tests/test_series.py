@@ -1,9 +1,10 @@
 """Exact rational series: tails, censuses, the test function, and the dimension recursion."""
 
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adjointalg import (
@@ -172,6 +173,56 @@ def test_gs_report_accepts_fraction_strings():
     assert report["f_value_exact"] == "-26005549747/402988728320"
     assert report["negative"] is True
     assert abs(report["f_value_decimal"] - -0.064532) < 1e-6
+
+
+#: Degrees drawn uniformly, so that draws reach the digit limit as often as not.
+DEGREES = range(2, 2401)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["1/2", "3/4", "2/3", "5/6", "7/10", "1/12"]),
+    st.sampled_from(range(300, 2401)),
+    st.dictionaries(
+        st.sampled_from(DEGREES),
+        st.sampled_from([1, 2, 3, 6, 12, 2**41, 3**50, 10**30 + 1]),
+        max_size=4,
+    ),
+    st.lists(
+        st.one_of(
+            st.builds(GeometricTail, st.sampled_from([1, 2, 3, 2**70]), st.sampled_from(DEGREES)),
+            st.builds(OnePerDegreeTail, st.sampled_from(DEGREES)),
+        ),
+        max_size=2,
+    ),
+    st.integers(0, 2),
+)
+def test_gs_report_refuses_exactly_the_values_past_the_digit_limit(tau, deep, counts, tails, near):
+    """At the interpreter's least digit limit, 640, a value prints as before or is refused.
+
+    The oracle is the exact value: it is refused exactly when its numerator
+    or denominator has more than 640 digits.  A count at a degree from 300
+    to 2400 straddles that limit for every tau drawn; counts at neighbouring
+    degrees and counts sharing the primes of tau's denominator are drawn too.
+    """
+    tau = Fraction(tau)
+    counts = {deep: 1, **counts}
+    counts.update({n - 1: 1 for n in list(counts)[:near] if n > 2})
+    assume(all(t.convergent_at(tau) for t in tails))
+    census = GeneratorCensus(counts, tails)
+    value = f_eval(census, tau)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        if max(abs(value.numerator), value.denominator) < 10**640:
+            report = gs_report(census, tau)
+            assert report["f_value_exact"] == f"{value.numerator}/{value.denominator}"
+        else:
+            message = rf" at tau {tau}: f\(tau\) holds an integer of more than 640 digits"
+            with pytest.raises(ValueError, match=message):
+                gs_report(census, tau)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @settings(max_examples=50)
