@@ -102,6 +102,8 @@ def _cmd_gs_check(args):
         tau = Fraction(args.tau)
     except ZeroDivisionError:
         raise ValueError(f"--tau {args.tau} has a zero denominator") from None
+    except ValueError as exc:  # not a number, or more digits than the interpreter converts
+        raise ValueError(f"--tau: {exc}") from None
     payload = gs_report(census, tau)
     text = "\n".join(
         [

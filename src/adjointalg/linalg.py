@@ -16,8 +16,10 @@ merged by back-substituting the old rows against its new pivots with one
 more product.  Coefficients are stored as float32 and products run as
 float64 BLAS calls, split along the inner dimension so that every partial
 sum stays an exact integer below 2^53; both are exact for p up to 2^24.
-Only ``add`` and ``grown()`` change an engine; ``reduce``, ``contains``,
-``pivots``, ``rows`` and ``row_vectors`` leave it as it was.
+Only ``add`` and ``grown()`` change an engine's span.  Reads (``reduce``,
+``contains``, ``pivots``, ``rows`` and ``row_vectors``) never change its span
+or any answer; an F_2 read may store a left copy it built, equal to the copy
+it stands for.
 ``ModpRowSpace.reduce_matrix`` has no caller left in the package.  It stays
 because ``perfbench/tracer.py`` wraps it by name, until ROADMAP item 4
 removes that hook.
@@ -30,7 +32,11 @@ Coordinate j stands for the word of index j (first letter highest bit), and
 the result spans x V + y V + N x + N y in 2 * ncols coordinates, N being the
 rows added since this engine was grown (all rows of a fresh engine).  The
 left multiples are two copies of the basis, the second shifted by ncols:
-their pivots are disjoint, so they need no elimination.  A right factor
+their pivots are disjoint, so they need no elimination.  The F_2 engine
+copies nothing: it keeps the engine it grew from and builds the copy at a
+pivot the first time ``add``, ``reduce`` or ``rows`` needs it.  Rows the
+engine below gains later do not reach it: its pivot mask is fixed when it
+is grown, and no stored row ever changes.  A right factor
 sends index j to 2j (x) or 2j + 1 (y); :class:`ModpRowSpace` adds the right
 multiples in the sparse form of ``add``, whose ``columns`` and ``leads`` go
 together.  Rows stay in insertion order, and a row only ever changes by
@@ -59,12 +65,14 @@ MAX_BLOCK_BYTES = 1 << 27
 _MODP_COORD_BYTES = 64
 
 #: Ceiling on the bytes a grown F_2 engine may hold.  Its rows are bignums.
-#: The r rows of the engine it grows from, which its caller keeps and which
-#: serve as the x copies, take ncols / 8 bytes each, their y copies
-#: 2 * ncols / 8, and the byte and spread buffers of the k rows new since the
-#: last growth 3 * ncols / 8 more each.  On top come _GF2_COORD_BYTES per
-#: coordinate of the degree being built: the bool array of
-#: :func:`index_mask`, one byte per coordinate, and its packed copies.
+#: The r rows of the engine it grows from, which it keeps and which serve as
+#: the x copies, take ncols / 8 bytes each, their y copies 2 * ncols / 8, and
+#: the byte and spread buffers of the k rows new since the last growth
+#: 3 * ncols / 8 more each.  The y copies are built only when used, yet they
+#: are all counted, since reads of every row build them all.  On top come
+#: _GF2_COORD_BYTES per coordinate of the degree being built: the bool array
+#: of :func:`index_mask`, one byte per coordinate, and its packed copies.
+#: ``hilbert --p 2 --cap 19`` peaks at about 650 MB, and degree 20 is refused.
 MAX_GF2_BLOCK_BYTES = 1 << 31
 _GF2_COORD_BYTES = 2
 
@@ -111,7 +119,10 @@ class Gf2RowSpace:
 
     ``_mask`` has a bit at each pivot; :meth:`add` and :meth:`grown` keep it
     current.  Reduction walks it: the highest pivot set in v picks the next
-    row to XOR in.
+    row to XOR in.  ``_rows`` maps a pivot to its row.  A grown engine keeps
+    the engine below as ``_below`` and holds its left copies only once they
+    are used: :meth:`_row` builds the copy at a pivot missing from ``_rows``
+    and stores it.  ``_new`` lists the rows :meth:`add` found, in order.
     """
 
     p = 2
@@ -120,28 +131,38 @@ class Gf2RowSpace:
         self.ncols = ncols
         self._rows = {}
         self._mask = 0
-        self._inherited = 0
-
-    @property
-    def rank(self):
-        return len(self._rows)
+        self.rank = 0
+        self._new = []
+        self._below = None
 
     @property
     def pivots(self):
-        return sorted(self._rows)
+        return mask_indices(self._mask).tolist()
+
+    def _row(self, b):
+        """The row at pivot b; a left copy is built from the engine below and stored."""
+        row = self._rows.get(b)
+        if row is None:
+            below, n = self._below, self._below.ncols
+            row = self._rows[b] = below._row(b - n) << n if b >= n else below._row(b)
+        return row
 
     def add(self, row):
         """Insert one row, or each row of a list; returns True if the span grew."""
         if isinstance(row, list):
             return any([self.add(r) for r in row])
-        rows = self._rows
+        rows, mask = self._rows, self._mask
         while row:
             b = row.bit_length() - 1
             other = rows.get(b)
             if other is None:
-                rows[b] = row
-                self._mask |= 1 << b
-                return True
+                if not mask >> b & 1:
+                    rows[b] = row
+                    self._mask = mask | 1 << b
+                    self.rank += 1
+                    self._new.append(row)
+                    return True
+                other = self._row(b)
             row ^= other
         return False
 
@@ -156,14 +177,13 @@ class Gf2RowSpace:
 
     def grown(self):
         """The engine one degree up, x V + y V + N x + N y (see the module docstring)."""
-        n, rows, width = self.ncols, self._rows, (self.ncols + 7) // 8
-        k = len(rows) - self._inherited
-        _check_block(n, len(rows) * 3 * n // 8 + k * 3 * width, _GF2_COORD_BYTES, MAX_GF2_BLOCK_BYTES)
+        n, width = self.ncols, (self.ncols + 7) // 8
+        block = self.rank * 3 * n // 8 + len(self._new) * 3 * width
+        _check_block(n, block, _GF2_COORD_BYTES, MAX_GF2_BLOCK_BYTES)
         space = Gf2RowSpace(2 * n)
-        space._rows = {**rows, **{b + n: r << n for b, r in rows.items()}}
-        space._mask, space._inherited = self._mask | self._mask << n, 2 * len(rows)
+        space._below, space._mask, space.rank = self, self._mask | self._mask << n, 2 * self.rank
         # Spread the new rows' bytes in one lookup; a y multiple is the x one shifted by 1.
-        new = b"".join(r.to_bytes(width, "little") for r in list(rows.values())[self._inherited:])
+        new = b"".join(r.to_bytes(width, "little") for r in self._new)
         spread = _SPREAD[np.frombuffer(new, dtype=np.uint8)].tobytes()
         for top in range(0, len(spread), 2 * width):
             row = int.from_bytes(spread[top:top + 2 * width], "little")
@@ -177,7 +197,8 @@ class Gf2RowSpace:
         # Each XOR clears the highest pivot set and changes only lower bits.
         hit = v & mask
         while hit:
-            v ^= rows[hit.bit_length() - 1]
+            b = hit.bit_length() - 1
+            v ^= rows.get(b) or self._row(b)
             hit = v & mask
         return v
 
@@ -186,7 +207,7 @@ class Gf2RowSpace:
 
     def rows(self):
         """Fully reduced rows (as integers), ascending by pivot."""
-        return [self.reduce(self._rows[b] ^ 1 << b) | 1 << b for b in sorted(self._rows)]
+        return [self.reduce(self._row(b) ^ 1 << b) | 1 << b for b in self.pivots]
 
     def row_vectors(self):
         """Fully reduced rows as 0/1 coefficient lists of length ncols."""

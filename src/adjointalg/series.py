@@ -278,6 +278,8 @@ def gs_report(census, tau):
     refused, naming the term of highest degree (``_denominator_bits``) and
     tau: before evaluation when its denominator has more than 10/3 bits a
     digit allowed, since 10^limit < 2^(10 limit / 3), and otherwise after it.
+    A value of magnitude past the largest float, which has no decimal
+    approximation to print, is refused the same way.
     """
     tau = Fraction(tau)
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
@@ -291,9 +293,15 @@ def gs_report(census, tau):
     value = f_eval(census, tau)
     if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
         raise refusal
+    try:
+        decimal = float(value)
+    except OverflowError:
+        raise ValueError(
+            f"{name} at tau {tau}: |f(tau)| is past the largest float, so no decimal prints"
+        ) from None
     return {
         "tau": str(tau),
         "f_value_exact": f"{value.numerator}/{value.denominator}",
-        "f_value_decimal": float(value),
+        "f_value_decimal": decimal,
         "negative": value < 0,
     }

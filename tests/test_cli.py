@@ -50,6 +50,28 @@ def test_gs_check_tau_with_zero_denominator_is_usage_error(capsys):
     assert err == "error: --tau 1/0 has a zero denominator\n"
 
 
+def test_gs_check_tau_past_the_digit_limit_names_the_option(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(capsys, "gs-check", "--tau", "0." + "0" * 5000 + "1")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --tau: Exceeds the limit (4300 digits)")
+
+
+def test_gs_check_refuses_a_value_past_the_largest_float(capsys, tmp_path):
+    """f(3/4) of 10^400 words at degree 2 is about 5.6e399, which float() cannot hold."""
+    path = tmp_path / "census.json"
+    path.write_text('{"counts": {"2": 1' + "0" * 400 + "}}")
+    code, out, err = run_cli(capsys, "gs-check", "--census-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: census degree 2 at tau 3/4: |f(tau)| is past the largest float, so no decimal prints\n"
+    )
+
+
 def test_gs_check_census_file(capsys, tmp_path):
     path = tmp_path / "census.json"
     path.write_text(json.dumps({"counts": {"2": 1}}))

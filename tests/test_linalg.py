@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjointalg import Gf2RowSpace, ModpRowSpace, linalg, row_space
+from adjointalg import (
+    Gf2RowSpace,
+    ModpRowSpace,
+    combined_ideal,
+    linalg,
+    quotient_dimensions,
+    row_space,
+    run_construction,
+)
 from adjointalg.linalg import MAX_MODULUS
 from adjointalg.oracle import rref_mod_p
 
@@ -438,7 +446,7 @@ def test_modp_grown_matches_the_naive_span(data):
 
 def _state(space):
     """A copy of every stored attribute of an engine."""
-    return {k: v.copy() if isinstance(v, (dict, np.ndarray)) else v for k, v in vars(space).items()}
+    return {k: v.copy() if isinstance(v, (dict, list, np.ndarray)) else v for k, v in vars(space).items()}
 
 
 def _same_state(a, b):
@@ -449,39 +457,129 @@ def _same_state(a, b):
     )
 
 
+def _plain(row):
+    return row if isinstance(row, int) else row.tolist()
+
+
+def _answers(space, v):
+    """Everything a read gives, in plain Python values; reduce and contains come before rows()."""
+    return (
+        space.rank, list(space.pivots), _plain(space.reduce(v)), space.contains(v),
+        [_plain(r) for r in space.rows()], space.row_vectors(),
+    )
+
+
+def _chain(space):
+    """The engine and every F_2 engine it was grown from, top first."""
+    while space is not None:
+        yield space
+        space = getattr(space, "_below", None)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_reads_never_change_an_engine(data):
+    """Reads keep an engine's span and answers; an F_2 read may only store left copies.
+
+    Every attribute is compared exactly, except the F_2 ``_rows``: its old
+    entries must stay, and each new one must be the left copy it stands for,
+    the row of the engine below at the same pivot, shifted by that engine's
+    width when the pivot is in the upper half.
+    """
     p = data.draw(st.sampled_from([2, 3, 5]))
     ncols = data.draw(st.integers(1, 6))
+    levels = data.draw(st.integers(1, 2))
     first = data.draw(_row_lists(p, ncols, 5))
-    extra = data.draw(_row_lists(p, 2 * ncols, 3))
-    v = data.draw(st.lists(st.integers(0, p - 1), min_size=2 * ncols, max_size=2 * ncols))
+    v = data.draw(st.lists(st.integers(0, p - 1), min_size=ncols << levels, max_size=ncols << levels))
     space = row_space(ncols, p)
     encode = vec_to_bits if p == 2 else np.array
     for r in first:
         space.add(encode(r))
-    space = space.grown()
-    for r in extra:
-        space.add(encode(r))
-    before = _state(space)
-    space.reduce(encode(v))
-    space.contains(encode(v))
-    space.pivots
-    space.rows()
-    space.row_vectors()
-    assert _same_state(_state(space), before)
+    for _ in range(levels):
+        space = space.grown()
+        for r in data.draw(_row_lists(p, space.ncols, 3)):
+            space.add(encode(r))
+    before = [_state(s) for s in _chain(space)]
+    # The second round of reads runs after the first has built every left copy.
+    assert _answers(space, encode(v)) == _answers(space, encode(v))
+    after = [_state(s) for s in _chain(space)]
+    for engine, old, new in zip(_chain(space), before, after):
+        if p == 2:
+            old_rows, new_rows = old.pop("_rows"), new.pop("_rows")
+            assert all(new_rows[b] == r for b, r in old_rows.items())
+            below = engine._below
+            for b in new_rows.keys() - old_rows.keys():
+                n = below.ncols
+                assert new_rows[b] == (below._rows[b - n] << n if b >= n else below._rows[b])
+        assert _same_state(new, old)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.one_of(st.none(), st.integers(min_value=0)), max_size=30))
 def test_gf2_mask_holds_exactly_the_pivots(steps):
-    """None grows the engine; an integer is added as a row, cut to the current width."""
-    space = Gf2RowSpace(2)
+    """None grows the engines; an integer is added as a row, cut to the current width.
+
+    The mask is compared with the pivots of the dense engine fed the same steps.
+    """
+    space, dense = Gf2RowSpace(2), ModpRowSpace(2, 2)
     for step in steps:
         if step is None:
             if space.ncols < 1 << 8:
-                space = space.grown()
+                space, dense = space.grown(), dense.grown()
         else:
-            space.add(step % (1 << space.ncols))
-        assert space._mask == linalg.index_mask(np.array(space.pivots, dtype=np.int64))
+            row = step % (1 << space.ncols)
+            space.add(row)
+            dense.add(bits_to_vec(row, dense.ncols))
+        assert space._mask == linalg.index_mask(np.array(dense.pivots, dtype=np.int64))
+        assert space.rank == dense.rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gf2_left_copies_built_on_first_use_match_the_eager_engine(data):
+    """Chains of 1-4 growths with adds and reads interleaved, against the eager dense engine.
+
+    Reads between the adds build some left copies before more rows go in, so
+    ``add`` meets both built and unbuilt copies.
+    """
+    ncols = data.draw(st.integers(1, 4))
+    space, dense = Gf2RowSpace(ncols), ModpRowSpace(ncols, 2)
+
+    def agree():
+        width = space.ncols
+        assert space.rank == dense.rank
+        assert space.pivots == dense.pivots
+        assert space.row_vectors() == dense.row_vectors()
+        for v in data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=3)):
+            assert bits_to_vec(space.reduce(v), width) == dense.reduce(bits_to_vec(v, width)).tolist()
+
+    for level in range(data.draw(st.integers(1, 4)) + 1):
+        if level:
+            space, dense = space.grown(), dense.grown()
+        steps = st.lists(st.one_of(st.none(), st.integers(0, (1 << space.ncols) - 1)), max_size=6)
+        for step in data.draw(steps):
+            if step is None:
+                agree()
+            else:
+                assert space.add(step) == dense.add(bits_to_vec(step, space.ncols))
+        agree()
+
+
+def test_gf2_rows_added_below_after_growth_do_not_reach_the_grown_engine():
+    space, copy = Gf2RowSpace(4), Gf2RowSpace(4)
+    for engine in (space, copy):
+        engine.add(0b0011)
+        engine.add(0b0110)
+    grown, expected = space.grown(), copy.grown()
+    space.add(0b1000)
+    assert (grown.rank, grown.pivots) == (expected.rank, expected.pivots)
+    assert grown.row_vectors() == expected.row_vectors()
+    assert grown.reduce(0xFF) == expected.reduce(0xFF)
+
+
+def test_gf2_top_component_stores_fewer_rows_than_its_rank():
+    """The Hilbert table reads only ranks, so most left copies of the top degree are never built."""
+    ideal = combined_ideal(run_construction(2, 16, 100))
+    quotient_dimensions(ideal)
+    top = ideal.component_basis(16)
+    assert len(top._rows) < top.rank

@@ -175,6 +175,13 @@ def test_gs_report_accepts_fraction_strings():
     assert abs(report["f_value_decimal"] - -0.064532) < 1e-6
 
 
+def test_gs_report_refuses_a_value_past_the_largest_float():
+    """f(1/2) = r / 4 for r words at degree 2: 2^1028 is past float's range, 2^1018 prints."""
+    with pytest.raises(ValueError, match=r"census degree 2 at tau 1/2: \|f\(tau\)\| is past the largest float"):
+        gs_report(GeneratorCensus({2: 2**1030}), "1/2")
+    assert gs_report(GeneratorCensus({2: 2**1020}), "1/2")["f_value_decimal"] == 2.0**1018
+
+
 #: Degrees drawn uniformly, so that draws reach the digit limit as often as not.
 DEGREES = range(2, 2401)
 
