@@ -12,18 +12,19 @@ zero and the factorization is exact in the truncated algebra.
 
 The seed and every round run one loop.  The product (1 for the seed) is
 held as one plain-int term dict per degree, seeded from 1 + a + residual.
-A factor 1 + h of degree e adds prod_d * h into prod_(d + e) for d from
-cap - e down to 0: top degree first, every slice is read before anything
-is added to it, so prod + prod * h is built in place.  A coefficient is
-reduced mod p when it is read, and the residual, prod - 1 - a, once at the
-end of the round, into the per-degree slices the next round reads as they are.
+A factor 1 + h of degree e adds prod_d * h into prod_(d + e) by
+``freealg._accumulate`` for d from cap - e down to 0: top degree first,
+every slice is read before anything is added to it, so prod + prod * h is
+built in place.  A coefficient is reduced mod p when it is read, and the
+residual, prod - 1 - a, once at the end of the round, into the per-degree
+slices the next round reads as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freealg import TruncatedPoly, homogeneous_parts, one, valuation
+from .freealg import TruncatedPoly, _accumulate, homogeneous_parts, one, valuation
 from .text import format_poly
 
 
@@ -61,15 +62,9 @@ def _append_factors(trace, factors, steps):
             slot[w] = slot.get(w, 0) + c
     for h in factors:
         ((e, right),) = h._slices.items()
-        right = right.items()
         for d in range(cap - e, -1, -1):
-            out = prod[d + e]
-            for wa, ca in prod[d].items():
-                ca %= p
-                if ca:
-                    for wb, cb in right:
-                        w = wa + wb
-                        out[w] = out.get(w, 0) + ca * cb
+            if prod[d]:
+                _accumulate(prod[d + e], prod[d], right, p)
     # The seed put every word of a into prod, so the residual prod - 1 - a is read in place.
     residual = {}
     for d in range(1, cap + 1):
@@ -80,7 +75,7 @@ def _append_factors(trace, factors, steps):
         if part:
             residual[d] = part
     return FactorizationTrace(
-        a, trace.factors + tuple(factors), TruncatedPoly._raw(p, cap, residual), steps
+        a, trace.factors + tuple(factors), TruncatedPoly._from_view(p, cap, residual), steps
     )
 
 

@@ -53,7 +53,7 @@ def decode_vector(row, degree, space, cap):
     indices, coeffs = space.decode(row)
     dtype = _rank_dtype(space.p, cap)
     part = indices.astype(dtype, copy=False), np.array(coeffs, dtype=dtype)
-    return TruncatedPoly._from_ranks(space.p, cap, {degree: part} if len(indices) else {})
+    return TruncatedPoly._from_view(space.p, cap, {degree: part} if len(indices) else {})
 
 
 class GradedIdeal:
@@ -156,7 +156,7 @@ def normal_form(a, ideal):
             space = ideal._space(d)
             part = decode_vector(space.reduce(encode_part(part, d, space)), d, space, a.cap)
         ranks.update(part._ranks)
-    return TruncatedPoly._from_ranks(a.p, a.cap, ranks)
+    return TruncatedPoly._from_view(a.p, a.cap, ranks)
 
 
 def nilpotency_bound(a, ideal):

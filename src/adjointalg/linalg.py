@@ -20,9 +20,6 @@ Only ``add`` and ``grown()`` change an engine's span.  Reads (``reduce``,
 ``contains``, ``pivots``, ``rows`` and ``row_vectors``) never change its span
 or any answer; an F_2 read may store a left copy it built, equal to the copy
 it stands for.
-``ModpRowSpace.reduce_matrix`` has no caller left in the package.  It stays
-because ``perfbench/tracer.py`` wraps it by name, until ROADMAP item 4
-removes that hook.
 
 ``encode(indices, coeffs)`` builds a row in an engine's format, which ``add``
 and ``reduce`` take, from nonzero residues at distinct coordinates, and
@@ -150,7 +147,11 @@ class Gf2RowSpace:
     def add(self, row):
         """Insert one row, or each row of a list; returns True if the span grew."""
         if isinstance(row, list):
-            return any([self.add(r) for r in row])
+            return any([self._insert(r) for r in row])
+        return self._insert(row)
+
+    def _insert(self, row):
+        """Reduce one row; if anything is left, store it at its pivot and return True."""
         rows, mask = self._rows, self._mask
         while row:
             b = row.bit_length() - 1
@@ -436,7 +437,7 @@ class ModpRowSpace:
 
     def reduce(self, v):
         """The unique representative of v modulo the span that is 0 at every pivot."""
-        return self._dense(self._residual(_residues(v, self.p)[None, :]))[0]
+        return self.reduce_matrix(np.asarray(v)[None, :])[0]
 
     def contains(self, v):
         return not np.any(self.reduce(v))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+import math
 import sys
 
 
@@ -168,11 +168,13 @@ def census_from_json(data):
     tails = data.get("tails", [])
     if not isinstance(counts, dict) or any(type(r) is not int for r in counts.values()):
         raise ValueError("census field 'counts' must map degrees to integers")
+    try:
+        counts = {int(n): r for n, r in counts.items()}
+    except ValueError:
+        raise ValueError("census field 'counts' must map integer degrees to integers") from None
     if not isinstance(tails, list):
         raise ValueError("census field 'tails' must be a list")
-    return GeneratorCensus(
-        {int(n): r for n, r in counts.items()}, tuple(tail_from_json(t) for t in tails)
-    )
+    return GeneratorCensus(counts, tuple(tail_from_json(t) for t in tails))
 
 
 def tail_bound_census():
@@ -243,10 +245,15 @@ def _denominator_bits(census, tau):
     degree D, the next at D2, then has the least valuation wherever
     v_q(r) < (D - D2) v_q(b): at each q prime to r, and at each q once
     bits(r) <= D - D2.  There q^(D v_q(b) - v_q(r)) divides the denominator.
+    While r has more bits than D - D2 and both are census counts, the two
+    are folded into one count at D: r a^k / b^D + s tau^D2 is
+    (r a^(k - D2) + s b^(D - D2)) a^D2 / b^D, with k = D before the first
+    fold.  The geometric tail of largest step gives a bound of its own,
+    :func:`_geometric_bits`, and the larger bound is returned.
     """
-    base = tau.denominator
+    a, b = tau.numerator, tau.denominator
+    base = b
     terms = [(0, 1, "1"), (1, 2, "-2 tau")]
-    terms += [(n, r, f"census degree {n}") for n, r in census.counts]
     geometric = []
     for t in census.tails:
         if isinstance(t, OnePerDegreeTail):
@@ -255,20 +262,69 @@ def _denominator_bits(census, tau):
             geometric.append((t.step, 0, f"geometric tail field 'step' {t.step}"))
             if t.step < t.growth.bit_length():
                 base = _coprime_part(base, t.growth)
+    if census.counts:
+        other_top = max(n for n, _, _ in terms)
+        *rest, (top, count) = census.counts
+        power = top
+        while rest and rest[-1][0] >= other_top and count.bit_length() > top - rest[-1][0]:
+            n, r = rest.pop()
+            count, power = count * a ** (power - n) + r * b ** (top - n), n
+        terms += [(n, r, f"census degree {n}") for n, r in [*rest, (top, count)]]
     terms.sort(key=lambda term: term[0])
     (below, _, _), (top, count, _) = terms[-2:]
     name = max(terms + geometric, key=lambda term: term[0])[2]
-    if below == top:
-        return 0, name
-    bits = top * (_coprime_part(base, count).bit_length() - 1)
-    if count.bit_length() <= top - below:
-        bits = max(bits, top * (base.bit_length() - 1) - count.bit_length())
+    bits = _geometric_bits(census, tau, top)
+    if below < top:
+        bits = max(bits, top * (_coprime_part(base, count).bit_length() - 1))
+        if count.bit_length() <= top - below:
+            bits = max(bits, top * (base.bit_length() - 1) - count.bit_length())
     return bits, name
+
+
+#: Steps are read as at most this in :func:`_geometric_bits`, so that they stay floats.
+_STEP_CAP = 1 << 64
+
+
+def _geometric_bits(census, tau, top):
+    """A lower bound on the bits of the denominator of f(tau) from its geometric tail of largest step.
+
+    With tau = a/b, a geometric tail is scale g a^s / E, E = b^s - g a^s
+    prime to a, so its denominator is at least E / (scale g), and E >= b^s / 2
+    once g a^s <= b^s / 2.  The rest of f has a denominator dividing
+    b^top (b - a)^k prod E_i, over its k one-per-degree tails and its other
+    geometric tails, with each E_i < b^(s_i) while that tail converges.  The
+    denominator of f is at least the tail's over the rest's.  Logarithms are
+    floats, so each comparison keeps a margin, and a step past
+    :data:`_STEP_CAP` counts as that cap only where it lowers the bound.
+    Where the conditions are not sure to hold, the bound is 0.
+    """
+    tails = sorted((t for t in census.tails if isinstance(t, GeometricTail)), key=lambda t: t.step)
+    a, b = tau.numerator, tau.denominator
+    if not (tails and 0 < a < b):
+        return 0
+    *others, tail = tails
+    # log2(b / a) > 0, with log1p where b is close to a and the difference would lose it.
+    log_ratio = math.log2(b) - math.log2(a) if b > 2 * a else math.log1p((b - a) / a) / math.log(2)
+
+    def room(t):
+        """A lower bound on log2(b^s / (g a^s)), the bits of 1 / (g tau^s)."""
+        x, y = min(t.step, _STEP_CAP) * log_ratio, math.log2(t.growth)
+        return x - y - 1e-9 * (x + y)
+
+    if room(tail) < 1 or any(room(t) <= 0 for t in others):
+        return 0
+    m = min(tail.step - top - sum(t.step for t in others), _STEP_CAP)
+    if m <= 0:
+        return 0
+    k = sum(isinstance(t, OnePerDegreeTail) for t in census.tails)
+    x = m * math.log2(b)
+    y = 1 + math.log2(tail.scale) + math.log2(tail.growth) + k * math.log2(b - a)
+    return max(0, math.floor(x - y - 1e-9 * (x + y)))
 
 
 def _coprime_part(b, m):
     """The largest divisor of b prime to m: b / gcd(b, m^bits(b)), as v_q(b) < bits(b)."""
-    return b // gcd(b, pow(m, b.bit_length(), b))
+    return b // math.gcd(b, pow(m, b.bit_length(), b))
 
 
 def gs_report(census, tau):

@@ -39,7 +39,7 @@ from adjointalg.freealg import TERM_BYTES, index_words, is_prime, word_indices
 from adjointalg.linalg import index_mask, mask_indices
 from adjointalg.oracle import naive_add, naive_mul
 
-from oracle import assert_canonical, polys, seeded_poly, view_terms
+from oracle import assert_canonical, polys, seeded_poly, term_dicts, view_terms
 
 
 def test_is_prime_agrees_with_trial_division_below_10_to_the_5():
@@ -625,3 +625,49 @@ def test_text_factoring_and_inverses_build_no_ranks_and_sandwiches_build_no_word
     assert reads == [read_without_words(TruncatedPoly(p, cap, q.terms)) for q in elements]
     # Read as words only now: the outside product reduces as its twin built from terms does.
     assert residues[1] == normal_form(TruncatedPoly(p, cap, outside.terms), ideal)
+
+
+@pytest.mark.parametrize(
+    "view,slot",
+    [
+        ({2: {"xy": 1, "yy": 2}}, "_slices"),
+        ({2: (np.array([1, 3]), np.array([1, 2]))}, "_ranks"),
+        ({}, "_slices"),
+    ],
+    ids=["slices", "ranks", "empty"],
+)
+def test_from_view_keeps_the_view_in_the_slot_of_its_kind(view, slot, monkeypatch):
+    """The view is the born one and sits in its own slot, so reading it builds nothing."""
+    built = built_views(monkeypatch)
+    q = TruncatedPoly._from_view(3, 4, view)
+    assert q._born is view and getattr(q, slot) is view
+    assert built == []
+
+
+def test_term_count_builds_no_view(monkeypatch):
+    """``_terms`` is sized as the terms of a slice-born or rank-born element and builds no view."""
+    a = parse_poly("x + 2xy + y^3x", 3, 6)
+    elements = (a, a * a, a * one(3, 6), zero(3, 6) * a)
+    built = built_views(monkeypatch)
+    counts = [len(q._terms) for q in elements]
+    assert built == []
+    assert counts == [len(q.terms) for q in elements]
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.dictionaries(st.text("xy", max_size=4), st.integers(-3 * p, 3 * p), max_size=6),
+    term_dicts(p, max_degree=4, max_terms=6),
+)))
+@example((3, {"x": 3, "y": -6, "xy": 0}, {"y": 1}))
+def test_accumulate_reduces_left_coefficients_and_matches_the_oracle(case):
+    """Unreduced left coefficients, multiples of p among them, give the naive product mod p.
+
+    A left term that is 0 mod p adds no word.
+    """
+    p, left, right = case
+    acc = {}
+    freealg._accumulate(acc, left, right, p)
+    assert {w: c % p for w, c in acc.items() if c % p} == naive_mul(left, right, p, 8)
+    assert set(acc) <= {wa + wb for wa, ca in left.items() if ca % p for wb in right}

@@ -75,6 +75,21 @@ def test_both_engines_add_a_list_of_rows():
     assert gf2.rank == 3
 
 
+def test_gf2_add_of_a_list_is_one_call_of_add(monkeypatch):
+    """Each row of a list goes in through a private step, so a counter on ``add`` reads one call."""
+    calls = []
+    add = Gf2RowSpace.add
+
+    def counted(self, row):
+        calls.append(row)
+        return add(self, row)
+
+    monkeypatch.setattr(Gf2RowSpace, "add", counted)
+    space = Gf2RowSpace(4)
+    assert space.add([0b0011, 0b0110, 0b0101]) is True
+    assert (len(calls), space.rank) == (1, 2)
+
+
 def test_modp_rank_and_membership():
     space = ModpRowSpace(3, 5)
     assert space.add([1, 2, 0]) is True

@@ -137,6 +137,7 @@ def test_json_round_trips():
         ([1, 2], "a census must be a JSON object"),
         ({"counts": [2, 1]}, "census field 'counts' must map degrees to integers"),
         ({"counts": {"2": "1"}}, "census field 'counts' must map degrees to integers"),
+        ({"counts": {"x": 1}}, "census field 'counts' must map integer degrees to integers"),
         ({"tails": {"kind": "geometric"}}, "census field 'tails' must be a list"),
         ({"tails": [7]}, "a census tail must be a JSON object"),
         ({"tails": [{"kind": "geometric", "step": 7}]}, "geometric tail field 'growth'"),
