@@ -124,15 +124,15 @@ def test_factor_text_format(capsys):
         ({"counts": {"30000000": 1}}, "census degree 30000000"),
         ({"counts": {"30000000": 1, "29999999": 5}}, "census degree 30000000"),
         ({"counts": {"30000000": 2, "7": 1}}, "census degree 30000000"),
+        (
+            {"tails": [{"kind": "one_per_degree", "start": 30000000}]},
+            "one_per_degree tail field 'start' 30000000",
+        ),
         # The top count has more bits than the gap below it, so the two are folded into one.
         ({"counts": {"30000000": 2, "29999999": 1}}, "census degree 30000000"),
         (
             {"tails": [{"kind": "geometric", "growth": 2, "step": 30000000}]},
             "geometric tail field 'step' 30000000",
-        ),
-        (
-            {"tails": [{"kind": "one_per_degree", "start": 30000000}]},
-            "one_per_degree tail field 'start' 30000000",
         ),
     ],
 )

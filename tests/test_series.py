@@ -137,12 +137,12 @@ def test_json_round_trips():
         ([1, 2], "a census must be a JSON object"),
         ({"counts": [2, 1]}, "census field 'counts' must map degrees to integers"),
         ({"counts": {"2": "1"}}, "census field 'counts' must map degrees to integers"),
-        ({"counts": {"x": 1}}, "census field 'counts' must map integer degrees to integers"),
         ({"tails": {"kind": "geometric"}}, "census field 'tails' must be a list"),
         ({"tails": [7]}, "a census tail must be a JSON object"),
         ({"tails": [{"kind": "geometric", "step": 7}]}, "geometric tail field 'growth'"),
         ({"tails": [{"kind": "geometric", "growth": 2, "step": 7.0}]}, "geometric tail field 'step'"),
         ({"tails": [{"kind": "one_per_degree", "start": "14"}]}, "one_per_degree tail field 'start'"),
+        ({"counts": {"x": 1}}, "census field 'counts' must map integer degrees to integers"),
     ],
 )
 def test_census_json_of_another_shape_names_the_field(data, message):
