@@ -8,8 +8,9 @@ payloads to stdout (or --out), with timing on stderr only.  Exit codes:
 ``internal error:`` line on stderr).  Only ``hilbert`` writes CSV; ``--format
 csv`` on any other subcommand is refused before its work starts.  A
 construction whose torsion generators would pass the memory ceiling
-(``linalg.MAX_GF2_BLOCK_BYTES``) exits 2 before it builds them, and so does
-an ``--out`` file that cannot be written.
+(``linalg.MAX_GF2_BLOCK_BYTES``) exits 2 before it builds them, a ``gs-check``
+whose f(tau) would pass the evaluation ceiling (``series.MAX_EVAL_BITS``)
+before it is evaluated, and so does an ``--out`` file that cannot be written.
 """
 
 from __future__ import annotations

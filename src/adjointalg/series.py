@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import math
 import sys
 
 
@@ -234,121 +233,60 @@ def gs_recursion_check(table, census):
     return True, None
 
 
-def _denominator_bits(census, tau):
-    """(bits, name): the term of highest degree, and 2^bits at most the denominator of f(tau).
+#: f(tau) is evaluated only while its terms hold at most this many bits in all (:func:`_eval_bits`).
+MAX_EVAL_BITS = 1 << 18
 
-    Let tau = a/b and q be a prime of b.  A count r at degree n has q-adic
-    valuation v_q(r) - n v_q(b); so has 1 with r = 1 at n = 0, -2 tau with
-    r = 2 at n = 1, and a one-per-degree tail with r = 1 at n = start - 1.
-    A geometric tail has at least 0 unless q divides a growth of more bits
-    than the step, and such q are left out.  A count r alone at the top
-    degree D, the next at D2, then has the least valuation wherever
-    v_q(r) < (D - D2) v_q(b): at each q prime to r, and at each q once
-    bits(r) <= D - D2.  There q^(D v_q(b) - v_q(r)) divides the denominator.
-    While r has more bits than D - D2 and both are census counts, the two
-    are folded into one count at D: r a^k / b^D + s tau^D2 is
-    (r a^(k - D2) + s b^(D - D2)) a^D2 / b^D, with k = D before the first
-    fold.  The geometric tail of largest step gives a bound of its own,
-    :func:`_geometric_bits`, and the larger bound is returned.
+
+def _eval_bits(census, tau):
+    """(bits, name): a bound on the bits of f(tau)'s numerator and denominator, and its top term.
+
+    With tau = a/b in (0, 1) and k = bits(b), each term p/q of f(tau) has
+    |p| < 2^t and q < 2^(t - 1) for its t: k + 1 for 1 - 2 tau, n k + bits(r)
+    for a count r at degree n, step k + bits(scale growth) for a geometric
+    tail and start k + k for a one-per-degree tail.  The sum of m terms has
+    a numerator below m 2^(T - m + 1) <= 2^T and a denominator below 2^T,
+    T the sum of their t.  The name is the term of highest degree, a
+    one-per-degree tail counting as degree start - 1; on a tie, a
+    one-per-degree tail is named before a count, a count before a geometric tail.
     """
-    a, b = tau.numerator, tau.denominator
-    base = b
-    terms = [(0, 1, "1"), (1, 2, "-2 tau")]
-    geometric = []
-    for t in census.tails:
-        if isinstance(t, OnePerDegreeTail):
-            terms.append((t.start - 1, 1, f"one_per_degree tail field 'start' {t.start}"))
-        else:
-            geometric.append((t.step, 0, f"geometric tail field 'step' {t.step}"))
-            if t.step < t.growth.bit_length():
-                base = _coprime_part(base, t.growth)
-    if census.counts:
-        other_top = max(n for n, _, _ in terms)
-        *rest, (top, count) = census.counts
-        power = top
-        while rest and rest[-1][0] >= other_top and count.bit_length() > top - rest[-1][0]:
-            n, r = rest.pop()
-            count, power = count * a ** (power - n) + r * b ** (top - n), n
-        terms += [(n, r, f"census degree {n}") for n, r in [*rest, (top, count)]]
-    terms.sort(key=lambda term: term[0])
-    (below, _, _), (top, count, _) = terms[-2:]
-    name = max(terms + geometric, key=lambda term: term[0])[2]
-    bits = _geometric_bits(census, tau, top)
-    if below < top:
-        bits = max(bits, top * (_coprime_part(base, count).bit_length() - 1))
-        if count.bit_length() <= top - below:
-            bits = max(bits, top * (base.bit_length() - 1) - count.bit_length())
-    return bits, name
-
-
-#: Steps are read as at most this in :func:`_geometric_bits`, so that they stay floats.
-_STEP_CAP = 1 << 64
-
-
-def _geometric_bits(census, tau, top):
-    """A lower bound on the bits of the denominator of f(tau) from its geometric tail of largest step.
-
-    With tau = a/b, a geometric tail is scale g a^s / E, E = b^s - g a^s
-    prime to a, so its denominator is at least E / (scale g), and E >= b^s / 2
-    once g a^s <= b^s / 2.  The rest of f has a denominator dividing
-    b^top (b - a)^k prod E_i, over its k one-per-degree tails and its other
-    geometric tails, with each E_i < b^(s_i) while that tail converges.  The
-    denominator of f is at least the tail's over the rest's.  Logarithms are
-    floats, so each comparison keeps a margin, and a step past
-    :data:`_STEP_CAP` counts as that cap only where it lowers the bound.
-    Where the conditions are not sure to hold, the bound is 0.
-    """
-    tails = sorted((t for t in census.tails if isinstance(t, GeometricTail)), key=lambda t: t.step)
-    a, b = tau.numerator, tau.denominator
-    if not (tails and 0 < a < b):
-        return 0
-    *others, tail = tails
-    # log2(b / a) > 0, with log1p where b is close to a and the difference would lose it.
-    log_ratio = math.log2(b) - math.log2(a) if b > 2 * a else math.log1p((b - a) / a) / math.log(2)
-
-    def room(t):
-        """A lower bound on log2(b^s / (g a^s)), the bits of 1 / (g tau^s)."""
-        x, y = min(t.step, _STEP_CAP) * log_ratio, math.log2(t.growth)
-        return x - y - 1e-9 * (x + y)
-
-    if room(tail) < 1 or any(room(t) <= 0 for t in others):
-        return 0
-    m = min(tail.step - top - sum(t.step for t in others), _STEP_CAP)
-    if m <= 0:
-        return 0
-    k = sum(isinstance(t, OnePerDegreeTail) for t in census.tails)
-    x = m * math.log2(b)
-    y = 1 + math.log2(tail.scale) + math.log2(tail.growth) + k * math.log2(b - a)
-    return max(0, math.floor(x - y - 1e-9 * (x + y)))
-
-
-def _coprime_part(b, m):
-    """The largest divisor of b prime to m: b / gcd(b, m^bits(b)), as v_q(b) < bits(b)."""
-    return b // math.gcd(b, pow(m, b.bit_length(), b))
+    k = tau.denominator.bit_length()
+    terms = [(1, k + 1, "-2 tau")]
+    terms += [
+        (t.start - 1, t.start * k + k, f"one_per_degree tail field 'start' {t.start}")
+        for t in census.tails
+        if isinstance(t, OnePerDegreeTail)
+    ]
+    terms += [(n, n * k + r.bit_length(), f"census degree {n}") for n, r in census.counts]
+    terms += [
+        (t.step, t.step * k + (t.scale * t.growth).bit_length(), f"geometric tail field 'step' {t.step}")
+        for t in census.tails
+        if isinstance(t, GeometricTail)
+    ]
+    return sum(bits for _, bits, _ in terms), max(terms, key=lambda term: term[0])[2]
 
 
 def gs_report(census, tau):
     """JSON-ready report of an exact evaluation at tau.
 
-    A value with an integer past the interpreter's limit on printing one is
-    refused, naming the term of highest degree (``_denominator_bits``) and
-    tau: before evaluation when its denominator has more than 10/3 bits a
-    digit allowed, since 10^limit < 2^(10 limit / 3), and otherwise after it.
-    A value of magnitude past the largest float, which has no decimal
-    approximation to print, is refused the same way.
+    Refused, naming the term of highest degree and tau: before evaluation
+    when :func:`_eval_bits` passes :data:`MAX_EVAL_BITS`, whatever the
+    interpreter's digit limit, and after it when f(tau) holds an integer
+    past that limit or is past the largest float, so that no decimal prints.
     """
     tau = Fraction(tau)
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-    bits, name = _denominator_bits(census, tau)
-    refusal = ValueError(
-        f"{name} at tau {tau}: f(tau) holds an integer of more than {limit} digits,"
-        " past the interpreter's limit on printing one"
-    )
-    if limit and bits > 10 * limit // 3:
-        raise refusal
+    bits, name = _eval_bits(census, tau)
+    if bits > MAX_EVAL_BITS and 0 < tau < 1:  # f_eval refuses any other tau at once
+        raise ValueError(
+            f"{name} at tau {tau}: f(tau) would hold more than {MAX_EVAL_BITS} bits,"
+            " past the evaluation ceiling"
+        )
     value = f_eval(census, tau)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
-        raise refusal
+        raise ValueError(
+            f"{name} at tau {tau}: f(tau) holds an integer of more than {limit} digits,"
+            " past the interpreter's limit on printing one"
+        )
     try:
         decimal = float(value)
     except OverflowError:

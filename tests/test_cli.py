@@ -117,6 +117,22 @@ def test_factor_text_format(capsys):
     assert "correction rounds: 1" in out
 
 
+def run_gs_check_at_digit_limit(capsys, tmp_path, census, digits):
+    """gs-check on a census file while the interpreter prints at most ``digits`` digits."""
+    path = tmp_path / "census.json"
+    path.write_text(json.dumps(census))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        return run_cli(capsys, "gs-check", "--census-file", str(path))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def refuse_evaluation(*args):
+    raise AssertionError("f(tau) was evaluated")
+
+
 @pytest.mark.parametrize(
     "census, term",
     [
@@ -128,10 +144,18 @@ def test_factor_text_format(capsys):
             {"tails": [{"kind": "one_per_degree", "start": 30000000}]},
             "one_per_degree tail field 'start' 30000000",
         ),
-        # The top count has more bits than the gap below it, so the two are folded into one.
         ({"counts": {"30000000": 2, "29999999": 1}}, "census degree 30000000"),
         (
             {"tails": [{"kind": "geometric", "growth": 2, "step": 30000000}]},
+            "geometric tail field 'step' 30000000",
+        ),
+        (
+            {
+                "tails": [
+                    {"kind": "geometric", "growth": 2, "step": 30000000},
+                    {"kind": "geometric", "growth": 3, "step": 30000000},
+                ]
+            },
             "geometric tail field 'step' 30000000",
         ),
     ],
@@ -139,23 +163,33 @@ def test_factor_text_format(capsys):
 def test_gs_check_refuses_a_value_past_the_digit_limit_before_evaluating_it(
     capsys, tmp_path, monkeypatch, census, term
 ):
-    """f(3/4) has a denominator of 12 042 digits at degree 20 000, 18 million at 30 000 000."""
-    def refuse(*args):
-        raise AssertionError("f(tau) was evaluated")
+    """A term of degree 30 000 000 holds 90 million bits at tau 3/4: refused unevaluated.
 
-    path = tmp_path / "census.json"
-    path.write_text(json.dumps(census))
-    monkeypatch.setattr(series, "f_eval", refuse)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        code, out, err = run_cli(capsys, "gs-check", "--census-file", str(path))
-    finally:
-        sys.set_int_max_str_digits(limit)
+    A count at degree 20 000 holds 60 001 bits, under ``series.MAX_EVAL_BITS``:
+    its f(3/4), with a denominator of 12 042 digits, is evaluated and then
+    refused at the digit limit of 4300.
+    """
+    if term == "census degree 20000":
+        message = (
+            "f(tau) holds an integer of more than 4300 digits,"
+            " past the interpreter's limit on printing one"
+        )
+    else:
+        monkeypatch.setattr(series, "f_eval", refuse_evaluation)
+        message = "f(tau) would hold more than 262144 bits, past the evaluation ceiling"
+    code, out, err = run_gs_check_at_digit_limit(capsys, tmp_path, census, 4300)
+    assert (code, out) == (2, "")
+    assert err == f"error: {term} at tau 3/4: {message}\n"
+
+
+def test_gs_check_refuses_a_deep_census_without_a_digit_limit(capsys, tmp_path, monkeypatch):
+    """With no digit limit (0, as on Python 3.10.0-3.10.6) the ceiling still refuses it unevaluated."""
+    monkeypatch.setattr(series, "f_eval", refuse_evaluation)
+    code, out, err = run_gs_check_at_digit_limit(capsys, tmp_path, {"counts": {"30000000": 1}}, 0)
     assert (code, out) == (2, "")
     assert err == (
-        f"error: {term} at tau 3/4: f(tau) holds an integer of more than 4300 digits,"
-        " past the interpreter's limit on printing one\n"
+        "error: census degree 30000000 at tau 3/4: f(tau) would hold more than 262144 bits,"
+        " past the evaluation ceiling\n"
     )
 
 

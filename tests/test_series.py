@@ -19,6 +19,7 @@ from adjointalg import (
     tail_bound_census,
     witness_search,
 )
+from adjointalg import series
 from adjointalg.series import census_from_json, tail_from_json
 
 
@@ -183,6 +184,14 @@ def test_gs_report_refuses_a_value_past_the_largest_float():
     assert gs_report(GeneratorCensus({2: 2**1020}), "1/2")["f_value_decimal"] == 2.0**1018
 
 
+def test_gs_report_names_a_tau_outside_the_unit_interval_before_the_ceiling():
+    """A census past the evaluation ceiling does not hide that tau itself is out of range."""
+    deep = GeneratorCensus({30000000: 1})
+    for tau in ("2", "0", "-1/2"):
+        with pytest.raises(ValueError, match=f"tau must lie strictly between 0 and 1, got {tau}$"):
+            gs_report(deep, tau)
+
+
 #: Degrees drawn uniformly, so that draws reach the digit limit as often as not.
 DEGREES = range(2, 2401)
 
@@ -212,6 +221,8 @@ def test_gs_report_refuses_exactly_the_values_past_the_digit_limit(tau, deep, co
     or denominator has more than 640 digits.  A count at a degree from 300
     to 2400 straddles that limit for every tau drawn; counts at neighbouring
     degrees and counts sharing the primes of tau's denominator are drawn too.
+    Every draw is under the evaluation ceiling, whose bound on the bits of
+    the numerator and the denominator is checked as well.
     """
     tau = Fraction(tau)
     counts = {deep: 1, **counts}
@@ -219,6 +230,9 @@ def test_gs_report_refuses_exactly_the_values_past_the_digit_limit(tau, deep, co
     assume(all(t.convergent_at(tau) for t in tails))
     census = GeneratorCensus(counts, tails)
     value = f_eval(census, tau)
+    bits, _ = series._eval_bits(census, tau)
+    assert max(value.numerator.bit_length(), value.denominator.bit_length()) <= bits
+    assert bits <= series.MAX_EVAL_BITS
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
@@ -231,6 +245,22 @@ def test_gs_report_refuses_exactly_the_values_past_the_digit_limit(tau, deep, co
                 gs_report(census, tau)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "census",
+    [
+        GeneratorCensus({1000: 2**100}),
+        GeneratorCensus({}, (GeometricTail(1, 1000, scale=3**100),)),
+        GeneratorCensus({}, (OnePerDegreeTail(1000),)),
+    ],
+)
+def test_eval_bits_covers_a_lone_term_at_tau_near_one(census):
+    """At tau = (2^20 - 2)/(2^20 - 1), a^n holds nearly all the n k bits the bound counts."""
+    tau = Fraction(2**20 - 2, 2**20 - 1)
+    value = f_eval(census, tau)
+    bits, _ = series._eval_bits(census, tau)
+    assert max(value.numerator.bit_length(), value.denominator.bit_length()) <= bits
 
 
 @settings(max_examples=50)
