@@ -22,7 +22,7 @@ import re
 
 from .freealg import TruncatedPoly
 
-_RUN = re.compile("x{2,}|y{2,}")
+_RUN = re.compile("(x{2,}|y{2,})")
 _TOKEN = re.compile(r"\d+|\S")
 
 
@@ -120,9 +120,31 @@ def parse_poly(text, p, cap):
     return TruncatedPoly(p, cap, terms)
 
 
+class _RunText(dict):
+    """Run -> its text, 'xxx' -> 'x^3', held for runs of 2..63 letters.
+
+    63 is the int64 rank range of :func:`freealg._rank_dtype`, so a table
+    of 124 entries covers every run of a word-rank algebra.  A longer run is
+    formatted on the fly and not stored, so the table never grows.
+    """
+
+    def __missing__(self, run):
+        return f"{run[0]}^{len(run)}"
+
+
+_RUN_TEXT = _RunText({ch * n: f"{ch}^{n}" for ch in "xy" for n in range(2, 64)})
+
+
 def _compress(text):
-    """Run-length encode the letter runs of a text: 'xxy + 2x' -> 'x^2y + 2x'."""
-    return _RUN.sub(lambda run: f"{run[0][0]}^{len(run[0])}", text)
+    """Run-length encode the letter runs of a text: 'xxy + 2x' -> 'x^2y + 2x'.
+
+    One split on the capturing :data:`_RUN` puts the runs at the odd
+    indices, between the texts around them; the run table replaces each
+    run with its text, and one join puts the pieces back.
+    """
+    parts = _RUN.split(text)
+    parts[1::2] = map(_RUN_TEXT.__getitem__, parts[1::2])
+    return "".join(parts)
 
 
 def format_poly(a):

@@ -12,10 +12,11 @@ from adjointalg import (
     PolyParseError,
     TruncatedPoly,
     format_poly,
+    monomial,
     parse_poly,
 )
 
-from adjointalg.text import _compress
+from adjointalg.text import _RUN_TEXT, _compress
 
 from oracle import polys
 
@@ -128,6 +129,8 @@ def test_format_examples():
     assert format_poly(parse_poly("2x", 3, 4)) == "2x"
     assert format_poly(parse_poly("x + 1", 3, 4)) == "1 + x"
     assert format_poly(parse_poly("yx + xy + y + x^2", 2, 4)) == "y + x^2 + xy + yx"
+    # Past cap 63 the product runs on object ranks, and its run of 70 is past the run table.
+    assert format_poly(monomial("x" * 40, 2, 80) * monomial("x" * 30 + "y", 2, 80)) == "x^70y"
 
 
 def test_format_orders_by_degree_then_lex():
@@ -188,10 +191,14 @@ def test_format_is_canonical(a):
 
 
 @settings(max_examples=100)
-@given(st.text("xy", max_size=40))
+@given(st.text("xy", max_size=160))
+@example("x" * 64 + "y" * 70 + "x")
 def test_compress_matches_a_groupby_reference(word):
+    """Runs of any length, past the run table's 63 too, which must not grow."""
+    table_size = len(_RUN_TEXT)
     runs = ((ch, len(list(g))) for ch, g in groupby(word))
     assert _compress(word) == "".join(ch if n == 1 else f"{ch}^{n}" for ch, n in runs)
+    assert len(_RUN_TEXT) == table_size
 
 
 #: Primes up to 101, so that two-digit coefficients meet letters ("12x^2y").
