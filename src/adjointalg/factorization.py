@@ -10,21 +10,23 @@ reaches m writes 1 + a as a product of homogeneous factors times
 1 + (terms of degree >= m); with m = cap + 1 the residual is identically
 zero and the factorization is exact in the truncated algebra.
 
-The seed and every round run one loop.  The product (1 for the seed) is
-held as one plain-int term dict per degree, seeded from 1 + a + residual.
-A factor 1 + h of degree e adds prod_d * h into prod_(d + e) by
+The seed, which is the round from the residual -a, and every correction
+round run one loop.  It seeds the product once from 1 + a + residual, one
+plain-int term dict per degree, and carries it through every round.  A
+factor 1 + h of degree e adds prod_d * h into prod_(d + e) by
 ``freealg._accumulate`` for d from cap - e down to 0: top degree first,
 every slice is read before anything is added to it, so prod + prod * h is
-built in place.  A coefficient is reduced mod p when it is read, and the
-residual, prod - 1 - a, once at the end of the round, into the per-degree
-slices the next round reads as they are.
+built in place.  A coefficient is reduced mod p when it is read, never in
+prod.  The residual, prod - 1 - a, is read from the round's valuation up,
+the least degree the round can change, into the slices the next round
+reads as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freealg import TruncatedPoly, _accumulate, homogeneous_parts, one, valuation
+from .freealg import INFINITY, TruncatedPoly, _accumulate, one, valuation
 from .text import format_poly
 
 
@@ -50,41 +52,57 @@ class FactorizationTrace:
         return one(self.target.p, self.target.cap) + self.target + self.residual
 
 
-def _append_factors(trace, factors, steps):
-    """Multiply the trace's product by each homogeneous 1 + h in order and read off the residual."""
-    a = trace.target
+def _correct(a, factors, residual, steps, m, rounds):
+    """Up to ``rounds`` rounds from a trace's factors, residual slices and steps.
+
+    Each appends one factor per residual slice, ascending in degree, and counts a step;
+    they stop at a zero residual or after one that reaches valuation m.
+    """
     p, cap = a.p, a.cap
+    target = a._slices
     prod = [{} for _ in range(cap + 1)]
     prod[0][""] = 1
-    for d, part in [*a._slices.items(), *trace.residual._slices.items()]:
+    for d, part in [*target.items(), *residual.items()]:
         slot = prod[d]
         for w, c in part.items():
             slot[w] = slot.get(w, 0) + c
-    for h in factors:
-        ((e, right),) = h._slices.items()
-        for d in range(cap - e, -1, -1):
-            if prod[d]:
-                _accumulate(prod[d + e], prod[d], right, p)
-    # The seed put every word of a into prod, so the residual prod - 1 - a is read in place.
-    residual = {}
-    for d in range(1, cap + 1):
-        slot = prod[d]
-        for w, c in a._slices.get(d, {}).items():
-            slot[w] -= c
-        part = {w: c % p for w, c in slot.items() if c % p}
-        if part:
-            residual[d] = part
-    return FactorizationTrace(
-        a, trace.factors + tuple(factors), TruncatedPoly._from_view(p, cap, residual), steps
-    )
+    factors = list(factors)
+    for _ in range(rounds):
+        if not residual:
+            break
+        low = min(residual)
+        for e in sorted(residual):
+            h = {w: p - c for w, c in residual[e].items()}
+            factors.append(TruncatedPoly._from_view(p, cap, {e: h}))
+            for d in range(cap - e, -1, -1):
+                if prod[d]:
+                    _accumulate(prod[d + e], prod[d], h, p)
+        # Below low the round changed nothing and the residual was already zero.
+        residual = {}
+        for d in range(low, cap + 1):
+            if less := target.get(d):
+                part = {w: r for w, c in prod[d].items() if (r := (c - less.get(w, 0)) % p)}
+            else:
+                part = {w: r for w, c in prod[d].items() if (r := c % p)}
+            if part:
+                residual[d] = part
+        steps += 1
+        after = min(residual, default=INFINITY)
+        if after <= low:
+            raise AssertionError(
+                f"correction round failed to raise the residual valuation ({low} -> {after})"
+            )
+        if after >= m:
+            break
+    return FactorizationTrace(a, tuple(factors), TruncatedPoly._from_view(p, cap, residual), steps)
 
 
 def initial_factorization(a):
-    """Seed trace: one factor 1 + a_d per homogeneous slice of a, ascending degree."""
-    if a.constant_term:
-        raise ValueError("factorization targets must have zero constant term")
-    parts = [part for _, part in homogeneous_parts(a)]
-    return _append_factors(FactorizationTrace(a, (), -a, 0), parts, 0)
+    """Seed trace: one factor 1 + a_d per homogeneous slice of a, ascending degree.
+
+    Its residual has no constant term, so it is the trace to valuation 1.
+    """
+    return factor_to_valuation(a, 1)
 
 
 def correction_step(trace):
@@ -95,15 +113,7 @@ def correction_step(trace):
     """
     if trace.residual.is_zero:
         return trace
-    before = trace.residual_valuation
-    parts = [-part for _, part in homogeneous_parts(trace.residual)]
-    after = _append_factors(trace, parts, trace.steps + 1)
-    if after.residual_valuation <= before:
-        raise AssertionError(
-            "correction round failed to raise the residual valuation"
-            f" ({before} -> {after.residual_valuation})"
-        )
-    return after
+    return _correct(trace.target, trace.factors, trace.residual._slices, trace.steps, INFINITY, 1)
 
 
 def factor_to_valuation(a, m):
@@ -114,11 +124,11 @@ def factor_to_valuation(a, m):
     """
     if not 1 <= m <= a.cap + 1:
         raise ValueError(f"target valuation must lie in 1..{a.cap + 1}, got {m}")
-    trace = initial_factorization(a)
-    for _ in range(m):
-        if trace.residual_valuation >= m:
-            break
-        trace = correction_step(trace)
+    if a.constant_term:
+        raise ValueError("factorization targets must have zero constant term")
+    # The seed is the round from the residual -a, whose negated slices are those of a.  It
+    # counts no correction step, so it starts from step -1; a zero a runs no round.
+    trace = _correct(a, (), (-a)._slices, 0 if a.is_zero else -1, m, m + 1)
     if trace.residual_valuation < m:
         raise AssertionError(f"factorization failed to reach valuation {m}")
     return trace

@@ -216,6 +216,11 @@ def factorization_targets(draw):
 @example(parse_poly("x + 3y + 2xy + 5y^2x + 6x^2y^2 + xyxyx", 7, 14))
 @example(parse_poly("x + y^2 + xyx", 2, 14))
 @example(parse_poly("2y + x^2 + 2yxy^2", 3, 13))
+# At p = 2^61 - 1 the carried product's unreduced coefficients are sums of products past 2^120.
+@example(parse_poly(
+    "2305843009213693950x + 3y + 2305843009213693949xy + 7y^2x + 1152921504606846976x^2y^2",
+    2305843009213693951, 6,
+))
 def test_factorization_matches_the_naive_product_loop(a):
     """Every target valuation m gives the first naive trace whose residual reaches m."""
     rounds = list(_reference_rounds(a.terms, a.p, a.cap))
@@ -227,3 +232,47 @@ def test_factorization_matches_the_naive_product_loop(a):
         assert [h.terms for h in trace.factors] == factors
         assert trace.residual.terms == residual
         assert trace.steps == steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(factorization_targets())
+@example(parse_poly("x + 3y + 2xy + 5y^2x + 6x^2y^2 + xyxyx", 7, 14))
+def test_stepping_api_matches_the_naive_product_loop(a):
+    """The seed, then one correction round at a time, yields every naive trace in turn.
+
+    So does one round after ``factor_to_valuation(a, m)`` for every m short of an
+    exact trace: both entry points seed the product from a trace's own residual.
+    """
+    def as_reference(trace):
+        return [h.terms for h in trace.factors], trace.residual.terms, trace.steps
+
+    rounds = list(_reference_rounds(a.terms, a.p, a.cap))
+    trace = initial_factorization(a)
+    for reference in rounds:
+        assert as_reference(trace) == reference
+        trace = correction_step(trace)
+    for m in range(1, a.cap + 2):
+        trace = factor_to_valuation(a, m)
+        if not trace.residual.is_zero:
+            assert as_reference(correction_step(trace)) == rounds[trace.steps + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(factorization_targets())
+def test_correction_step_leaves_its_trace_unchanged(a):
+    """A round on a trace twice gives equal traces, and the trace's terms stay as they were."""
+    trace = initial_factorization(a)
+    while not trace.residual.is_zero:
+        before = (a.terms, [h.terms for h in trace.factors], trace.residual.terms)
+        stepped = correction_step(trace)
+        assert correction_step(trace) == stepped
+        assert (a.terms, [h.terms for h in trace.factors], trace.residual.terms) == before
+        trace = stepped
+
+
+def test_zero_target_has_no_factors():
+    zero = parse_poly("0", 3, 5)
+    for trace in (initial_factorization(zero), factor_to_valuation(zero, 1)):
+        assert trace.factors == ()
+        assert trace.residual.is_zero
+        assert trace.steps == 0
