@@ -11,6 +11,8 @@ construction whose torsion generators would pass the memory ceiling
 (``linalg.MAX_GF2_BLOCK_BYTES``) exits 2 before it builds them, a ``gs-check``
 whose f(tau) would pass the evaluation ceiling (``series.MAX_EVAL_BITS``)
 before it is evaluated, and so does an ``--out`` file that cannot be written.
+A ``width`` that no witness draw closes at its lower bound also exits 2, with
+the bracket it does know on stderr and nothing on stdout.
 """
 
 from __future__ import annotations

@@ -47,8 +47,8 @@ Neither needs the elements, so neither guard below applies to it.
 
 Any other algebra goes the element-level way.  Its exponent chain takes
 p-th circle powers of all p^dim elements, guarded by ``MAX_POPULATION``.
-Its width takes three steps on the group table, which is guarded by
-``MAX_GROUP_ORDER``, and each keeps the answer exact:
+Its width takes two steps on the group table, which is guarded by
+``MAX_GROUP_ORDER``:
 
 - a lower bound L from ranks alone, the larger of two.  Let K be the ideal
   generated by the commutators ab - ba.  R/K is commutative, and R -> R/K
@@ -58,13 +58,13 @@ Its width takes three steps on the group table, which is guarded by
   power of p at or above n + 1: it needs log_p |G/G_n| / t cyclic factors.
   On a commutative algebra K = 0, and L is the width;
 - a witness: if one of a fixed number of seeded draws of L maximal cyclic
-  subgroups has all of G as its product, the width is L;
-- otherwise a breadth-first search over product sets, which stays the
-  oracle of the first two.
+  subgroups has all of G as its product, the width is L.  When none does,
+  the width is refused with a ValueError that brackets it: at least L, and
+  at most the least m up to the limit at which a draw covers G, if any.
 
 A product set S times a cyclic subgroup C is taken through the cosets of C
 (C holds every inverse, so S C is the union of the left cosets g C that
-meet S): one gather for one set, or for a block of sets in the search.
+meet S), by one gather.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ import numpy as np
 from . import linalg
 from .freealg import as_modulus, is_prime
 
-#: Hard ceiling on group orders for the group table, and so for the width search.
+#: Hard ceiling on group orders for the group table, and so for a noncommutative width.
 MAX_GROUP_ORDER = 4096
 
 #: Ceiling on the elements that the population exponent chain holds at once.
@@ -562,7 +562,9 @@ def cyclic_width(group, limit=8):
     width is at least L (``_width_bound``), which is the width itself on a
     commutative algebra, with no group table.  Any other width is L when a
     drawn product of L maximal cyclic subgroups covers the group
-    (``_witness``), and is searched (``_search_width``) only when none does.
+    (``_witness``).  When none does, it is a ValueError naming the order,
+    L and the least m up to the limit at which a draw covers the group, or
+    saying that none does.
     """
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
@@ -573,7 +575,12 @@ def cyclic_width(group, limit=8):
         return None
     if table is None or _witness(table, algebra.p, bound):
         return bound
-    return _search_width(table, limit)
+    cover = next((m for m in range(bound + 1, limit + 1) if _witness(table, algebra.p, m)), None)
+    found = f"one of {cover} does" if cover else f"nor does one of up to {limit}"
+    raise ValueError(
+        f"cyclic width of a group of order {group.order} is in [{bound}, {cover or '?'}]:"
+        f" no witness draw of {bound} cyclic subgroups covers it, {found}"
+    )
 
 
 def _width_bound(algebra):
@@ -646,7 +653,7 @@ def _coset_gather(table, members):
 
     Row c of cosets lists the coset numbered c, and ids[g] numbers that of g.
     C holds every inverse, so for a set S, S C is the union of the cosets
-    that meet S: ``S[..., cosets].any(axis=-1)[..., ids]``.  The cosets go
+    that meet S: ``S[cosets].any(axis=1)[ids]``.  The cosets go
     in the order of their least elements: g is one exactly when g is the
     least element of g C.
     """
@@ -657,46 +664,6 @@ def _coset_gather(table, members):
     number = np.empty(n, dtype=np.int64)
     number[firsts] = np.arange(len(firsts))
     return rows[firsts], number[least]
-
-
-def _search_width(table, limit):
-    """The cyclic width of the group with this index table, by search; None past the limit.
-
-    Breadth-first over product sets from {identity}, each set seen once, so
-    the first level reaching the group is minimal.  The table comes from
-    ``AdjointGroup.multiplication_index_table``, guarded to orders up to
-    MAX_GROUP_ORDER, and the search is refused once the seen sets hold more
-    than ``linalg.MAX_BLOCK_BYTES``.
-    """
-    n = len(table)
-    cyclic = {frozenset(row) for row in _powers(table).tolist()}
-    subgroups = [_coset_gather(table, members) for members in cyclic]
-
-    frontier = (np.arange(n) == 0)[None, :]
-    seen = {frontier[0].tobytes()}
-    step = max(1, 8 * _BLOCK_ENTRIES // n)
-    for level in range(1, limit + 1):
-        fresh = []
-        for cosets, ids in subgroups:
-            for top in range(0, len(frontier), step):
-                products = frontier[top:top + step][:, cosets].any(axis=2)[:, ids]
-                if products.all(axis=1).any():
-                    return level
-                data = products.tobytes()
-                # First-seen order, so the frontier (and a refusal) does not follow hashing.
-                chunks = dict.fromkeys(data[i:i + n] for i in range(0, len(data), n))
-                keys = [key for key in chunks if key not in seen]
-                seen.update(keys)
-                fresh += keys
-                if len(seen) * n > linalg.MAX_BLOCK_BYTES:
-                    raise linalg.ResourceLimitError(
-                        f"cyclic width search of a group of order {n} holds {len(seen) * n}"
-                        f" bytes of product sets, over the limit of {linalg.MAX_BLOCK_BYTES} bytes"
-                    )
-        if not fresh:
-            return None
-        frontier = np.frombuffer(b"".join(fresh), dtype=bool).reshape(-1, n)
-    return None
 
 
 def quotient_algebra(algebra, n):

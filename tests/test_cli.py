@@ -5,7 +5,15 @@ import sys
 
 import pytest
 
-from adjointalg import cli, construction, direct_sum, linalg, series, truncated_polynomial_algebra
+from adjointalg import (
+    cli,
+    construction,
+    direct_sum,
+    linalg,
+    series,
+    strictly_upper_triangular_algebra,
+    truncated_polynomial_algebra,
+)
 from adjointalg.cli import main
 
 
@@ -499,6 +507,17 @@ def test_width_from_algebra_file_with_tight_limit(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "width", "--algebra-file", str(path))
     assert code == 0
     assert json.loads(out)["width"] == 2
+
+
+def test_width_the_witness_misses_is_a_usage_error_with_its_bracket(capsys, tmp_path):
+    # Order 2187: the bound is 5, and a witness draw covers the group at 6 but not at 5.
+    alg = direct_sum(truncated_polynomial_algebra(3, 5), strictly_upper_triangular_algebra(3, 3))
+    path = tmp_path / "poly5-ut3.json"
+    path.write_text(json.dumps(alg.to_json_dict()))
+    code, out, err = run_cli(capsys, "width", "--algebra-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cyclic width of a group of order 2187 is in [5, 6]: ")
 
 
 def test_selftest_single_check(capsys):

@@ -470,24 +470,11 @@ def test_cyclic_width_small_groups(make, expected):
     assert cyclic_width(AdjointGroup(make())) == expected
 
 
-def test_cyclic_width_limit_and_guards(monkeypatch):
+def test_cyclic_width_limit_and_guards():
     klein = AdjointGroup(klein_algebra())
-    klein_table = klein.multiplication_index_table()
     assert cyclic_width(klein, limit=1) is None
-    assert finite._search_width(klein_table, 1) is None
     with pytest.raises(ValueError):
         cyclic_width(klein, limit=0)
-    # The small ceilings hold only inside this block: the larger algebras
-    # below need the real one for their associativity check.  Klein's width
-    # is a rank, so the search that the ceiling guards is called directly.
-    with monkeypatch.context() as patch:
-        # The seen sets start with {identity}, 4 bytes; the first level adds more.
-        patch.setattr(linalg, "MAX_BLOCK_BYTES", klein.order)
-        with pytest.raises(ResourceLimitError, match="order 4 holds 8 bytes .* limit of 4 bytes"):
-            finite._search_width(klein_table, 8)
-        # It ends holding the identity and the three subgroups of order 2.
-        patch.setattr(linalg, "MAX_BLOCK_BYTES", 4 * klein.order)
-        assert finite._search_width(klein_table, 8) == 2
 
 
 def test_every_size_refusal_is_a_resource_limit_error():
@@ -507,15 +494,15 @@ def test_every_size_refusal_is_a_resource_limit_error():
 
 
 def test_cyclic_width_refusal_is_the_same_under_every_hash_seed():
-    """The frontier keeps first-seen order, so the search stops at the same set."""
-    # Small blocks split the frontier, so its order decides what each block adds.
+    """The witness draws from a seeded generator, so its bracket does not follow hashing."""
     script = "\n".join([
-        "from adjointalg import AdjointGroup, finite, linalg",
-        "linalg.MAX_BLOCK_BYTES, finite._BLOCK_ENTRIES = 38000, 512",
+        "from adjointalg import AdjointGroup, finite",
+        "alg = finite.direct_sum(",
+        "    finite.truncated_polynomial_algebra(3, 5), finite.strictly_upper_triangular_algebra(3, 3)",
+        ")",
         "try:",
-        "    group = AdjointGroup(finite.truncated_polynomial_algebra(2, 8))",
-        "    finite._search_width(group.multiplication_index_table(), 8)",
-        "except linalg.ResourceLimitError as exc:",
+        "    finite.cyclic_width(AdjointGroup(alg))",
+        "except ValueError as exc:",
         "    print(exc)",
     ])
     src = str(Path(finite.__file__).parents[1])
@@ -527,7 +514,7 @@ def test_cyclic_width_refusal_is_the_same_under_every_hash_seed():
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
         )
         texts.append(run.stdout)
-    assert "order 128 holds" in texts[0]
+    assert "order 2187 is in [5, 6]" in texts[0]
     assert texts[0] == texts[1]
 
 
@@ -644,10 +631,9 @@ def test_group_table_and_powers_match_brute_routes(case, grid, pick):
     least d(G) = log_p [G : G^p [G, G]] cyclic factors, and an abelian one
     is a product of exactly d(G) cyclic groups.  The pure-Python frozenset
     search for the width is slow beyond order 64, so it runs on the smaller
-    groups only.  Above that there are two nonabelian groups: ut(3) over F_5
-    (order 125, width 3, which ``_search_width`` confirms) and
+    groups and on ut(3) over F_5 (order 125, width 3, about 0.4 s) only.
     poly(3) + ut(3) over F_3 (order 243), whose exponent 3 needs 5 cyclic
-    factors and whose width, 5, the search refuses after seconds.
+    factors, has width 5, which that search takes far longer to confirm.
     """
     p, spec = case
     alg = in_random_basis(family(p, spec), grid, 8)
@@ -660,12 +646,10 @@ def test_group_table_and_powers_match_brute_routes(case, grid, pick):
     assert group.exponent() == brute_exponent(alg)
     abelian = all(expected[i][j] == expected[j][i] for i in range(len(elements)) for j in range(i))
     width = cyclic_width(group)
-    if len(elements) <= 64:
+    if len(elements) <= 64 or not abelian and len(elements) == 125:
         assert width == brute_cyclic_width(expected, 8)
-    elif not abelian and len(elements) == 243:
-        assert width == 5
     elif not abelian:
-        assert width == finite._search_width(group.multiplication_index_table(), 8) == 3
+        assert width == 5
     d = frattini_rank(expected, p)
     assert d <= width
     if abelian:
@@ -704,21 +688,22 @@ NONCOMMUTATIVE = [
     st.lists(st.integers(0, 6), min_size=81, max_size=81),
 )
 @example((2, ("sum", ("poly", 2), ("poly", 2))), [0] * 81)
-def test_frobenius_route_matches_the_search_and_the_population(case, grid):
+def test_frobenius_route_matches_burnside_and_the_population(case, grid):
     """Commutative algebras in random bases: the Frobenius route against the element-level one.
 
-    The search is the fallback of noncommutative widths and the population
-    chain the route of their exponents; here they are the oracle of the rank
-    and the matrix powers.
+    An abelian p-group is a product of exactly d(G) cyclic groups (Burnside),
+    d(G) read off the group table, and the population chain is the route of
+    noncommutative exponents; here they are the oracle of the rank and the
+    matrix powers.
     """
     p, spec = case
     alg = in_random_basis(family(p, spec), grid, 9)
     assert alg.frobenius is not None
     group = AdjointGroup(alg)
-    table = group.multiplication_index_table()
-    assert cyclic_width(group) == finite._search_width(table, 8)
-    # A small limit: the width when it is at most 2, else None from both.
-    assert cyclic_width(group, limit=2) == finite._search_width(table, 2)
+    width = cyclic_width(group)
+    assert width == max(frattini_rank(group.multiplication_index_table().tolist(), p), 1)
+    # A small limit: the width when it is at most 2, else None.
+    assert cyclic_width(group, limit=2) == (width if width <= 2 else None)
     assert alg.quotient_exponents == finite._population_exponents(alg)
 
 
@@ -737,63 +722,54 @@ def test_noncommutative_algebras_have_no_frobenius_map(case, grid):
     st.sampled_from(NONCOMMUTATIVE),
     st.lists(st.integers(0, 4), min_size=81, max_size=81),
 )
-# ut(3) over F_2 is the dihedral group of order 8: a C4 times a C2, but no two
-# C4s, so a witness drawing only the largest cyclic subgroups never covers it.
+# ut(3) over F_2 is the dihedral group of order 8, of width L = 2: the witness
+# draws only maximal cyclic subgroups, and a C4 times a reflection's C2 covers it.
 @example((2, ("ut", 3)), [0] * 81)
-def test_bound_and_witness_match_the_search(case, grid):
-    """Noncommutative algebras in random bases: the width against the search and the brute route.
+def test_bound_and_witness_match_the_frozen_widths(case, grid):
+    """Noncommutative algebras in random bases: the width against frozen widths and the brute route.
 
-    L (``_width_bound``) and the Frattini rank d(G) are lower bounds, and L
-    is never below the least m with exp(G)^m >= |G|.  Up to order 125 the
-    search answers at limits 8 and 2; above that it is run at limit 2 only,
-    where it answers None at once (at limit 8 it is refused after seconds,
-    and on order 3125 at both).  ut(4) over F_3 (order 729, exponent 9)
-    has width 5: the power chain gives L = 5 where the exponent gives 3,
-    and the witness closes there.  Past the table ceiling both routes refuse.
+    Width is a group invariant, so ``SMALL_NONCOMMUTATIVE_WIDTHS`` holds in
+    every basis.  L (``_width_bound``) and the Frattini rank d(G) are lower
+    bounds, and L is never below the least m with exp(G)^m >= |G|.  ut(4)
+    over F_3 (order 729, exponent 9) has width 5: the power chain gives
+    L = 5 where the exponent gives 3, and the witness closes there.  The
+    brute search runs where it is fast: up to order 64, and on ut(3) over
+    F_5 (order 125, about 0.4 s), not on poly(2) + ut(3) over F_3 (order
+    81, about 5 s).  Past the table ceiling the width is refused.
     """
     p, spec = case
     alg = in_random_basis(family(p, spec), grid, 9)
     group = AdjointGroup(alg)
     if group.order > finite.MAX_GROUP_ORDER:
-        for width in (
-            lambda: cyclic_width(group),
-            lambda: finite._search_width(group.multiplication_index_table(), 8),
-        ):
-            with pytest.raises(ResourceLimitError, match="^group order .* exceeds the limit 4096$"):
-                width()
+        with pytest.raises(ResourceLimitError, match="^group order .* exceeds the limit 4096$"):
+            cyclic_width(group)
         return
     width = cyclic_width(group)
+    assert width == SMALL_NONCOMMUTATIVE_WIDTHS.get((p, spec), width)
     bound = finite._width_bound(alg)
     assert bound <= width
     exponent = alg.quotient_exponents[-1]
     assert exponent**bound >= group.order
+    assert cyclic_width(group, limit=2) == (width if width <= 2 else None)
     table = group.multiplication_index_table()
     if group.order <= 125:
-        assert width == finite._search_width(table, 8)
-        assert cyclic_width(group, limit=2) == finite._search_width(table, 2)
         # No draw of fewer subgroups than the width covers the group.
         assert width == 1 or not finite._witness(table, p, width - 1)
-    elif group.order <= 729:
-        assert cyclic_width(group, limit=2) is None
-        assert finite._search_width(table, 2) is None
     table = table.tolist()
-    if group.order <= 64:
+    if group.order <= 64 or spec == ("ut", 3):
         assert width == brute_cyclic_width(table, 8)
     if group.order <= 729:
         assert frattini_rank(table, p) <= width
 
 
-def test_the_witness_answers_groups_the_search_refuses(monkeypatch):
-    """Widths 5 and 6 at orders 243 to 1024, with no search, and every workload shape likewise.
+def test_the_witness_answers_groups_the_search_refuses():
+    """Widths 5 and 6 at orders 243 to 1024, and every workload shape likewise.
 
-    On ut(5) over F_2 and ut(4) over F_3 the exponent alone gives L = 4 and
-    3; the power chain gives 5, from R/R^4 of order 2^9 and exponent 4, and
-    from R/R^3 of order 3^5 and exponent 3.
+    A breadth-first search over product sets runs out of memory on the
+    first two.  On ut(5) over F_2 and ut(4) over F_3 the exponent alone
+    gives L = 4 and 3; the power chain gives 5, from R/R^4 of order 2^9 and
+    exponent 4, and from R/R^3 of order 3^5 and exponent 3.
     """
-    def refuse(table, limit):
-        raise AssertionError("the width was searched")
-
-    monkeypatch.setattr(finite, "_search_width", refuse)
     ut3, poly = strictly_upper_triangular_algebra(3, 3), truncated_polynomial_algebra
     assert cyclic_width(AdjointGroup(direct_sum(ut3, poly(3, 3)))) == 5
     assert cyclic_width(AdjointGroup(direct_sum(ut3, ut3))) == 6
@@ -833,16 +809,26 @@ def test_the_width_reads_no_population(monkeypatch):
         assert cyclic_width(AdjointGroup(family(p, spec))) == width, (p, spec)
 
 
-def test_without_a_witness_the_width_is_searched(monkeypatch):
-    searched = []
-    search = finite._search_width
+def test_without_a_witness_the_width_is_refused_with_its_bound(monkeypatch):
     monkeypatch.setattr(finite, "_WITNESS_DRAWS", 0)
-    monkeypatch.setattr(
-        finite, "_search_width", lambda *args: searched.append(args) or search(*args)
-    )
-    for size, width in [(3, 2), (4, 3)]:
-        assert cyclic_width(AdjointGroup(strictly_upper_triangular_algebra(2, size))) == width
-    assert len(searched) == 2
+    for size, order, bound in [(3, 8, 2), (4, 64, 3)]:
+        group = AdjointGroup(strictly_upper_triangular_algebra(2, size))
+        with pytest.raises(ValueError, match=(
+            rf"^cyclic width of a group of order {order} is in \[{bound}, \?\]: no witness draw"
+            rf" of {bound} cyclic subgroups covers it, nor does one of up to 8$"
+        )):
+            cyclic_width(group)
+
+
+def test_a_width_the_witness_misses_at_the_bound_is_bracketed():
+    """poly(5) + ut(3) over F_3, order 2187: L = 5, and a draw covers it at 6, not at 5."""
+    poly5, ut3 = truncated_polynomial_algebra(3, 5), strictly_upper_triangular_algebra(3, 3)
+    for alg in (direct_sum(poly5, ut3), direct_sum(ut3, poly5)):
+        with pytest.raises(ValueError, match=(
+            r"^cyclic width of a group of order 2187 is in \[5, 6\]: no witness draw of 5"
+            r" cyclic subgroups covers it, one of 6 does$"
+        )):
+            cyclic_width(AdjointGroup(alg))
 
 
 #: Shapes for the circle-power kernel: poly, ut and their sums, with p at or past the class too.
