@@ -48,7 +48,9 @@ Neither needs the elements, so neither guard below applies to it.
 Any other algebra goes the element-level way.  Its exponent chain takes
 p-th circle powers of all p^dim elements, guarded by ``MAX_POPULATION``.
 Its width takes two steps on the group table, which is guarded by
-``MAX_GROUP_ORDER``:
+``MAX_GROUP_ORDER``.  Both read one array of element rows (``_population``),
+built once per algebra in ``elements()`` order from one place-value vector.
+The width's two steps are:
 
 - a lower bound L from ranks alone, the larger of two.  Let K be the ideal
   generated by the commutators ab - ba.  R/K is commutative, and R -> R/K
@@ -73,7 +75,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-import operator
 import random
 
 import numpy as np
@@ -228,27 +229,24 @@ class FiniteNilAlgebra:
         """All p^dim elements as coefficient tuples, in mixed-radix order."""
         return product(range(self.p), repeat=self.dim)
 
-    def element_index(self, v):
-        """The position of v in ``elements()``: v must have dim entries in 0..p - 1."""
-        v = tuple(map(operator.index, v))
-        if len(v) != self.dim or not all(0 <= c < self.p for c in v):
-            raise ValueError(f"element {v} is not {self.dim} entries in 0..{self.p - 1}")
-        i = 0
-        for c in v:
-            i = i * self.p + c
-        return i
+    @cached_property
+    def _place_values(self):
+        """p^(dim - 1), ..., p, 1: row @ these is the row's index in ``elements()``.
 
-    def element_at(self, index):
-        """The element at position ``index`` of ``elements()``, which must be in 0..p^dim - 1."""
-        # Python ints: p^dim passes int64 long before the dimension ceiling.
-        index, size = operator.index(index), self.p**self.dim
-        if not 0 <= index < size:
-            raise ValueError(f"element index {index} is outside 0..{size - 1}")
-        digits = []
-        for _ in range(self.dim):
-            index, c = divmod(index, self.p)
-            digits.append(c)
-        return tuple(reversed(digits))
+        Guarded by ``MAX_POPULATION``, which also keeps each p^k in int64.
+        """
+        size = self.p**self.dim
+        if size > MAX_POPULATION:
+            raise linalg.ResourceLimitError(f"population size {size} exceeds {MAX_POPULATION}")
+        return self.p ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
+
+    @cached_property
+    def _population(self):
+        """Row i is the i-th element of ``elements()``, read-only (``_place_values`` guards it)."""
+        place_values = self._place_values
+        population = np.arange(self.p**self.dim, dtype=np.int64)[:, None] // place_values % self.p
+        population.flags.writeable = False
+        return population
 
     def to_json_dict(self):
         return {
@@ -281,6 +279,9 @@ def algebra_from_json(data):
     for key in ("labels", "mul"):
         if not isinstance(data.get(key), list):
             raise ValueError(f"algebra field {key!r} must be a list")
+    if not data["mul"] and not data["labels"]:
+        # The zero-dimensional algebra, whose empty table numpy reads as float64.
+        return FiniteNilAlgebra(data["p"], (), np.zeros((0, 0, 0), dtype=np.int64))
     try:
         table = np.asarray(data["mul"])
     except ValueError as exc:
@@ -359,8 +360,7 @@ class AdjointGroup:
         if n > MAX_GROUP_ORDER:
             raise linalg.ResourceLimitError(f"group order {n} exceeds the limit {MAX_GROUP_ORDER}")
         alg = self.algebra
-        mat = np.array(list(alg.elements()), dtype=np.int64)
-        weights = alg.p ** np.arange(alg.dim - 1, -1, -1, dtype=np.int64)
+        mat, weights = alg._population, alg._place_values
         out = np.empty((n, n), dtype=np.int64)
         # Each row of a block takes n * dim entries of products.
         step = max(1, _BLOCK_ENTRIES // (n * max(alg.dim, 1)))
@@ -477,12 +477,8 @@ def _exponent_chain(algebra, rows, pth_power):
 
 def _population_exponents(algebra):
     """The quotient exponents from p-th circle powers of all p^dim elements, for any algebra."""
-    size = algebra.p**algebra.dim
-    if size > MAX_POPULATION:
-        raise linalg.ResourceLimitError(f"population size {size} exceeds {MAX_POPULATION}")
-    population = np.array(list(algebra.elements()), dtype=np.int64)
     return _exponent_chain(
-        algebra, population, lambda rows: _circle_pow_rows(algebra, rows, algebra.p)
+        algebra, algebra._population, lambda rows: _circle_pow_rows(algebra, rows, algebra.p)
     )
 
 

@@ -509,6 +509,18 @@ def test_width_from_algebra_file_with_tight_limit(capsys, tmp_path):
     assert json.loads(out)["width"] == 2
 
 
+def test_the_zero_dimensional_algebra_file_answers_as_its_family(capsys, tmp_path):
+    # poly(2, 1) has no basis: its file holds "mul": [], which numpy reads as float64.
+    path = tmp_path / "dim0.json"
+    path.write_text(json.dumps(truncated_polynomial_algebra(2, 1).to_json_dict()))
+    code, out, _ = run_cli(capsys, "width", "--algebra-file", str(path), "--format", "text")
+    assert code == 0
+    assert out == "order: 1\nwidth: 1\n"
+    code, out, _ = run_cli(capsys, "exponent", "--algebra-file", str(path))
+    assert code == 0
+    assert out == run_cli(capsys, "exponent", "--family", "poly", "--n", "1")[1]
+
+
 def test_width_the_witness_misses_is_a_usage_error_with_its_bracket(capsys, tmp_path):
     # Order 2187: the bound is 5, and a witness draw covers the group at 6 but not at 5.
     alg = direct_sum(truncated_polynomial_algebra(3, 5), strictly_upper_triangular_algebra(3, 3))

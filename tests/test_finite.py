@@ -1,10 +1,12 @@
 """Finite nilpotent algebras: structure validation, adjoint groups, bounds, width."""
 
+import json
 import os
 import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -283,29 +285,63 @@ def test_products_near_the_modulus_limit_are_exact():
     assert alg.circle(u, alg.circle_inv(u)) == alg.zero()
 
 
-def test_element_indexing_round_trip():
-    alg = truncated_polynomial_algebra(3, 3)
-    for i, v in enumerate(alg.elements()):
-        assert alg.element_index(v) == i
-        assert alg.element_at(i) == v
+#: poly, ut and direct sums at p in {2, 3, 5}, the zero-dimensional poly(p, 1) among them.
+ELEMENT_ORDER_SHAPES = [
+    (p, spec)
+    for p in (2, 3, 5)
+    for spec in [
+        ("poly", 1), ("poly", 4), ("ut", 3), ("sum", ("poly", 1), ("ut", 3)),
+        ("sum", ("poly", 2), ("ut", 3)), ("sum", ("ut", 3), ("poly", 3)),
+    ]
+]
 
 
-def test_element_indexing_refuses_what_it_would_wrap():
-    alg = truncated_polynomial_algebra(2, 4)  # order 8
-    for index in (8, -1):
-        with pytest.raises(ValueError, match=f"^element index {index} is outside 0..7$"):
-            alg.element_at(index)
-    for v in [(2, 0, 0), (0, -1, 0), (1, 0), (0, 0, 0, 0)]:
-        with pytest.raises(ValueError, match=r"is not 3 entries in 0\.\.1$"):
-            alg.element_index(v)
-    # p^dim passes int64 here, so the bounds must be Python ints.
-    p = 16777213
-    big = truncated_polynomial_algebra(p, 30)
-    top = (p - 1,) * 29
-    assert big.element_index(top) == p**29 - 1
-    assert big.element_at(p**29 - 1) == top
-    with pytest.raises(ValueError, match="outside"):
-        big.element_at(p**29)
+@pytest.mark.parametrize("p,spec", ELEMENT_ORDER_SHAPES)
+def test_population_rows_are_the_elements_in_order(p, spec):
+    """Row i of the population is the i-th element, and a row @ the place values is its index."""
+    alg = family(p, spec)
+    population = alg._population
+    assert population.dtype == np.int64 and not population.flags.writeable
+    assert population.shape == (p**alg.dim, alg.dim)
+    assert list(map(tuple, population.tolist())) == list(alg.elements())
+    assert np.array_equal(population @ alg._place_values, np.arange(p**alg.dim))
+
+
+def test_population_past_its_ceiling_is_refused_before_allocation():
+    """The population is refused before any row is built.
+
+    ut(6) over F_2 has order 32768 (3.9 MB of rows); poly(30) over the largest
+    prime would have place values past int64.
+    """
+    for alg in (strictly_upper_triangular_algebra(2, 6), truncated_polynomial_algebra(16777213, 30)):
+        refusal = f"^population size {alg.p**alg.dim} exceeds 16384$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=refusal):
+                alg._population
+            with pytest.raises(ResourceLimitError, match=refusal):
+                finite._population_exponents(alg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert "_population" not in vars(alg) and "_place_values" not in vars(alg)
+
+
+def test_the_group_table_and_the_exponents_share_one_population(monkeypatch):
+    """Neither reads elements(); the table builds the rows and the exponent chain reuses them."""
+    alg = direct_sum(truncated_polynomial_algebra(3, 3), strictly_upper_triangular_algebra(3, 3))
+    expected = brute_exponent(alg)
+    chained = []
+    chain = finite._exponent_chain
+    monkeypatch.setattr(
+        finite, "_exponent_chain", lambda *args: chained.append(args[1]) or chain(*args)
+    )
+    monkeypatch.setattr(FiniteNilAlgebra, "elements", None)
+    AdjointGroup(alg).multiplication_index_table()
+    population = vars(alg)["_population"]
+    assert alg.quotient_exponents[-1] == expected
+    assert len(chained) == 1 and chained[0] is population
 
 
 def test_multiplication_table_is_a_group_table():
@@ -315,10 +351,11 @@ def test_multiplication_table_is_a_group_table():
     alg = group.algebra
     rows = alg.table.tolist()
     elements = list(alg.elements())
+    index = {e: i for i, e in enumerate(elements)}
     for i in range(n):
         for j in range(n):
             expected = brute_circle(rows, alg.p, elements[i], elements[j])
-            assert table[i, j] == alg.element_index(expected)
+            assert table[i, j] == index[expected]
     for i in range(n):
         assert sorted(table[i]) == list(range(n))
         assert sorted(table[:, i]) == list(range(n))
@@ -529,6 +566,13 @@ def test_cyclic_width_is_monotone_along_quotients():
 
 
 def test_json_round_trip():
+    """Every family, the zero-dimensional algebra (an empty table) among them, reads back as itself."""
+    for p, spec in ELEMENT_ORDER_SHAPES:
+        alg = family(p, spec)
+        again = algebra_from_json(json.loads(json.dumps(alg.to_json_dict())))
+        assert (again.p, again.labels) == (alg.p, alg.labels)
+        assert again.table.dtype == np.int64 and np.array_equal(again.table, alg.table)
+        assert again.quotient_exponents == alg.quotient_exponents
     alg = strictly_upper_triangular_algebra(3, 3)
     again = algebra_from_json(alg.to_json_dict())
     assert again.p == alg.p
@@ -550,10 +594,11 @@ def test_json_round_trip():
         [[[True]]],
         [[[2**63]]],
         [[[0, True], [0, 0]], [[0, 0], [0, 0]]],
+        [],
     ],
     ids=[
         "null-entry", "entry-past-int64", "ragged", "fraction", "float", "string", "bool", "uint64",
-        "bool-among-ints",
+        "bool-among-ints", "empty-under-a-label",
     ],
 )
 def test_json_table_that_numpy_cannot_read_names_the_field(mul):
@@ -588,7 +633,7 @@ def test_numpy_integer_modulus_answers_as_the_python_int(p, n):
     assert np.array_equal(alg.frobenius, ref.frobenius)
     assert cyclic_width(AdjointGroup(alg), limit=64) == cyclic_width(AdjointGroup(ref), limit=64)
     assert exp_bound_check(alg) == exp_bound_check(ref)
-    u = alg.element_at(alg.p - 1)
+    u = alg.zero()[1:] + (alg.p - 1,)  # position p - 1 of elements(), too long to list here
     assert alg.circle_pow(u, -3) == ref.circle_pow(u, -3)
 
 
