@@ -31,7 +31,6 @@ from .factorization import (
     FactorizationTrace,
     correction_step,
     factor_to_valuation,
-    initial_factorization,
     trace_to_json,
 )
 from .graded import (

@@ -35,7 +35,9 @@ MIN_RELATION_DEGREE = 14
 _NO_DEGREES_YET = MIN_RELATION_DEGREE - 1
 
 def torsion_exponent(p):
-    """Smallest alpha >= 1 with p^alpha >= 7."""
+    """Smallest alpha >= 1 with p^alpha >= 7; a p below 2 is refused."""
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
     alpha = 1
     while p**alpha < 7:
         alpha += 1
@@ -119,8 +121,10 @@ def build_j_generators(p, cap):
     :class:`~adjointalg.linalg.ResourceLimitError` if their terms, at most
     every word of degree q*d for each class, would take more bytes than
     ``linalg.MAX_GF2_BLOCK_BYTES``.  The sum stops at the first degree past
-    that ceiling, so even a huge cap is refused at once.
+    that ceiling, so even a huge cap is refused at once.  A p that is not
+    prime or a cap below 1 is refused first.
     """
+    p = check_context(p, cap)
     q = p ** torsion_exponent(p)
     terms, limit = 0, linalg.MAX_GF2_BLOCK_BYTES
     for d in range(1, cap // q + 1):

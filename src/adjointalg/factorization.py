@@ -11,15 +11,14 @@ reaches m writes 1 + a as a product of homogeneous factors times
 zero and the factorization is exact in the truncated algebra.
 
 The seed, which is the round from the residual -a, and every correction
-round run one loop.  It seeds the product once from 1 + a + residual, one
-plain-int term dict per degree, and carries it through every round.  A
-factor 1 + h of degree e adds prod_d * h into prod_(d + e) by
-``freealg._accumulate`` for d from cap - e down to 0: top degree first,
-every slice is read before anything is added to it, so prod + prod * h is
-built in place.  A coefficient is reduced mod p when it is read, never in
-prod.  The residual, prod - 1 - a, is read from the round's valuation up,
-the least degree the round can change, into the slices the next round
-reads as they are.
+round run one loop.  The run starts from the product 1, one plain-int term
+dict per degree, and carries it through every round.  A factor 1 + h of
+degree e adds prod_d * h into prod_(d + e) by ``freealg._accumulate`` for
+d from cap - e down to 0: top degree first, every slice is read before
+anything is added to it, so prod + prod * h is built in place.  A
+coefficient is reduced mod p when it is read, never in prod.  The residual,
+prod - 1 - a, is read from the round's valuation up, the least degree the
+round can change, into the slices the next round reads as they are.
 """
 
 from __future__ import annotations
@@ -52,24 +51,37 @@ class FactorizationTrace:
         return one(self.target.p, self.target.cap) + self.target + self.residual
 
 
-def _correct(a, factors, residual, steps, m, rounds):
-    """Up to ``rounds`` rounds from a trace's factors, residual slices and steps.
+def correction_step(trace):
+    """One round: cancel every homogeneous slice of the residual, lowest degree first.
 
-    Each appends one factor per residual slice, ascending in degree, and counts a step;
-    they stop at a zero residual or after one that reaches valuation m.
+    Each round strictly raises the residual valuation, so the round after a trace is the
+    run from its target to one past its valuation.  A zero residual returns the trace.
     """
+    if trace.residual.is_zero:
+        return trace
+    return factor_to_valuation(trace.target, trace.residual_valuation + 1)
+
+
+def factor_to_valuation(a, m):
+    """Correct until the residual valuation is at least m (1 <= m <= cap + 1).
+
+    At most m rounds are needed; m = cap + 1 forces a residual of exactly
+    zero, i.e. an exact factorization of 1 + a in the truncated algebra.
+    """
+    if not 1 <= m <= a.cap + 1:
+        raise ValueError(f"target valuation must lie in 1..{a.cap + 1}, got {m}")
+    if a.constant_term:
+        raise ValueError("factorization targets must have zero constant term")
     p, cap = a.p, a.cap
     target = a._slices
     prod = [{} for _ in range(cap + 1)]
     prod[0][""] = 1
-    for d, part in [*target.items(), *residual.items()]:
-        slot = prod[d]
-        for w, c in part.items():
-            slot[w] = slot.get(w, 0) + c
-    factors = list(factors)
-    for _ in range(rounds):
-        if not residual:
-            break
+    factors = []
+    # The seed is the round from the residual -a, whose negated slices are those of a.  It
+    # counts no correction step, so it starts from step -1; a zero a runs no round.
+    residual = (-a)._slices
+    steps = 0 if a.is_zero else -1
+    while residual:
         low = min(residual)
         for e in sorted(residual):
             h = {w: p - c for w, c in residual[e].items()}
@@ -77,7 +89,8 @@ def _correct(a, factors, residual, steps, m, rounds):
             for d in range(cap - e, -1, -1):
                 if prod[d]:
                     _accumulate(prod[d + e], prod[d], h, p)
-        # Below low the round changed nothing and the residual was already zero.
+        # Below low the round changed nothing and the residual was already zero.  Only words
+        # of prod are read: the seed adds a's slices to prod_0 = 1, so every word of a is one.
         residual = {}
         for d in range(low, cap + 1):
             if less := target.get(d):
@@ -94,41 +107,7 @@ def _correct(a, factors, residual, steps, m, rounds):
             )
         if after >= m:
             break
-    return FactorizationTrace(a, tuple(factors), TruncatedPoly._from_view(p, cap, residual), steps)
-
-
-def initial_factorization(a):
-    """Seed trace: one factor 1 + a_d per homogeneous slice of a, ascending degree.
-
-    Its residual has no constant term, so it is the trace to valuation 1.
-    """
-    return factor_to_valuation(a, 1)
-
-
-def correction_step(trace):
-    """One round: cancel every homogeneous slice of the residual, lowest degree first.
-
-    The returned trace has strictly larger residual valuation (or an
-    already-zero residual, in which case the trace is returned unchanged).
-    """
-    if trace.residual.is_zero:
-        return trace
-    return _correct(trace.target, trace.factors, trace.residual._slices, trace.steps, INFINITY, 1)
-
-
-def factor_to_valuation(a, m):
-    """Correct until the residual valuation is at least m (1 <= m <= cap + 1).
-
-    At most m rounds are needed; m = cap + 1 forces a residual of exactly
-    zero, i.e. an exact factorization of 1 + a in the truncated algebra.
-    """
-    if not 1 <= m <= a.cap + 1:
-        raise ValueError(f"target valuation must lie in 1..{a.cap + 1}, got {m}")
-    if a.constant_term:
-        raise ValueError("factorization targets must have zero constant term")
-    # The seed is the round from the residual -a, whose negated slices are those of a.  It
-    # counts no correction step, so it starts from step -1; a zero a runs no round.
-    trace = _correct(a, (), (-a)._slices, 0 if a.is_zero else -1, m, m + 1)
+    trace = FactorizationTrace(a, tuple(factors), TruncatedPoly._from_view(p, cap, residual), steps)
     if trace.residual_valuation < m:
         raise AssertionError(f"factorization failed to reach valuation {m}")
     return trace

@@ -450,7 +450,8 @@ class TruncatedPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        # A numpy integer is read as a Python int, whose bits the loop walks.
+        if not hasattr(k, "__index__") or (k := operator.index(k)) < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {k}")
         if k == 0:
             return one(self.p, self.cap)

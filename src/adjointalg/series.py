@@ -127,6 +127,8 @@ class GeneratorCensus:
         items = counts.items() if hasattr(counts, "items") else counts
         clean = {}
         for n, r in sorted(items):
+            if type(r) is not int:
+                raise ValueError(f"relation count at degree {n} must be an integer, got {r!r}")
             if r < 0:
                 raise ValueError(f"negative relation count {r} at degree {n}")
             if r == 0:

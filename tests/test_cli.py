@@ -424,7 +424,7 @@ def test_a_bad_modulus_or_cap_is_refused_before_any_work(capsys, monkeypatch, ar
     def broken(p):
         raise AssertionError("the construction ran")
 
-    # torsion_exponent never returns for p < 2, so the refusal must come first.
+    # The refusal comes before any construction work.
     monkeypatch.setattr(construction, "torsion_exponent", broken)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -1,6 +1,10 @@
 """Generator construction: enumeration order, torsion powers, runs, and certificates."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +43,29 @@ def test_torsion_exponent():
         11: 1,
         13: 1,
     }
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        ("torsion_exponent(1)", "p must be at least 2, got 1"),
+        ("torsion_exponent(0)", "p must be at least 2, got 0"),
+        ("build_j_generators(1, 8)", "p must be prime, got 1"),
+        ("build_j_generators(4, 8)", "p must be prime, got 4"),
+        ("build_j_generators(2, 0)", "degree cap must be at least 1, got 0"),
+    ],
+)
+def test_torsion_generators_refuse_a_bad_modulus(call, message):
+    """In a child process with a timeout, so a call that never returns fails the test."""
+    src = str(Path(construction.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    script = f"from adjointalg import build_j_generators, torsion_exponent\n{call}"
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 1
+    assert run.stderr.splitlines()[-1] == f"ValueError: {message}"
 
 
 def test_projective_class_counts():

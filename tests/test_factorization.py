@@ -11,7 +11,6 @@ from adjointalg import (
     TruncatedPoly,
     correction_step,
     factor_to_valuation,
-    initial_factorization,
     one,
     parse_poly,
     trace_to_json,
@@ -24,7 +23,7 @@ from oracle import polys
 
 def test_seed_for_two_slice_target():
     a = parse_poly("x + x^2", 2, 6)
-    trace = initial_factorization(a)
+    trace = factor_to_valuation(a, 1)
     assert [str(h) for h in trace.factors] == ["x", "x^2"]
     assert str(trace.residual) == "x^3"
     assert trace.steps == 0
@@ -33,7 +32,7 @@ def test_seed_for_two_slice_target():
 
 
 def test_first_correction_round_for_two_slice_target():
-    trace = correction_step(initial_factorization(parse_poly("x + x^2", 2, 6)))
+    trace = correction_step(factor_to_valuation(parse_poly("x + x^2", 2, 6), 1))
     assert trace.steps == 1
     assert [str(h) for h in trace.factors] == ["x", "x^2", "x^3"]
     assert str(trace.residual) == "x^4 + x^5 + x^6"
@@ -42,7 +41,7 @@ def test_first_correction_round_for_two_slice_target():
 
 def test_noncommutative_correction_rounds():
     a = parse_poly("x + xy", 2, 5)
-    seed = initial_factorization(a)
+    seed = factor_to_valuation(a, 1)
     assert str(seed.residual) == "x^2y"
     once = correction_step(seed)
     assert str(once.residual) == "x^3y + xyx^2y"
@@ -60,7 +59,7 @@ def test_correction_on_exact_trace_is_identity():
 
 def test_constant_term_rejected():
     with pytest.raises(ValueError, match="constant"):
-        initial_factorization(parse_poly("1 + x", 2, 4))
+        factor_to_valuation(parse_poly("1 + x", 2, 4), 1)
 
 
 def test_target_valuation_window():
@@ -81,7 +80,7 @@ def test_homogeneous_target_factors_immediately():
 
 
 def test_valuation_strictly_increases_per_round():
-    trace = initial_factorization(parse_poly("x + y^2 + xyx", 2, 6))
+    trace = factor_to_valuation(parse_poly("x + y^2 + xyx", 2, 6), 1)
     seen = [trace.residual_valuation]
     while not trace.residual.is_zero:
         trace = correction_step(trace)
@@ -120,7 +119,7 @@ def _subset_correction_residual(trace):
     ],
 )
 def test_correction_matches_subset_closed_form(text, p, cap):
-    trace = initial_factorization(parse_poly(text, p, cap))
+    trace = factor_to_valuation(parse_poly(text, p, cap), 1)
     while not trace.residual.is_zero:
         stepped = correction_step(trace)
         assert stepped.residual == _subset_correction_residual(trace)
@@ -241,13 +240,13 @@ def test_stepping_api_matches_the_naive_product_loop(a):
     """The seed, then one correction round at a time, yields every naive trace in turn.
 
     So does one round after ``factor_to_valuation(a, m)`` for every m short of an
-    exact trace: both entry points seed the product from a trace's own residual.
+    exact trace.
     """
     def as_reference(trace):
         return [h.terms for h in trace.factors], trace.residual.terms, trace.steps
 
     rounds = list(_reference_rounds(a.terms, a.p, a.cap))
-    trace = initial_factorization(a)
+    trace = factor_to_valuation(a, 1)
     for reference in rounds:
         assert as_reference(trace) == reference
         trace = correction_step(trace)
@@ -261,7 +260,7 @@ def test_stepping_api_matches_the_naive_product_loop(a):
 @given(factorization_targets())
 def test_correction_step_leaves_its_trace_unchanged(a):
     """A round on a trace twice gives equal traces, and the trace's terms stay as they were."""
-    trace = initial_factorization(a)
+    trace = factor_to_valuation(a, 1)
     while not trace.residual.is_zero:
         before = (a.terms, [h.terms for h in trace.factors], trace.residual.terms)
         stepped = correction_step(trace)
@@ -270,9 +269,26 @@ def test_correction_step_leaves_its_trace_unchanged(a):
         trace = stepped
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_correction_step_is_the_run_to_the_next_valuation(data):
+    """On every trace a run visits, one round equals the run to one past its valuation."""
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    cap = data.draw(st.integers(1, 8))
+    a = data.draw(polys(p=p, cap=cap, max_terms=5, allow_const=False))
+    trace = factor_to_valuation(a, 1)
+    while not trace.residual.is_zero:
+        stepped = correction_step(trace)
+        rerun = factor_to_valuation(trace.target, trace.residual_valuation + 1)
+        assert (stepped.factors, stepped.residual, stepped.steps) == (
+            rerun.factors, rerun.residual, rerun.steps
+        )
+        trace = stepped
+
+
 def test_zero_target_has_no_factors():
     zero = parse_poly("0", 3, 5)
-    for trace in (initial_factorization(zero), factor_to_valuation(zero, 1)):
+    for trace in (factor_to_valuation(zero, 1), factor_to_valuation(zero, 6)):
         assert trace.factors == ()
         assert trace.residual.is_zero
         assert trace.steps == 0

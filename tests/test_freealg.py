@@ -89,6 +89,20 @@ def test_numpy_integer_modulus_is_stored_as_the_python_int(p):
     assert type((poly * poly).p) is int
 
 
+@pytest.mark.parametrize("k", [np.int64(3), np.int32(0), np.uint8(2), np.int64(-2)])
+def test_numpy_integer_exponents_equal_their_python_int_forms(k):
+    a = TruncatedPoly(3, 6, {"x": 1, "xy": 2, "yxy": 1})
+    assert circle_pow(a, k) == circle_pow(a, int(k))
+    if k >= 0:
+        assert a**k == a ** int(k)
+
+
+@pytest.mark.parametrize("k", [2.0, np.float64(2.0), -1, np.int64(-1), "2"])
+def test_an_exponent_that_is_not_a_nonnegative_integer_is_refused(k):
+    with pytest.raises(ValueError, match="^exponent must be a nonnegative integer, got "):
+        TruncatedPoly(3, 6, {"x": 1}) ** k
+
+
 @pytest.mark.parametrize("p", [43.0, np.float64(3.0), "3", None])
 def test_non_integer_modulus_is_refused_by_name(p):
     with pytest.raises(ValueError, match=rf"^p must be an integer, got {re.escape(repr(p))}$"):

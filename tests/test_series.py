@@ -77,6 +77,14 @@ def test_census_validation_and_normalization():
     assert GeneratorCensus({3: 1, 2: 5}).counts == ((2, 5), (3, 1))
 
 
+@pytest.mark.parametrize("count", [1.5, True, 2.0, Fraction(3)])
+def test_census_refuses_a_count_that_is_not_an_int(count):
+    """A float count would make f(tau) a float, and a bool would be read as 0 or 1."""
+    for counts in ({3: count}, [(3, count)]):
+        with pytest.raises(ValueError, match="^relation count at degree 3 must be an integer"):
+            GeneratorCensus(counts)
+
+
 def test_tail_bound_census_expansion():
     expanded = tail_bound_census().with_tails_expanded(16)
     assert expanded.tails == ()
