@@ -34,7 +34,6 @@ from .factorization import (
     trace_to_json,
 )
 from .graded import (
-    NOT_CERTIFIED,
     GradedIdeal,
     HilbertTable,
     generators_to_json,

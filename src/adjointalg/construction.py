@@ -23,7 +23,7 @@ from itertools import combinations, islice, product
 
 from . import linalg
 from .factorization import factor_to_valuation, trace_to_json
-from .freealg import TERM_BYTES, TruncatedPoly, check_context, homogeneous_parts, words_of_degree
+from .freealg import TERM_BYTES, TruncatedPoly, as_integer, check_context, homogeneous_parts, words_of_degree
 from .graded import GradedIdeal, normal_form
 from .series import GeneratorCensus, tail_bound_census
 from .text import format_poly
@@ -31,8 +31,6 @@ from .text import format_poly
 #: Residual degrees must reach at least this before they may enter I.
 MIN_RELATION_DEGREE = 14
 
-#: Sentinel for "no residual degrees yet": makes the first threshold 14.
-_NO_DEGREES_YET = MIN_RELATION_DEGREE - 1
 
 def torsion_exponent(p):
     """Smallest alpha >= 1 with p^alpha >= 7; a p below 2 is refused."""
@@ -107,7 +105,6 @@ class ConstructionState:
     max_elements: int
     alpha: int
     processed: int
-    highest_degree: int
     i_generators: tuple
     j_generators: tuple
     traces: tuple
@@ -124,7 +121,7 @@ def build_j_generators(p, cap):
     that ceiling, so even a huge cap is refused at once.  A p that is not
     prime or a cap below 1 is refused first.
     """
-    p = check_context(p, cap)
+    p, cap = check_context(p, cap)
     q = p ** torsion_exponent(p)
     terms, limit = 0, linalg.MAX_GF2_BLOCK_BYTES
     for d in range(1, cap // q + 1):
@@ -148,10 +145,12 @@ def run_construction(p, cap, max_elements):
     stops once the next threshold would exceed it (or after max_elements
     enumerated elements).  Caps below 14 cannot hold any I-generator at
     all; such runs return an empty I with cap_too_small set, but still
-    carry the torsion generators J.  A p that is not prime or a cap below 1
-    is refused before any work.
+    carry the torsion generators J.  A p that is not prime, a cap below 1
+    and a max_elements that is not a nonnegative integer are refused before
+    any work.
     """
-    p = check_context(p, cap)
+    p, cap = check_context(p, cap)
+    max_elements = as_integer(max_elements, "max_elements")
     if max_elements < 0:
         raise ValueError(f"max_elements must be nonnegative, got {max_elements}")
     alpha = torsion_exponent(p)
@@ -159,15 +158,9 @@ def run_construction(p, cap, max_elements):
     stream = element_stream(p, cap)
     i_gens = []
     traces = []
-    highest = _NO_DEGREES_YET
-    processed = 0
-    while processed < max_elements:
-        threshold = max(MIN_RELATION_DEGREE, highest + 1)
-        if threshold > cap:
-            break
-        f = next(stream)
-        trace = factor_to_valuation(f, threshold)
-        processed += 1
+    threshold = MIN_RELATION_DEGREE
+    while len(traces) < max_elements and threshold <= cap:
+        trace = factor_to_valuation(next(stream), threshold)
         traces.append(trace)
         for d, part in homogeneous_parts(trace.residual):
             if d < threshold:
@@ -175,10 +168,10 @@ def run_construction(p, cap, max_elements):
                     f"residual degree {d} violates the threshold invariant"
                 )
             i_gens.append((d, part))
-            highest = max(highest, d)
+            threshold = d + 1
     return ConstructionState(
         p, cap, max_elements, alpha,
-        processed=processed, highest_degree=highest,
+        processed=len(traces),
         i_generators=tuple(i_gens), j_generators=j_gens, traces=tuple(traces),
         cap_too_small=cap < MIN_RELATION_DEGREE,
     )

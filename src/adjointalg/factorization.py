@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freealg import INFINITY, TruncatedPoly, _accumulate, one, valuation
+from .freealg import INFINITY, TruncatedPoly, _accumulate, valuation
 from .text import format_poly
 
 
@@ -45,10 +45,6 @@ class FactorizationTrace:
     @property
     def residual_valuation(self):
         return valuation(self.residual)
-
-    def product(self):
-        """The current partial product of the 1 + h_i, recomputed from the invariant."""
-        return one(self.target.p, self.target.cap) + self.target + self.residual
 
 
 def correction_step(trace):

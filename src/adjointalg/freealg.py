@@ -15,12 +15,12 @@ constant is at degree 0, and no slice or rank pair is empty.  A product,
 and so every power, and a row decoded by :mod:`adjointalg.graded` hold
 only ranks; every other element holds only slices.  A missing view is
 built from the other when first read and kept, and elements are
-immutable, so the two always agree.  Products and the row engines read
-ranks; sums, the circle inverse, factorization, text, ``terms``, ``==``
-and ``hash`` read slices; degrees, the constant term and homogeneous parts
-read the view the element was made with.  There is one product kernel
-per view: :func:`_mul_ranks` for ranks, :func:`_accumulate` for word
-dicts (the circle inverse and factorization).  The ranks and
+immutable, so the two always agree.  Products, their term bound and the
+row engines read ranks; sums, the circle inverse, factorization, text,
+``terms``, ``==`` and ``hash`` read slices; degrees, the constant term and
+homogeneous parts read the view the element was made with.  There is one
+product kernel per view: :func:`_mul_ranks` for ranks, :func:`_accumulate`
+for word dicts (the circle inverse and factorization).  The ranks and
 coefficients of one algebra share one dtype, :func:`_rank_dtype`: int64
 while every rank (cap <= 63) and every coefficient product (p < 2^31)
 fits, Python ints in object arrays otherwise.
@@ -45,6 +45,7 @@ import operator
 import numpy as np
 
 from . import linalg
+from .linalg import is_prime
 
 ALPHABET = "xy"
 _LETTERS = frozenset(ALPHABET)
@@ -61,60 +62,25 @@ class ConstantTermError(ValueError):
     """Raised when a circle operation is applied outside the augmentation part A+."""
 
 
-#: The 13 primes up to 41: as Miller-Rabin bases they decide primality
-#: exactly for every n below psi_13 (Sorenson and Webster, 2015).
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI_13 = 3317044064679887385961981
+def as_integer(value, name):
+    """value as a Python int, which the power and primality routines need: a numpy integer converts.
 
-
-def is_prime(n):
-    """Exact primality of an integer below psi_13 = 3317044064679887385961981.
-
-    Trial division by the primes up to 41 decides every n <= 41, then a
-    strong probable-prime test to each of them as base decides the rest.
-    """
-    if n >= _PSI_13:
-        raise ValueError(f"primality is decided only below {_PSI_13}, got {n}")
-    if n < 2:
-        return False
-    for a in _PRIME_BASES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _PRIME_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def as_modulus(p):
-    """p as a Python int, which the power and primality routines need: a numpy integer converts.
-
-    Anything that is not an integer is refused with a ValueError.
+    Anything that is not an integer is refused with a ValueError naming the argument.
     """
     try:
-        return operator.index(p)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"p must be an integer, got {p!r}") from None
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_context(p, cap):
-    """p as a Python int (``as_modulus``); a p that is not prime or a cap below 1 is refused."""
-    p = as_modulus(p)
+    """p and cap as Python ints (``as_integer``); a p that is not prime or a cap below 1 is refused."""
+    p, cap = as_integer(p, "p"), as_integer(cap, "cap")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if cap < 1:
         raise ValueError(f"degree cap must be at least 1, got {cap}")
-    return p
+    return p, cap
 
 
 #: Bytes per term of a term dict: tracemalloc read 89-95 on the torsion
@@ -136,24 +102,21 @@ def _check_product_terms(a, windows, what):
     ``linalg.MAX_GF2_BLOCK_BYTES``, a
     :class:`~adjointalg.linalg.ResourceLimitError` names what was refused.
     Up to degree 23 even every word fits, so nothing is counted.  The sizes
-    and letters come from the view a was made with, so no word is built.
+    and letters come from the rank view, which an element made with slices
+    builds from its words and keeps, so no word is built.
     """
     limit = linalg.MAX_GF2_BLOCK_BYTES
     top = max(hi for _, hi in windows)
     if (2 << top) * TERM_BYTES <= limit:
         return
-    born = a._born
-    if _holds_ranks(born):
-        sizes = {d: r.size for d, (r, _) in born.items()}
-        # A word of degree d has a y unless its rank is 0, and an x unless it is 2^d - 1.
-        words = [(d, r) for d, (r, _) in born.items() if d]
-        letters = (
-            any(bool((r != 0).any()) for _, r in words)
-            + any(bool((r != (1 << d) - 1).any()) for d, r in words)
-        )
-    else:
-        sizes = {d: len(part) for d, part in born.items()}
-        letters = sum(any(x in w for part in born.values() for w in part) for x in ALPHABET)
+    ranks = a._ranks
+    sizes = {d: r.size for d, (r, _) in ranks.items()}
+    # A word of degree d has a y unless its rank is 0, and an x unless it is 2^d - 1.
+    words = [(d, r) for d, (r, _) in ranks.items() if d]
+    letters = (
+        any(bool((r != 0).any()) for _, r in words)
+        + any(bool((r != (1 << d) - 1).any()) for d, r in words)
+    )
     # every is letters^n clamped at the limit, and so is each count, so they stay small.
     counts, every = [1], 1
     for n in range(1, top + 1):
@@ -312,7 +275,7 @@ class TruncatedPoly:
     __slots__ = ("p", "cap", "_born", "_slices", "_ranks", "_hash")
 
     def __init__(self, p, cap, terms=()):
-        p = check_context(p, cap)
+        p, cap = check_context(p, cap)
         slices = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for word, coeff in items:

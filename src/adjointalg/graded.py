@@ -30,10 +30,6 @@ from .text import format_poly, parse_poly
 
 log = logging.getLogger(__name__)
 
-#: Returned by :func:`nilpotency_bound` when no power vanishes within the window.
-NOT_CERTIFIED = None
-
-
 _NO_TERMS = (np.empty(0, dtype=np.int64), ())
 
 
@@ -60,7 +56,7 @@ class GradedIdeal:
     """Two-sided ideal generated by homogeneous elements, with cached degree bases."""
 
     def __init__(self, p, cap, generators):
-        p = check_context(p, cap)
+        p, cap = check_context(p, cap)
         self.p = p
         self.cap = cap
         gens = []
@@ -160,13 +156,13 @@ def normal_form(a, ideal):
 
 
 def nilpotency_bound(a, ideal):
-    """Smallest k <= cap + 1 with a^k in the ideal, or NOT_CERTIFIED."""
+    """Smallest k <= cap + 1 with a^k in the ideal, or None: only an a with a constant term has none."""
     power = a
     for k in range(1, a.cap + 2):
         if normal_form(power, ideal).is_zero:
             return k
         power = power * a
-    return NOT_CERTIFIED
+    return None
 
 
 def generators_to_json(ideal):

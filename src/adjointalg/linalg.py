@@ -41,7 +41,8 @@ multiples of rows with lower pivots, so the rows after the left multiples
 still span the space modulo them.  Before it allocates, ``grown()`` refuses
 a degree whose estimated bytes, the engine's rows and buffers and the
 arrays of one entry per coordinate, pass the engine's ceiling with a
-:class:`ResourceLimitError`.
+:class:`ResourceLimitError`.  A modulus that is not prime is refused when
+an engine is built, by :func:`is_prime`, the package's one primality test.
 """
 
 from __future__ import annotations
@@ -72,6 +73,41 @@ _MODP_COORD_BYTES = 64
 #: ``hilbert --p 2 --cap 19`` peaks at about 650 MB, and degree 20 is refused.
 MAX_GF2_BLOCK_BYTES = 1 << 31
 _GF2_COORD_BYTES = 2
+
+
+#: The 13 primes up to 41: as Miller-Rabin bases they decide primality
+#: exactly for every n below psi_13 (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+
+
+def is_prime(n):
+    """Exact primality of an integer below psi_13 = 3317044064679887385961981.
+
+    Trial division by the primes up to 41 decides every n <= 41, then a
+    strong probable-prime test to each of them as base decides the rest.
+    """
+    if n >= _PSI_13:
+        raise ValueError(f"primality is decided only below {_PSI_13}, got {n}")
+    if n < 2:
+        return False
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class ResourceLimitError(ValueError):
@@ -326,6 +362,8 @@ class ModpRowSpace:
                 f"modulus {p} is outside 2..{MAX_MODULUS} (2^24), the range where"
                 " float32 residues and float64 products stay exact"
             )
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
         self.ncols = ncols
         self.p = p
         self._piv = np.empty(0, dtype=np.int64)

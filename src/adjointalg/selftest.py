@@ -124,7 +124,7 @@ def check_frobenius_powers(seed=DEFAULT_SEED):
             for beta in (1, 2):
                 if circle_pow(f, p**beta) != f ** (p**beta):
                     failures += 1
-        big = p ** (5 if p == 2 else 3)  # first p-power beyond the cap
+        big = p ** (4 if p == 2 else 3)  # first p-power beyond the cap
         for _ in range(20):
             f = TruncatedPoly(p, cap, seeded_terms(rng, p, max_degree=3))
             if not circle_pow(f, big).is_zero:

@@ -126,7 +126,9 @@ class GeneratorCensus:
     def __init__(self, counts=(), tails=()):
         items = counts.items() if hasattr(counts, "items") else counts
         clean = {}
-        for n, r in sorted(items):
+        for n, r in items:
+            if type(n) is not int:
+                raise ValueError(f"relation degree must be an integer, got {n!r}")
             if type(r) is not int:
                 raise ValueError(f"relation count at degree {n} must be an integer, got {r!r}")
             if r < 0:
@@ -140,7 +142,7 @@ class GeneratorCensus:
         for tail in tails:
             if tail.counts_up_to(1):
                 raise ValueError(f"relation counts start at degree 2, got {tail!r} at degree 1")
-        object.__setattr__(self, "counts", tuple(clean.items()))
+        object.__setattr__(self, "counts", tuple(sorted(clean.items())))
         object.__setattr__(self, "tails", tails)
 
     def count_dict(self):

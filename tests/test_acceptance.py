@@ -4,8 +4,11 @@ Each criterion prints exactly one PASS/FAIL line to the terminal, with its
 measured time and budget, regardless of pytest's capture settings.
 """
 
+import re
+
 import pytest
 
+from adjointalg import selftest, truncated_polynomial_algebra, variable
 from adjointalg.selftest import CHECKS, DEFAULT_SEED, run_checks
 
 CHECK_NAMES = [name for name, _, _ in CHECKS]
@@ -25,3 +28,27 @@ def test_acceptance(name, capsys):
 
 def test_every_registered_check_has_a_unique_name():
     assert len(set(CHECK_NAMES)) == len(CHECK_NAMES) == 8
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: truncated_polynomial_algebra(2, 0), "modulus exponent must be at least 1, got 0"),
+        (lambda: variable("z", 2, 3), "unknown generator 'z'; expected one of 'xy'"),
+        (lambda: run_checks(names=["nope"]), "unknown check names: ['nope']"),
+    ],
+)
+def test_a_bad_argument_is_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_check_that_raises_is_a_failed_result(monkeypatch):
+    def crash(seed):
+        raise RuntimeError(f"crashed at seed {seed}")
+
+    name, _, budget = CHECKS[0]
+    monkeypatch.setattr(selftest, "CHECKS", [(name, crash, budget)])
+    (result,) = run_checks(names=[name], seed=3)
+    assert not result.ok
+    assert result.detail == "raised RuntimeError: crashed at seed 3"

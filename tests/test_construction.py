@@ -2,10 +2,12 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adjointalg import (
@@ -166,7 +168,6 @@ def test_run_at_minimum_cap():
     assert not state.cap_too_small
     assert state.processed == 8  # seven homogeneous elements, then x + x^2
     assert [(d, format_poly(g)) for d, g in state.i_generators] == [(14, "x^14")]
-    assert state.highest_degree == 14
     assert state.traces[-1].target == enumerate_aplus(2, 8, 14)
 
 
@@ -176,6 +177,19 @@ def test_run_honors_element_budget():
     assert state.i_generators == ()
     with pytest.raises(ValueError):
         run_construction(2, 14, -1)
+
+
+@pytest.mark.parametrize("max_elements", [2.5, None, "3"])
+def test_a_max_elements_that_is_not_an_integer_is_refused(max_elements):
+    """2.5 used to process 3 elements and write 2.5 to the manifest; None raised a TypeError."""
+    match = rf"^max_elements must be an integer, got {re.escape(repr(max_elements))}$"
+    with pytest.raises(ValueError, match=match):
+        run_construction(2, 16, max_elements)
+
+
+def test_numpy_integer_arguments_give_the_python_int_manifest():
+    state = run_construction(np.int64(2), np.int64(14), np.int64(8))
+    assert json.dumps(manifest(state)) == json.dumps(manifest(run_construction(2, 14, 8)))
 
 
 def test_frozen_reference_run():

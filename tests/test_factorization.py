@@ -28,7 +28,6 @@ def test_seed_for_two_slice_target():
     assert str(trace.residual) == "x^3"
     assert trace.steps == 0
     assert trace.residual_valuation == 3
-    assert trace.product() == one(2, 6) + a + trace.residual
 
 
 def test_first_correction_round_for_two_slice_target():

@@ -202,6 +202,10 @@ def test_truncated_polynomial_chain():
     assert alg.multiply((1, 0, 0, 0), (0, 1, 0, 0)) == (0, 0, 1, 0)
 
 
+def test_repr_names_the_modulus_dimension_and_class():
+    assert repr(truncated_polynomial_algebra(3, 5)) == "<FiniteNilAlgebra p=3 dim=4 class=5>"
+
+
 def test_upper_triangular_products():
     alg = strictly_upper_triangular_algebra(2, 3)
     assert alg.labels == ("e12", "e13", "e23")

@@ -43,6 +43,14 @@ def test_dispatcher_picks_engine_by_prime():
     assert isinstance(row_space(5, 7), ModpRowSpace)
 
 
+@pytest.mark.parametrize("p", [4, 9, 15, 16777215])
+def test_a_composite_modulus_is_refused_when_the_engine_is_built(p):
+    """Z/4 used to give an engine whose first add failed inside linalg.echelon."""
+    for build in (lambda: row_space(3, p), lambda: ModpRowSpace(3, p)):
+        with pytest.raises(ValueError, match=f"^p must be prime, got {p}$"):
+            build()
+
+
 def test_empty_spaces():
     for space in (Gf2RowSpace(6), ModpRowSpace(6, 3)):
         assert space.rank == 0

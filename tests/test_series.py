@@ -1,5 +1,6 @@
 """Exact rational series: tails, censuses, the test function, and the dimension recursion."""
 
+import re
 import sys
 from fractions import Fraction
 
@@ -82,6 +83,14 @@ def test_census_refuses_a_count_that_is_not_an_int(count):
     """A float count would make f(tau) a float, and a bool would be read as 0 or 1."""
     for counts in ({3: count}, [(3, count)]):
         with pytest.raises(ValueError, match="^relation count at degree 3 must be an integer"):
+            GeneratorCensus(counts)
+
+
+@pytest.mark.parametrize("degree", [2.5, 3.0, True, "3", Fraction(3)])
+def test_census_refuses_a_degree_that_is_not_an_int(degree):
+    """A degree of 2.5 made f(1/2) a float, broke gs_report and was dropped by gs_recursion_check."""
+    for counts in ({degree: 1}, [(degree, 1)]):
+        with pytest.raises(ValueError, match=rf"^relation degree must be an integer, got {re.escape(repr(degree))}$"):
             GeneratorCensus(counts)
 
 
