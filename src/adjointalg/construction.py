@@ -23,7 +23,7 @@ from itertools import combinations, islice, product
 
 from . import linalg
 from .factorization import factor_to_valuation, trace_to_json
-from .freealg import TERM_BYTES, TruncatedPoly, as_integer, check_context, homogeneous_parts, words_of_degree
+from .freealg import TERM_BYTES, TruncatedPoly, check_context, homogeneous_parts, words_of_degree
 from .graded import GradedIdeal, normal_form
 from .series import GeneratorCensus, tail_bound_census
 from .text import format_poly
@@ -33,9 +33,8 @@ MIN_RELATION_DEGREE = 14
 
 
 def torsion_exponent(p):
-    """Smallest alpha >= 1 with p^alpha >= 7; a p below 2 is refused."""
-    if p < 2:
-        raise ValueError(f"p must be at least 2, got {p}")
+    """Smallest alpha >= 1 with p^alpha >= 7; a p that is not prime is refused."""
+    p = linalg.check_modulus(p)
     alpha = 1
     while p**alpha < 7:
         alpha += 1
@@ -150,7 +149,7 @@ def run_construction(p, cap, max_elements):
     any work.
     """
     p, cap = check_context(p, cap)
-    max_elements = as_integer(max_elements, "max_elements")
+    max_elements = linalg.as_integer(max_elements, "max_elements")
     if max_elements < 0:
         raise ValueError(f"max_elements must be nonnegative, got {max_elements}")
     alpha = torsion_exponent(p)

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .freealg import INFINITY, TruncatedPoly, _accumulate, valuation
+from .linalg import as_integer
 from .text import format_poly
 
 
@@ -63,7 +64,9 @@ def factor_to_valuation(a, m):
 
     At most m rounds are needed; m = cap + 1 forces a residual of exactly
     zero, i.e. an exact factorization of 1 + a in the truncated algebra.
+    An m that is not an integer is refused.
     """
+    m = as_integer(m, "target valuation")
     if not 1 <= m <= a.cap + 1:
         raise ValueError(f"target valuation must lie in 1..{a.cap + 1}, got {m}")
     if a.constant_term:

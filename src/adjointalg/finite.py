@@ -80,8 +80,6 @@ import random
 import numpy as np
 
 from . import linalg
-from .freealg import as_integer
-from .linalg import is_prime
 
 #: Hard ceiling on group orders for the group table, and so for a noncommutative width.
 MAX_GROUP_ORDER = 4096
@@ -107,14 +105,7 @@ class FiniteNilAlgebra:
     """Nilpotent associative algebra over F_p with an explicit basis."""
 
     def __init__(self, p, labels, table):
-        p = as_integer(p, "p")
-        if not 2 <= p <= linalg.MAX_MODULUS:
-            raise ValueError(
-                f"modulus {p} is outside 2..{linalg.MAX_MODULUS} (2^24), the range where"
-                " the product kernel stays exact"
-            )
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
+        p = linalg.check_modulus(p, linalg.MAX_MODULUS)
         labels = tuple(labels)
         k = len(labels)
         table = np.asarray(table, dtype=np.int64) % p

@@ -45,7 +45,7 @@ import operator
 import numpy as np
 
 from . import linalg
-from .linalg import is_prime
+from .linalg import as_integer, check_modulus
 
 ALPHABET = "xy"
 _LETTERS = frozenset(ALPHABET)
@@ -62,22 +62,9 @@ class ConstantTermError(ValueError):
     """Raised when a circle operation is applied outside the augmentation part A+."""
 
 
-def as_integer(value, name):
-    """value as a Python int, which the power and primality routines need: a numpy integer converts.
-
-    Anything that is not an integer is refused with a ValueError naming the argument.
-    """
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def check_context(p, cap):
-    """p and cap as Python ints (``as_integer``); a p that is not prime or a cap below 1 is refused."""
-    p, cap = as_integer(p, "p"), as_integer(cap, "cap")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    """p and cap as Python ints (``linalg.check_modulus``, ``linalg.as_integer``); a cap below 1 is refused."""
+    p, cap = check_modulus(p), as_integer(cap, "cap")
     if cap < 1:
         raise ValueError(f"degree cap must be at least 1, got {cap}")
     return p, cap

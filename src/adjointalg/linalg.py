@@ -41,11 +41,14 @@ multiples of rows with lower pivots, so the rows after the left multiples
 still span the space modulo them.  Before it allocates, ``grown()`` refuses
 a degree whose estimated bytes, the engine's rows and buffers and the
 arrays of one entry per coordinate, pass the engine's ceiling with a
-:class:`ResourceLimitError`.  A modulus that is not prime is refused when
-an engine is built, by :func:`is_prime`, the package's one primality test.
+:class:`ResourceLimitError`.  The package reads its integer arguments
+with :func:`as_integer` and its moduli with :func:`check_modulus`, which
+holds its one primality test, :func:`is_prime`.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -108,6 +111,32 @@ def is_prime(n):
         else:
             return False
     return True
+
+
+def as_integer(value, name):
+    """value as a Python int (a numpy integer converts); a bool or a non-integer is refused by name."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_modulus(p, limit=None):
+    """p (:func:`as_integer`) if it is prime, and in 2..limit when a limit, a power of two, is given.
+
+    The range comes first, so a p past the limit is refused before the primality test.
+    """
+    p = as_integer(p, "p")
+    if limit is not None and not 2 <= p <= limit:
+        raise ValueError(
+            f"modulus {p} is outside 2..{limit} (2^{limit.bit_length() - 1}),"
+            " the range where products of residues stay exact"
+        )
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return p
 
 
 class ResourceLimitError(ValueError):
@@ -357,15 +386,8 @@ class ModpRowSpace:
     """
 
     def __init__(self, ncols, p):
-        if not 2 <= p <= MAX_MODULUS:
-            raise ValueError(
-                f"modulus {p} is outside 2..{MAX_MODULUS} (2^24), the range where"
-                " float32 residues and float64 products stay exact"
-            )
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
         self.ncols = ncols
-        self.p = p
+        self.p = check_modulus(p, MAX_MODULUS)
         self._piv = np.empty(0, dtype=np.int64)
         self._free = np.arange(ncols, dtype=np.int64)
         self._coef = np.empty((0, ncols), dtype=np.float32)

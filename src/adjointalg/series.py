@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 import sys
 
+from .linalg import as_integer
+
 
 class DivergentTailError(ValueError):
     """A tail sum does not converge at the requested evaluation point."""
@@ -127,10 +129,8 @@ class GeneratorCensus:
         items = counts.items() if hasattr(counts, "items") else counts
         clean = {}
         for n, r in items:
-            if type(n) is not int:
-                raise ValueError(f"relation degree must be an integer, got {n!r}")
-            if type(r) is not int:
-                raise ValueError(f"relation count at degree {n} must be an integer, got {r!r}")
+            n = as_integer(n, "relation degree")
+            r = as_integer(r, f"relation count at degree {n}")
             if r < 0:
                 raise ValueError(f"negative relation count {r} at degree {n}")
             if r == 0:

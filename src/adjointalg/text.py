@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 
-from .freealg import TruncatedPoly
+from .freealg import TruncatedPoly, check_context
 
 _RUN = re.compile("(x{2,}|y{2,})")
 _TOKEN = re.compile(r"\d+|\S")
@@ -61,7 +61,11 @@ def _uint(text, tokens, k):
 
 
 def parse_poly(text, p, cap):
-    """Parse polynomial text into a :class:`TruncatedPoly` over F_p with the given cap."""
+    """Parse polynomial text into a :class:`TruncatedPoly` over F_p with the given cap.
+
+    p and cap are checked (:func:`~adjointalg.freealg.check_context`) before any token is read.
+    """
+    p, cap = check_context(p, cap)
     tokens = _TOKEN.findall(text) + [""]
     if len(tokens) == 1:
         raise PolyParseError("empty input", len(text))

@@ -1,9 +1,10 @@
-"""Hypothesis strategies, seeded inputs and a form check shared by the test files.
+"""Hypothesis strategies, seeded inputs, symmetry maps and a form check shared by the test files.
 
 The reference routines the suite checks against live in
 :mod:`adjointalg.oracle`, which imports nothing from the package; this
 module draws random elements, so every test file draws from the same
-shapes, and checks the stored form of an element.
+shapes, maps term dicts by symmetries of the free algebra, and checks
+the stored form of an element.
 """
 
 from hypothesis import strategies as st
@@ -28,6 +29,19 @@ def polys(p=2, cap=6, max_degree=None, max_terms=5, allow_const=True):
     return term_dicts(p, md, max_terms, allow_const).map(
         lambda t: TruncatedPoly(p, cap, t)
     )
+
+
+_SWAP = str.maketrans("xy", "yx")
+
+
+def reversed_terms(terms):
+    """Every word read backwards: an anti-automorphism of F_p<x, y> fixing x and y."""
+    return {w[::-1]: c for w, c in terms.items()}
+
+
+def swapped_terms(terms):
+    """x and y exchanged in every word: a graded automorphism of F_p<x, y>."""
+    return {w.translate(_SWAP): c for w, c in terms.items()}
 
 
 def assert_canonical(a):

@@ -415,10 +415,11 @@ def test_malformed_input_file_is_a_usage_error(capsys, tmp_path, argv, document,
         (["hilbert", "--p", "4", "--cap", "5"], "p must be prime, got 4"),
         (["hilbert", "--p", "9", "--cap", "4", "--format", "csv"], "p must be prime, got 9"),
         (["torsion", "--p", "-3", "--cap", "5"], "p must be prime, got -3"),
+        (["factor", "--p", "4", "--a", "x^99", "--cap", "5"], "p must be prime, got 4"),
         (["hilbert", "--cap", "0"], "degree cap must be at least 1, got 0"),
         (["construct", "--cap", "-2"], "degree cap must be at least 1, got -2"),
     ],
-    ids=["p-1", "p-0", "p-4", "p-9-csv", "p-negative", "cap-0", "cap-negative"],
+    ids=["p-1", "p-0", "p-4", "p-9-csv", "p-negative", "factor-p-4", "cap-0", "cap-negative"],
 )
 def test_a_bad_modulus_or_cap_is_refused_before_any_work(capsys, monkeypatch, argv, message):
     def broken(p):

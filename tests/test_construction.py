@@ -50,8 +50,8 @@ def test_torsion_exponent():
 @pytest.mark.parametrize(
     "call,message",
     [
-        ("torsion_exponent(1)", "p must be at least 2, got 1"),
-        ("torsion_exponent(0)", "p must be at least 2, got 0"),
+        ("torsion_exponent(1)", "p must be prime, got 1"),
+        ("torsion_exponent(0)", "p must be prime, got 0"),
         ("build_j_generators(1, 8)", "p must be prime, got 1"),
         ("build_j_generators(4, 8)", "p must be prime, got 4"),
         ("build_j_generators(2, 0)", "degree cap must be at least 1, got 0"),
@@ -179,9 +179,9 @@ def test_run_honors_element_budget():
         run_construction(2, 14, -1)
 
 
-@pytest.mark.parametrize("max_elements", [2.5, None, "3"])
+@pytest.mark.parametrize("max_elements", [2.5, None, "3", True])
 def test_a_max_elements_that_is_not_an_integer_is_refused(max_elements):
-    """2.5 used to process 3 elements and write 2.5 to the manifest; None raised a TypeError."""
+    """2.5 used to process 3 elements and write 2.5 to the manifest; None raised a TypeError; True processed 1."""
     match = rf"^max_elements must be an integer, got {re.escape(repr(max_elements))}$"
     with pytest.raises(ValueError, match=match):
         run_construction(2, 16, max_elements)

@@ -1,7 +1,9 @@
 """Homogeneous factorization of 1 + a: seeds, correction rounds, exactness, invariants."""
 
+import re
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,20 @@ from adjointalg.freealg import homogeneous_parts
 from adjointalg.oracle import expand_one_plus, naive_add, naive_mul
 
 from oracle import polys
+
+
+@pytest.mark.parametrize("m", [2.5, np.float64(3.0), "3", None, True])
+def test_a_target_valuation_that_is_not_an_integer_is_refused(m):
+    """2.5 used to run to valuation 3, and True to valuation 1."""
+    with pytest.raises(ValueError, match=rf"^target valuation must be an integer, got {re.escape(repr(m))}$"):
+        factor_to_valuation(parse_poly("x + xy", 2, 6), m)
+
+
+@pytest.mark.parametrize("m", [1, 3, 7])
+def test_a_numpy_integer_target_valuation_gives_the_python_int_trace(m):
+    a = parse_poly("x + 2y^2 + xyx", 3, 6)
+    trace, ref = factor_to_valuation(a, np.int64(m)), factor_to_valuation(a, m)
+    assert trace == ref and trace_to_json(trace) == trace_to_json(ref)
 
 
 def test_seed_for_two_slice_target():

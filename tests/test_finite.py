@@ -620,7 +620,7 @@ def test_modulus_outside_the_exact_range_is_refused_before_the_primality_test(mo
     def refuse(n):
         raise AssertionError("primality was tested")
 
-    monkeypatch.setattr(finite, "is_prime", refuse)
+    monkeypatch.setattr(linalg, "is_prime", refuse)
     with pytest.raises(ValueError, match=r"^modulus -?\d+ is outside 2\.\.16777216 \(2\^24\)"):
         FiniteNilAlgebra(p, ["a"], np.zeros((1, 1, 1)))
 
@@ -641,7 +641,7 @@ def test_numpy_integer_modulus_answers_as_the_python_int(p, n):
     assert alg.circle_pow(u, -3) == ref.circle_pow(u, -3)
 
 
-@pytest.mark.parametrize("p", [2.0, np.float64(3.0), "3", None])
+@pytest.mark.parametrize("p", [2.0, np.float64(3.0), "3", None, True])
 def test_non_integer_modulus_is_refused_by_name(p):
     with pytest.raises(ValueError, match=rf"^p must be an integer, got {re.escape(repr(p))}$"):
         FiniteNilAlgebra(p, ["a"], np.zeros((1, 1, 1)))

@@ -35,8 +35,8 @@ from adjointalg import (
     zero,
 )
 from adjointalg import freealg, linalg
-from adjointalg.freealg import TERM_BYTES, index_words, is_prime, word_indices
-from adjointalg.linalg import index_mask, mask_indices
+from adjointalg.freealg import TERM_BYTES, index_words, word_indices
+from adjointalg.linalg import index_mask, is_prime, mask_indices
 from adjointalg.oracle import naive_add, naive_mul
 
 from oracle import assert_canonical, polys, seeded_poly, term_dicts, view_terms
@@ -103,15 +103,15 @@ def test_an_exponent_that_is_not_a_nonnegative_integer_is_refused(k):
         TruncatedPoly(3, 6, {"x": 1}) ** k
 
 
-@pytest.mark.parametrize("p", [43.0, np.float64(3.0), "3", None])
+@pytest.mark.parametrize("p", [43.0, np.float64(3.0), "3", None, True])
 def test_non_integer_modulus_is_refused_by_name(p):
     with pytest.raises(ValueError, match=rf"^p must be an integer, got {re.escape(repr(p))}$"):
         TruncatedPoly(p, 4, {"x": 1})
 
 
-@pytest.mark.parametrize("cap", [2.5, np.float64(3.0), "3", None])
+@pytest.mark.parametrize("cap", [2.5, np.float64(3.0), "3", None, True])
 def test_non_integer_cap_is_refused_by_name(cap):
-    """A cap of 2.5 used to build an element that factoring and inversion then failed on."""
+    """A cap of 2.5 used to build an element that factoring and inversion then failed on, and True was read as 1."""
     with pytest.raises(ValueError, match=rf"^cap must be an integer, got {re.escape(repr(cap))}$"):
         TruncatedPoly(2, cap, {"xy": 1})
 

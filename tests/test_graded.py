@@ -13,6 +13,7 @@ from adjointalg import (
     ModpRowSpace,
     ResourceLimitError,
     TruncatedPoly,
+    combined_ideal,
     format_poly,
     generators_to_json,
     graded,
@@ -25,13 +26,14 @@ from adjointalg import (
     parse_poly,
     quotient_dimensions,
     row_space,
+    run_construction,
     variable,
     zero,
 )
 
 from adjointalg.oracle import component_span_vectors, rref_mod_p, span_closure
 
-from oracle import polys, seeded_poly, view_terms
+from oracle import polys, reversed_terms, seeded_poly, swapped_terms, view_terms
 
 
 def ideal_of(p, cap, *texts):
@@ -390,3 +392,34 @@ def test_resource_guard_counts_the_coordinates_below_the_first_generator(monkeyp
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "MAX_BLOCK_BYTES", need)
         assert ideal.component_basis(12).rank == 1
+
+
+def mapped_ideal(ideal, symmetry):
+    """The ideal generated by the images of ideal's generators under a map of term dicts."""
+    p, cap = ideal.p, ideal.cap
+    return GradedIdeal(p, cap, [TruncatedPoly(p, cap, symmetry(g.terms)) for _, g in ideal.generators])
+
+
+def assert_symmetric_tables(ideal):
+    """Reversal and swap keep the Hilbert table, though the engines multiply on each side differently.
+
+    ``grown()`` takes the left multiples from the degree below and the right
+    multiples of the new rows only, so a reversed ideal sends every row
+    through the other side.
+    """
+    dims = quotient_dimensions(ideal).dims
+    for symmetry in (reversed_terms, swapped_terms):
+        assert quotient_dimensions(mapped_ideal(ideal, symmetry)).dims == dims, symmetry.__name__
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_hilbert_tables_are_invariant_under_reversal_and_swap(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    cap, gens = data.draw(small_ideals(p, max_cap=12))
+    assert_symmetric_tables(GradedIdeal(p, cap, [TruncatedPoly(p, cap, g) for g in gens]))
+
+
+@pytest.mark.parametrize("p,cap", [(2, 17), (3, 14)])
+def test_construction_ideal_tables_are_invariant_under_reversal_and_swap(p, cap):
+    assert_symmetric_tables(combined_ideal(run_construction(p, cap, 100)))

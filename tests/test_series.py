@@ -4,6 +4,7 @@ import re
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -92,6 +93,13 @@ def test_census_refuses_a_degree_that_is_not_an_int(degree):
     for counts in ({degree: 1}, [(degree, 1)]):
         with pytest.raises(ValueError, match=rf"^relation degree must be an integer, got {re.escape(repr(degree))}$"):
             GeneratorCensus(counts)
+
+
+def test_census_reads_numpy_integers_as_python_ints():
+    """run_construction takes numpy integers, so the census does too."""
+    census = GeneratorCensus({np.int64(8): np.int64(3)})
+    assert census == GeneratorCensus({8: 3})
+    assert [type(x) for pair in census.counts for x in pair] == [int, int]
 
 
 def test_tail_bound_census_expansion():

@@ -1,5 +1,6 @@
 """Polynomial text: parser behavior, error reporting, and the canonical formatter."""
 
+import re
 import tracemalloc
 from itertools import groupby
 
@@ -108,6 +109,22 @@ def test_degree_cap_rejection():
         parse_poly("xyxyxy", 2, 5)
     with pytest.raises(DegreeCapError):
         parse_poly("x^200", 2, 10)
+
+
+@pytest.mark.parametrize(
+    "text,p,cap,message",
+    [
+        ("x^99", 4, 5, "p must be prime, got 4"),
+        ("x +", 1, 3, "p must be prime, got 1"),
+        ("x", 2, 0, "degree cap must be at least 1, got 0"),
+        ("x", 2, -1, "degree cap must be at least 1, got -1"),
+    ],
+)
+def test_modulus_and_cap_are_checked_before_any_token(text, p, cap, message):
+    """No term or syntax error is reported for an algebra that does not exist."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+        parse_poly(text, p, cap)
+    assert not isinstance(err.value, (DegreeCapError, PolyParseError))
 
 
 def test_huge_exponent_is_refused_before_the_word_is_built():
