@@ -47,16 +47,14 @@ def projective_class_count(p, d):
 
 
 def projective_class_reps(p, d, cap):
-    """One normalized representative per projective class of nonzero degree-d elements.
+    """One normalized representative per projective class of nonzero degree-d elements (1 <= d <= cap).
 
     Normalization: the coefficient of the first supported word (in
     canonical order) is 1.  Representatives are emitted by ascending
     support size, then support, then coefficient vector, so the order is
     deterministic and starts with the single words x..., y....
     """
-    if d > cap:
-        raise ValueError(f"degree {d} exceeds the cap {cap}")
-    words = list(words_of_degree(d))
+    words = words_of_degree(linalg.as_integer(d, "degree", 1, cap))
     for size in range(1, len(words) + 1):
         for support in combinations(words, size):
             for rest in product(range(1, p), repeat=size - 1):
@@ -86,9 +84,8 @@ def element_stream(p, cap):
 
 
 def enumerate_aplus(p, index, cap):
-    """The index-th element (1-based) of element_stream(p, cap)."""
-    if index < 1:
-        raise ValueError(f"index is 1-based, got {index}")
+    """The index-th element of element_stream(p, cap), counting from 1."""
+    index = linalg.as_integer(index, "index", 1)
     element = next(islice(element_stream(p, cap), index - 1, None), None)
     if element is None:
         raise ValueError(f"enumeration exhausted before index {index}")
@@ -145,13 +142,11 @@ def run_construction(p, cap, max_elements):
     enumerated elements).  Caps below 14 cannot hold any I-generator at
     all; such runs return an empty I with cap_too_small set, but still
     carry the torsion generators J.  A p that is not prime, a cap below 1
-    and a max_elements that is not a nonnegative integer are refused before
-    any work.
+    and a max_elements below 0 or not an integer are refused before any
+    work.
     """
     p, cap = check_context(p, cap)
-    max_elements = linalg.as_integer(max_elements, "max_elements")
-    if max_elements < 0:
-        raise ValueError(f"max_elements must be nonnegative, got {max_elements}")
+    max_elements = linalg.as_integer(max_elements, "max_elements", 0)
     alpha = torsion_exponent(p)
     j_gens = tuple(build_j_generators(p, cap))
     stream = element_stream(p, cap)

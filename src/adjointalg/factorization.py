@@ -66,9 +66,7 @@ def factor_to_valuation(a, m):
     zero, i.e. an exact factorization of 1 + a in the truncated algebra.
     An m that is not an integer is refused.
     """
-    m = as_integer(m, "target valuation")
-    if not 1 <= m <= a.cap + 1:
-        raise ValueError(f"target valuation must lie in 1..{a.cap + 1}, got {m}")
+    m = as_integer(m, "target valuation", 1, a.cap + 1)
     if a.constant_term:
         raise ValueError("factorization targets must have zero constant term")
     p, cap = a.p, a.cap

@@ -101,6 +101,14 @@ class NotNilpotentError(ValueError):
     """The power chain of the algebra stalls before reaching zero."""
 
 
+def _integer_array(values, what):
+    """values as int64; a nonempty array that numpy reads as bools or as no int64 integers is refused."""
+    array = np.asarray(values)
+    if array.size and (array.dtype.kind == "b" or not np.can_cast(array.dtype, np.int64)):
+        raise ValueError(f"{what} must be integers, read as {array.dtype}")
+    return array.astype(np.int64, copy=False)
+
+
 class FiniteNilAlgebra:
     """Nilpotent associative algebra over F_p with an explicit basis."""
 
@@ -108,7 +116,7 @@ class FiniteNilAlgebra:
         p = linalg.check_modulus(p, linalg.MAX_MODULUS)
         labels = tuple(labels)
         k = len(labels)
-        table = np.asarray(table, dtype=np.int64) % p
+        table = _integer_array(table, "structure constants") % p
         if table.shape != (k, k, k):
             raise ValueError(
                 f"structure constants must have shape ({k}, {k}, {k}), got {table.shape}"
@@ -163,8 +171,7 @@ class FiniteNilAlgebra:
 
     def power_space(self, n):
         """The :class:`Span` of R^n (n >= 1); the zero space once n reaches the class."""
-        if n < 1:
-            raise ValueError(f"power index must be at least 1, got {n}")
+        n = linalg.as_integer(n, "power index", 1)
         return self._chain[min(n, self.nilpotency_class) - 1]
 
     @cached_property
@@ -198,7 +205,7 @@ class FiniteNilAlgebra:
         return _exponent_chain(self, basis, lambda rows: rows @ frobenius % self.p)
 
     def _row(self, u):
-        return np.asarray(u, dtype=np.int64).reshape(1, self.dim) % self.p
+        return _integer_array(u, "element coordinates").reshape(1, self.dim) % self.p
 
     def multiply(self, u, v):
         return tuple((self._row(v) @ _left(self, self._row(u))[0] % self.p)[0].tolist())
@@ -212,6 +219,7 @@ class FiniteNilAlgebra:
 
     def circle_pow(self, u, k):
         """The k-th circle power of u, for any integer k (see ``_circle_pow_rows``)."""
+        k = linalg.as_integer(k, "exponent")
         return tuple(_circle_pow_rows(self, self._row(u), k)[0].tolist())
 
     def zero(self):
@@ -290,9 +298,7 @@ def algebra_from_json(data):
 
 def truncated_polynomial_algebra(p, n):
     """The algebra x*F_p[x] / (x^n): basis x, x^2, ..., x^(n-1)."""
-    if n < 1:
-        raise ValueError(f"modulus exponent must be at least 1, got {n}")
-    k = n - 1
+    k = linalg.as_integer(n, "modulus exponent", 1) - 1
     table = np.zeros((k, k, k), dtype=np.int64)
     for i in range(k):
         for j in range(k):
@@ -304,8 +310,7 @@ def truncated_polynomial_algebra(p, n):
 
 def strictly_upper_triangular_algebra(p, size):
     """Strictly upper-triangular size x size matrices over F_p."""
-    if size < 2:
-        raise ValueError(f"matrix size must be at least 2, got {size}")
+    size = linalg.as_integer(size, "matrix size", 2)
     pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
     index = {pair: t for t, pair in enumerate(pairs)}
     k = len(pairs)
@@ -476,8 +481,7 @@ def _population_exponents(algebra):
 
 def quotient_exponent(algebra, n):
     """Exponent of the quotient of the adjoint group by G_n, the subgroup on R^(n+1)."""
-    if n < 1:
-        raise ValueError(f"congruence index must be at least 1, got {n}")
+    n = linalg.as_integer(n, "congruence index", 1)
     return algebra.quotient_exponents[min(n, algebra.nilpotency_class) - 1]
 
 
@@ -522,6 +526,7 @@ def index_exponent_check(algebra, width):
     exp(G/H)^m; with the linear exponent bound this caps every congruence
     index by (p(n+1))^width.
     """
+    width = linalg.as_integer(width, "width", 1)
     rows = []
     for n, e in enumerate(algebra.quotient_exponents[:-1], 1):
         index = algebra.p ** (algebra.dim - algebra.power_space(n + 1).rank)
@@ -554,8 +559,7 @@ def cyclic_width(group, limit=8):
     L and the least m up to the limit at which a draw covers the group, or
     saying that none does.
     """
-    if limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
+    limit = linalg.as_integer(limit, "limit", 1)
     algebra = group.algebra
     table = None if algebra.frobenius is not None else group.multiplication_index_table()
     bound = _width_bound(algebra)
@@ -655,8 +659,8 @@ def _coset_gather(table, members):
 
 
 def quotient_algebra(algebra, n):
-    """The quotient R / R^(n+1), on the basis vectors away from the pivot coordinates."""
-    sub = algebra.power_space(n + 1)
+    """The quotient R / R^(n+1) (n >= 0), on the basis vectors away from the pivot coordinates."""
+    sub = algebra.power_space(linalg.as_integer(n, "congruence index", 0) + 1)
     pivots = set(sub.pivots)
     keep = [i for i in range(algebra.dim) if i not in pivots]
     k = len(keep)

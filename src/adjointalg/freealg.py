@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from itertools import accumulate
 import math
-import operator
 
 import numpy as np
 
@@ -64,10 +63,7 @@ class ConstantTermError(ValueError):
 
 def check_context(p, cap):
     """p and cap as Python ints (``linalg.check_modulus``, ``linalg.as_integer``); a cap below 1 is refused."""
-    p, cap = check_modulus(p), as_integer(cap, "cap")
-    if cap < 1:
-        raise ValueError(f"degree cap must be at least 1, got {cap}")
-    return p, cap
+    return check_modulus(p), as_integer(cap, "degree cap", 1)
 
 
 #: Bytes per term of a term dict: tracemalloc read 89-95 on the torsion
@@ -127,6 +123,7 @@ def _place_values(degree):
 
 def words_of_degree(d):
     """The 2^d words of degree d in lexicographic order (x < y), as a list: ranks 0 to 2^d - 1."""
+    d = as_integer(d, "degree", 0)
     return index_words(np.arange(1 << d), d)
 
 
@@ -249,6 +246,8 @@ class TruncatedPoly:
     Words longer than the cap are rejected at construction rather than
     silently dropped: truncation is supposed to happen inside arithmetic,
     and anything else reaching the constructor is a bug worth surfacing.
+    Each coefficient is read with ``linalg.as_integer``, so a numpy integer
+    is stored as a Python int, and a float or a bool is refused.
     Operations between elements with different p or cap raise
     :class:`CapMismatchError`.  Elements share slices and rank arrays, so
     none is ever changed.
@@ -272,7 +271,7 @@ class TruncatedPoly:
             if degree > cap:
                 raise ValueError(f"word {word!r} has degree {degree}, beyond the cap {cap}")
             part = slices.setdefault(degree, {})
-            c = (part.get(word, 0) + coeff) % p
+            c = (part.get(word, 0) + as_integer(coeff, "coefficient")) % p
             if c:
                 part[word] = c
             else:
@@ -388,7 +387,7 @@ class TruncatedPoly:
     def __mul__(self, other):
         p = self.p
         if isinstance(other, int):
-            k = other % p
+            k = as_integer(other, "scalar") % p
             return TruncatedPoly._from_view(p, self.cap, {
                 d: {w: c * k % p for w, c in part.items()} for d, part in self._slices.items()
             } if k else {})
@@ -401,8 +400,7 @@ class TruncatedPoly:
 
     def __pow__(self, k):
         # A numpy integer is read as a Python int, whose bits the loop walks.
-        if not hasattr(k, "__index__") or (k := operator.index(k)) < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {k}")
+        k = as_integer(k, "exponent", 0)
         if k == 0:
             return one(self.p, self.cap)
         if k > 1 and self._born:
@@ -469,7 +467,8 @@ def valuation(a):
 
 
 def homogeneous_part(a, d):
-    """The degree-d slice of a, as an element of the same algebra, in the view a was made with."""
+    """The degree-d slice of a (0 <= d <= cap), an element of the same algebra, in the view a was made with."""
+    d = as_integer(d, "degree", 0, a.cap)
     part = a._born.get(d)
     return TruncatedPoly._from_view(a.p, a.cap, {} if part is None else {d: part})
 
@@ -535,6 +534,7 @@ def circle_pow(r, k):
     positive degree, taken in the view the power was made with.
     """
     _require_augmentation(r)
+    k = as_integer(k, "exponent")
     if k < 0:
         return circle_pow(circle_inv(r), -k)
     power = (one(r.p, r.cap) + r) ** k

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freealg import TruncatedPoly, _rank_dtype, check_context, homogeneous_parts
-from .linalg import row_space
+from .linalg import as_integer, row_space
 from .text import format_poly, parse_poly
 
 log = logging.getLogger(__name__)
@@ -94,9 +94,7 @@ class GradedIdeal:
         row back into a polynomial with :func:`decode_vector`.  The engine is
         the ideal's own cache: callers must not add rows to it.
         """
-        if not 1 <= n <= self.cap:
-            raise ValueError(f"degree {n} outside 1..{self.cap}")
-        return self._space(n)
+        return self._space(as_integer(n, "degree", 1, self.cap))
 
 
 @dataclass(frozen=True)
@@ -108,12 +106,11 @@ class HilbertTable:
     dims: tuple
 
     def dimension(self, n):
-        if not 1 <= n <= self.cap:
-            raise ValueError(f"degree {n} outside 1..{self.cap}")
-        return self.dims[n - 1]
+        return self.dims[as_integer(n, "degree", 1, self.cap) - 1]
 
     def ideal_rank(self, n):
-        return (1 << n) - self.dimension(n)
+        n = as_integer(n, "degree", 1, self.cap)
+        return (1 << n) - self.dims[n - 1]
 
     def to_csv(self):
         lines = ["n,dim,ideal_rank"]

@@ -41,9 +41,10 @@ multiples of rows with lower pivots, so the rows after the left multiples
 still span the space modulo them.  Before it allocates, ``grown()`` refuses
 a degree whose estimated bytes, the engine's rows and buffers and the
 arrays of one entry per coordinate, pass the engine's ceiling with a
-:class:`ResourceLimitError`.  The package reads its integer arguments
-with :func:`as_integer` and its moduli with :func:`check_modulus`, which
-holds its one primality test, :func:`is_prime`.
+:class:`ResourceLimitError`.  The package reads every integer argument,
+its range and every coefficient of a term dict with :func:`as_integer`, and
+its moduli with :func:`check_modulus`, which holds its one primality test,
+:func:`is_prime`.
 """
 
 from __future__ import annotations
@@ -113,14 +114,23 @@ def is_prime(n):
     return True
 
 
-def as_integer(value, name):
-    """value as a Python int (a numpy integer converts); a bool or a non-integer is refused by name."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+def as_integer(value, name, least=None, most=None):
+    """value as a Python int (a numpy integer converts) in least..most; most is given only with least.
+
+    A bool, a non-integer, a value below least and one outside least..most
+    are each refused by name, with one message each.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if most is not None and not least <= value <= most:
+        raise ValueError(f"{name} must lie in {least}..{most}, got {value}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def check_modulus(p, limit=None):
@@ -332,7 +342,7 @@ def _submul(acc, a, b, p, a_cols=None, b_rows=None):
     bound = 2 * p
     for lo in range(0, inner, step):
         part = slice(lo, lo + step)
-        # p - a is -a mod p, with entries in [1, p], so every term is nonnegative.
+        # p - a is -a mod p, with entries in [1, p], so no term is negative.
         left = p - (a[:, part] if a_cols is None else a[:, a_cols[part]]).astype(np.float64)
         right = np.asarray(b[part] if b_rows is None else b[b_rows[part]], dtype=np.float64)
         if bound + left.shape[1] * term > _EXACT:

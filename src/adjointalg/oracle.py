@@ -110,6 +110,51 @@ def component_span_vectors(gen_dicts, p, n):
     return vectors
 
 
+def monomial_hilbert(words, cap):
+    """Quotient dimensions at degrees 1..cap by the ideal the given words generate, for any p.
+
+    A word lies in the monomial ideal exactly when some generator word is a
+    factor of it, so the dimension at degree n counts the words of length n
+    that avoid every generator word.  They are counted by a dynamic program
+    over the Aho-Corasick automaton of the generator words: a state is the
+    longest suffix read so far that begins a generator word, and a state is
+    dead when one of its suffixes is a whole generator word.
+    """
+    goto, dead = [{}], [False]
+    for word in words:
+        state = 0
+        for letter in word:
+            if letter not in goto[state]:
+                goto[state][letter] = len(goto)
+                goto.append({})
+                dead.append(False)
+            state = goto[state][letter]
+        dead[state] = True
+    # Breadth-first, so a state's suffix link (a shorter state) is complete before it.
+    link, moves, queue = [0] * len(goto), [None] * len(goto), [0]
+    for state in queue:
+        moves[state] = {}
+        for letter in "xy":
+            fallback = moves[link[state]][letter] if state else 0
+            child = goto[state].get(letter)
+            if child is None:
+                moves[state][letter] = fallback
+            else:
+                moves[state][letter], link[child] = child, fallback
+                dead[child] = dead[child] or dead[fallback]
+                queue.append(child)
+    counts, dims = ({} if dead[0] else {0: 1}), []
+    for _ in range(cap):
+        step = {}
+        for state, count in counts.items():
+            for target in moves[state].values():
+                if not dead[target]:
+                    step[target] = step.get(target, 0) + count
+        counts = step
+        dims.append(sum(counts.values()))
+    return tuple(dims)
+
+
 def brute_circle(rows, p, u, v):
     """u + v + u*v from nested-list structure constants, pure Python."""
     k = len(u)

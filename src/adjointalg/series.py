@@ -130,9 +130,7 @@ class GeneratorCensus:
         clean = {}
         for n, r in items:
             n = as_integer(n, "relation degree")
-            r = as_integer(r, f"relation count at degree {n}")
-            if r < 0:
-                raise ValueError(f"negative relation count {r} at degree {n}")
+            r = as_integer(r, f"relation count at degree {n}", 0)
             if r == 0:
                 continue
             if n < 2:
@@ -207,8 +205,7 @@ def f_eval(census, tau):
 
 def witness_search(census, denominator):
     """Smallest tau = k/denominator in (0, 1) with every tail convergent and f(tau) < 0."""
-    if denominator < 2:
-        raise ValueError(f"denominator must be at least 2, got {denominator}")
+    denominator = as_integer(denominator, "denominator", 2)
     for k in range(1, denominator):
         tau = Fraction(k, denominator)
         if not all(t.convergent_at(tau) for t in census.tails):

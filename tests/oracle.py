@@ -10,7 +10,7 @@ the stored form of an element.
 from hypothesis import strategies as st
 
 from adjointalg import TruncatedPoly
-from adjointalg.oracle import seeded_terms
+from adjointalg.oracle import naive_add, naive_mul, seeded_terms
 
 
 def seeded_poly(rng, p, cap, max_degree, max_terms=6):
@@ -42,6 +42,21 @@ def reversed_terms(terms):
 def swapped_terms(terms):
     """x and y exchanged in every word: a graded automorphism of F_p<x, y>."""
     return {w.translate(_SWAP): c for w, c in terms.items()}
+
+
+def substituted_terms(terms, images, p):
+    """Every letter replaced by its image, a term dict, and each word's product expanded mod p.
+
+    Images x -> ax + by and y -> cx + dy with ad - bc nonzero mod p give a
+    graded automorphism of F_p<x, y>.
+    """
+    out = {}
+    for word, c in terms.items():
+        image = {"": c}
+        for letter in word:
+            image = naive_mul(image, images[letter], p, len(word))
+        out = naive_add(out, image, p)
+    return out
 
 
 def assert_canonical(a):

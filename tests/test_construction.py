@@ -139,7 +139,7 @@ def test_enumeration_has_no_repeats_or_zeros():
 
 def test_enumerate_aplus_bounds():
     assert format_poly(enumerate_aplus(2, 3, 4)) == "x + y"
-    with pytest.raises(ValueError, match="1-based"):
+    with pytest.raises(ValueError, match="^index must be at least 1, got 0$"):
         enumerate_aplus(2, 0, 4)
     with pytest.raises(ValueError, match="exhausted"):
         enumerate_aplus(2, 4, 1)  # only x, y, x + y exist at cap 1

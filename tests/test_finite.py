@@ -133,17 +133,17 @@ def power_period(alg):
 
 def test_constructor_validation(monkeypatch):
     with pytest.raises(ValueError, match="prime"):
-        FiniteNilAlgebra(4, ["a"], np.zeros((1, 1, 1)))
+        FiniteNilAlgebra(4, ["a"], np.zeros((1, 1, 1), dtype=np.int64))
     with pytest.raises(ValueError, match="shape"):
-        FiniteNilAlgebra(2, ["a", "b"], np.zeros((1, 1, 1)))
-    bad = np.zeros((2, 2, 2))
+        FiniteNilAlgebra(2, ["a", "b"], np.zeros((1, 1, 1), dtype=np.int64))
+    bad = np.zeros((2, 2, 2), dtype=np.int64)
     bad[0, 0, 1] = 1  # e0*e0 = e1
     bad[1, 0, 0] = 1  # e1*e0 = e0, so (e0 e0) e0 = e0 but e0 (e0 e0) = 0
     with pytest.raises(ValueError, match="associative"):
         FiniteNilAlgebra(2, ["a", "b"], bad)
     # The check reads dim^4 products of 8 bytes: 128 for dim 2, 648 for dim 3.
     monkeypatch.setattr(linalg, "MAX_BLOCK_BYTES", 128)
-    assert FiniteNilAlgebra(2, ["a", "b"], np.zeros((2, 2, 2))).nilpotency_class == 2
+    assert FiniteNilAlgebra(2, ["a", "b"], np.zeros((2, 2, 2), dtype=np.int64)).nilpotency_class == 2
     with pytest.raises(ResourceLimitError, match="3-dimensional algebra reads 648 bytes"):
         truncated_polynomial_algebra(2, 4)
 
@@ -184,7 +184,7 @@ def test_associativity_refusal_names_the_first_failing_triple(monkeypatch, entri
 
 
 def test_idempotent_is_rejected():
-    table = np.zeros((1, 1, 1))
+    table = np.zeros((1, 1, 1), dtype=np.int64)
     table[0, 0, 0] = 1
     with pytest.raises(NotNilpotentError):
         FiniteNilAlgebra(2, ["e"], table)
@@ -613,6 +613,37 @@ def test_json_table_that_numpy_cannot_read_names_the_field(mul):
     """
     with pytest.raises(ValueError, match="^algebra field 'mul' must be a table of integers"):
         algebra_from_json({"p": 2, "labels": ["a"], "mul": mul})
+
+
+@pytest.mark.parametrize(
+    "table",
+    [[[[0.5]]], np.full((1, 1, 1), 1.0), [[[True]]], np.zeros((1, 1, 1), dtype=np.uint64), [[["0"]]]],
+    ids=["half", "float-one", "bool", "uint64", "string"],
+)
+def test_a_table_that_numpy_does_not_read_as_integers_is_refused(table):
+    """[[[0.5]]] used to be truncated to the zero table, and a float 1.0 read as 1."""
+    with pytest.raises(ValueError, match="^structure constants must be integers, read as "):
+        FiniteNilAlgebra(2, ["a"], table)
+
+
+@pytest.mark.parametrize("row", [(1.5, 0, 0), (1.0, 0, 0), (True, False, False), ("1", "0", "0")])
+def test_an_element_row_that_numpy_does_not_read_as_integers_is_refused(row):
+    """multiply((1.5, 0, 0), (1, 0, 0)) used to read 1.5 as 1 and give (0, 1, 0)."""
+    alg = truncated_polynomial_algebra(3, 4)
+    for call in (lambda: alg.multiply(row, (1, 0, 0)), lambda: alg.circle((1, 0, 0), row),
+                 lambda: alg.circle_pow(row, 2)):
+        with pytest.raises(ValueError, match="^element coordinates must be integers, read as "):
+            call()
+
+
+def test_integer_tables_and_rows_of_any_integer_dtype_are_read():
+    small = truncated_polynomial_algebra(3, 4)
+    alg = FiniteNilAlgebra(3, small.labels, small.table.astype(np.uint8))
+    assert np.array_equal(alg.table, small.table) and alg.table.dtype == np.int64
+    assert alg.multiply(np.array([1, 0, 0], dtype=np.int8), (1, 0, 0)) == (0, 1, 0)
+    # An empty table or row has no entries to misread, though numpy reads it as float64.
+    zero = FiniteNilAlgebra(2, (), np.zeros((0, 0, 0)))
+    assert zero.multiply((), ()) == ()
 
 
 @pytest.mark.parametrize("p", [-3, 0, 1, 2**24 + 1, 2**61 - 1])

@@ -99,8 +99,15 @@ def test_numpy_integer_exponents_equal_their_python_int_forms(k):
 
 @pytest.mark.parametrize("k", [2.0, np.float64(2.0), -1, np.int64(-1), "2"])
 def test_an_exponent_that_is_not_a_nonnegative_integer_is_refused(k):
-    with pytest.raises(ValueError, match="^exponent must be a nonnegative integer, got "):
+    with pytest.raises(ValueError, match="^exponent must be (an integer|at least 0), got "):
         TruncatedPoly(3, 6, {"x": 1}) ** k
+
+
+@pytest.mark.parametrize("product", [lambda a: a * True, lambda a: False * a])
+def test_a_bool_scalar_is_refused(product):
+    """A bool is an int to Python, and x * True used to give x."""
+    with pytest.raises(ValueError, match="^scalar must be an integer, got (True|False)$"):
+        product(TruncatedPoly(3, 6, {"x": 1}))
 
 
 @pytest.mark.parametrize("p", [43.0, np.float64(3.0), "3", None, True])
@@ -112,7 +119,7 @@ def test_non_integer_modulus_is_refused_by_name(p):
 @pytest.mark.parametrize("cap", [2.5, np.float64(3.0), "3", None, True])
 def test_non_integer_cap_is_refused_by_name(cap):
     """A cap of 2.5 used to build an element that factoring and inversion then failed on, and True was read as 1."""
-    with pytest.raises(ValueError, match=rf"^cap must be an integer, got {re.escape(repr(cap))}$"):
+    with pytest.raises(ValueError, match=rf"^degree cap must be an integer, got {re.escape(repr(cap))}$"):
         TruncatedPoly(2, cap, {"xy": 1})
 
 

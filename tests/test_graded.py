@@ -20,6 +20,7 @@ from adjointalg import (
     homogeneous_part,
     ideal_from_json,
     linalg,
+    monomial,
     nilpotency_bound,
     normal_form,
     one,
@@ -31,9 +32,9 @@ from adjointalg import (
     zero,
 )
 
-from adjointalg.oracle import component_span_vectors, rref_mod_p, span_closure
+from adjointalg.oracle import component_span_vectors, monomial_hilbert, rref_mod_p, span_closure
 
-from oracle import polys, reversed_terms, seeded_poly, swapped_terms, view_terms
+from oracle import polys, reversed_terms, seeded_poly, substituted_terms, swapped_terms, view_terms
 
 
 def ideal_of(p, cap, *texts):
@@ -423,3 +424,50 @@ def test_hilbert_tables_are_invariant_under_reversal_and_swap(data):
 @pytest.mark.parametrize("p,cap", [(2, 17), (3, 14)])
 def test_construction_ideal_tables_are_invariant_under_reversal_and_swap(p, cap):
     assert_symmetric_tables(combined_ideal(run_construction(p, cap, 100)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hilbert_tables_are_invariant_under_an_invertible_linear_substitution(data):
+    """x -> ax + by, y -> cx + dy with ad - bc nonzero is a graded automorphism, which keeps the table.
+
+    Unlike reversal and swap, it sends a word to a sum of words, so the
+    engines reduce rows of many terms built from ones of few.
+    """
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    cap = data.draw(st.integers(4, 10))
+    gens = []
+    for d in data.draw(st.lists(st.integers(2, 4), min_size=2, max_size=3)):
+        words = data.draw(st.lists(st.text("xy", min_size=d, max_size=d), min_size=1, max_size=3, unique=True))
+        gens.append({w: data.draw(st.integers(1, p - 1)) for w in words})
+    residues = st.integers(0, p - 1)
+    a, b, c, d = data.draw(st.tuples(residues, residues, residues, residues).filter(
+        lambda m: (m[0] * m[3] - m[1] * m[2]) % p
+    ))
+    images = {"x": {"x": a, "y": b}, "y": {"x": c, "y": d}}
+    ideal = GradedIdeal(p, cap, [TruncatedPoly(p, cap, g) for g in gens])
+    image = mapped_ideal(ideal, lambda terms: substituted_terms(terms, images, p))
+    assert quotient_dimensions(image).dims == quotient_dimensions(ideal).dims
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 12),
+    st.lists(st.text("xy", min_size=2, max_size=8), min_size=1, max_size=6),
+)
+def test_monomial_ideal_tables_equal_the_word_count(p, cap, words):
+    """A monomial ideal's table counts the words avoiding its generators (``oracle.monomial_hilbert``).
+
+    Generator words past the cap build no element, and the count never meets them.
+    """
+    gens = [monomial(w, p, cap) for w in words if len(w) <= cap]
+    assert quotient_dimensions(GradedIdeal(p, cap, gens)).dims == monomial_hilbert(words, cap)
+
+
+def test_a_monomial_ideal_table_at_cap_18_equals_the_word_count():
+    """x^8, y^8, (xy)^8 and (yx)^8 at p = 2: the F_2 engine grown to 2^18 coordinates."""
+    words = ["x" * 8, "y" * 8, "xy" * 8, "yx" * 8]
+    dims = quotient_dimensions(GradedIdeal(2, 18, [monomial(w, 2, 18) for w in words])).dims
+    assert dims == monomial_hilbert(words, 18)
+    assert dims[16:] == (125444, 249876)

@@ -1,6 +1,7 @@
 """Row-echelon engines: ranks, membership, reduced forms, and cross-engine agreement."""
 
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -9,13 +10,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjointalg import (
+    AdjointGroup,
+    GeneratorCensus,
     Gf2RowSpace,
+    GradedIdeal,
+    HilbertTable,
     ModpRowSpace,
+    TruncatedPoly,
+    circle_pow,
     combined_ideal,
+    cyclic_width,
+    enumerate_aplus,
+    factor_to_valuation,
+    homogeneous_part,
+    index_exponent_check,
     linalg,
+    manifest,
+    projective_class_reps,
+    quotient_algebra,
     quotient_dimensions,
+    quotient_exponent,
     row_space,
     run_construction,
+    strictly_upper_triangular_algebra,
+    truncated_polynomial_algebra,
+    witness_search,
+    words_of_degree,
 )
 from adjointalg.linalg import MAX_MODULUS
 from adjointalg.oracle import rref_mod_p
@@ -606,3 +626,84 @@ def test_gf2_top_component_stores_fewer_rows_than_its_rank():
     quotient_dimensions(ideal)
     top = ideal.component_basis(16)
     assert len(top._rows) < top.rank
+
+
+_X = TruncatedPoly(3, 6, {"x": 1})
+_ALGEBRA = truncated_polynomial_algebra(3, 4)
+
+#: Every entry point that reads an integer argument with ``linalg.as_integer``:
+#: (name, call, least, most, a valid value).  ``call`` returns something ``==`` compares.
+INTEGER_ARGUMENTS = {
+    "TruncatedPoly cap": ("degree cap", lambda v: TruncatedPoly(2, v, {"x": 1}), 1, None, 3),
+    "TruncatedPoly coefficient": ("coefficient", lambda v: TruncatedPoly(3, 4, {"x": v}), None, None, 2),
+    "__pow__": ("exponent", lambda v: _X**v, 0, None, 2),
+    "circle_pow": ("exponent", lambda v: circle_pow(_X, v), None, None, -2),
+    "homogeneous_part": ("degree", lambda v: homogeneous_part(_X + _X * _X, v), 0, 6, 2),
+    "words_of_degree": ("degree", words_of_degree, 0, None, 2),
+    "component_basis": (
+        "degree", lambda v: GradedIdeal(2, 4, [TruncatedPoly(2, 4, {"xy": 1})]).component_basis(v).rank, 1, 4, 3
+    ),
+    "HilbertTable.dimension": ("degree", HilbertTable(2, 3, (2, 3, 5)).dimension, 1, 3, 2),
+    "HilbertTable.ideal_rank": ("degree", HilbertTable(2, 3, (2, 3, 5)).ideal_rank, 1, 3, 2),
+    "factor_to_valuation": ("target valuation", lambda v: factor_to_valuation(_X + _X * _X, v), 1, 7, 3),
+    "run_construction": ("max_elements", lambda v: manifest(run_construction(2, 4, v)), 0, None, 2),
+    "enumerate_aplus": ("index", lambda v: enumerate_aplus(2, v, 4), 1, None, 3),
+    "projective_class_reps": ("degree", lambda v: list(projective_class_reps(2, v, 3)), 1, 3, 1),
+    "witness_search": ("denominator", lambda v: witness_search(GeneratorCensus({2: 2}), v), 2, None, 4),
+    "GeneratorCensus": ("relation count at degree 3", lambda v: GeneratorCensus({3: v}), 0, None, 2),
+    "power_space": ("power index", lambda v: _ALGEBRA.power_space(v).basis.tolist(), 1, None, 2),
+    "quotient_exponent": ("congruence index", lambda v: quotient_exponent(_ALGEBRA, v), 1, None, 2),
+    "quotient_algebra": (
+        "congruence index", lambda v: quotient_algebra(_ALGEBRA, v).to_json_dict(), 0, None, 1
+    ),
+    "truncated_polynomial_algebra": (
+        "modulus exponent", lambda v: truncated_polynomial_algebra(2, v).to_json_dict(), 1, None, 3
+    ),
+    "strictly_upper_triangular_algebra": (
+        "matrix size", lambda v: strictly_upper_triangular_algebra(2, v).to_json_dict(), 2, None, 3
+    ),
+    "cyclic_width": ("limit", lambda v: cyclic_width(AdjointGroup(_ALGEBRA), v), 1, None, 4),
+    "index_exponent_check": ("width", lambda v: index_exponent_check(_ALGEBRA, v), 1, None, 2),
+    "FiniteNilAlgebra.circle_pow": ("exponent", lambda v: _ALGEBRA.circle_pow((1, 2, 0), v), None, None, -2),
+}
+
+
+def _refusals():
+    for entry, (name, _, least, most, _) in INTEGER_ARGUMENTS.items():
+        yield entry, True, f"{name} must be an integer, got True"
+        yield entry, 2.5, f"{name} must be an integer, got 2.5"
+        if most is not None:
+            yield entry, least - 1, f"{name} must lie in {least}..{most}, got {least - 1}"
+            yield entry, most + 1, f"{name} must lie in {least}..{most}, got {most + 1}"
+        elif least is not None:
+            yield entry, least - 1, f"{name} must be at least {least}, got {least - 1}"
+
+
+@pytest.mark.parametrize("entry,value,message", list(_refusals()))
+def test_every_integer_argument_is_refused_by_name(entry, value, message):
+    """A bool, a float and a value out of range each raise one ValueError naming the argument."""
+    call = INTEGER_ARGUMENTS[entry][1]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", list(INTEGER_ARGUMENTS))
+def test_a_numpy_integer_argument_gives_the_python_int_answer(entry):
+    _, call, _, _, value = INTEGER_ARGUMENTS[entry]
+    assert call(np.int64(value)) == call(value)
+
+
+def test_numpy_coefficients_are_stored_as_python_ints():
+    """At p = 2^61 - 1 an int64 coefficient squared used to overflow and print 0x^2."""
+    p = 2**61 - 1
+    square = TruncatedPoly(p, 4, {"x": np.int64(2**60)}) ** 2
+    assert square == TruncatedPoly(p, 4, {"x": 2**60}) ** 2
+    assert str(square) == "576460752303423488x^2"
+    assert all(type(c) is int for c in TruncatedPoly(p, 4, {"x": np.int64(2**60)}).terms.values())
+
+
+@pytest.mark.parametrize("coeff", [1.5, 2.0, np.float64(1.0), True, "1"])
+def test_a_coefficient_that_is_not_an_integer_is_refused(coeff):
+    """A float coefficient used to be stored, and its product with y read xy."""
+    with pytest.raises(ValueError, match=f"^coefficient must be an integer, got {re.escape(repr(coeff))}$"):
+        TruncatedPoly(3, 4, {"x": coeff})

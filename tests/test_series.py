@@ -69,7 +69,7 @@ def test_census_validation_and_normalization():
         GeneratorCensus({1: 3})
     with pytest.raises(ValueError, match="degree 2"):
         GeneratorCensus({0: 1})
-    with pytest.raises(ValueError, match="negative"):
+    with pytest.raises(ValueError, match="^relation count at degree 3 must be at least 0, got -1$"):
         GeneratorCensus({3: -1})
     for tail in (OnePerDegreeTail(1), GeometricTail(2, 1)):
         with pytest.raises(ValueError, match="start at degree 2, got .* at degree 1$"):
