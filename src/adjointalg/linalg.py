@@ -200,7 +200,7 @@ class Gf2RowSpace:
     p = 2
 
     def __init__(self, ncols):
-        self.ncols = ncols
+        self.ncols = as_integer(ncols, "ncols", 1)
         self._rows = {}
         self._mask = 0
         self.rank = 0
@@ -396,7 +396,7 @@ class ModpRowSpace:
     """
 
     def __init__(self, ncols, p):
-        self.ncols = ncols
+        self.ncols = ncols = as_integer(ncols, "ncols", 1)
         self.p = check_modulus(p, MAX_MODULUS)
         self._piv = np.empty(0, dtype=np.int64)
         self._free = np.arange(ncols, dtype=np.int64)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -147,8 +148,9 @@ def check_construction_pipeline(seed=DEFAULT_SEED):
     holds, bad = gs_recursion_check(table, census_from_state(state))
     checks.append(holds)
     dims = ",".join(str(d) for d in table.dims)
+    j_counts = "+".join(f"{count}@{d}" for d, count in sorted(Counter(j_degrees).items()))
     detail = (
-        f"I degrees {sorted(i_degrees)}; J 3@8+15@16;"
+        f"I degrees {sorted(i_degrees)}; J {j_counts};"
         f" dims {dims}; recursion {'holds' if holds else f'fails at {bad}'}"
     )
     return all(checks), detail

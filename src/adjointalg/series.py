@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import reprlib
 import sys
 
 from .linalg import as_integer
@@ -169,10 +170,17 @@ def census_from_json(data):
     tails = data.get("tails", [])
     if not isinstance(counts, dict) or any(type(r) is not int for r in counts.values()):
         raise ValueError("census field 'counts' must map degrees to integers")
-    try:
-        counts = {int(n): r for n, r in counts.items()}
-    except ValueError:
-        raise ValueError("census field 'counts' must map integer degrees to integers") from None
+    for n in counts:
+        # A degree has one spelling, so "8" and "08" cannot each keep a count of their own.
+        try:
+            written = str(int(n))
+        except ValueError:
+            written = None
+        if written != n:
+            raise ValueError(
+                f"census field 'counts' must map integer degrees to integers, got key {reprlib.repr(n)}"
+            )
+    counts = {int(n): r for n, r in counts.items()}
     if not isinstance(tails, list):
         raise ValueError("census field 'tails' must be a list")
     return GeneratorCensus(counts, tuple(tail_from_json(t) for t in tails))

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from adjointalg import selftest, truncated_polynomial_algebra, variable
+from adjointalg import run_construction, selftest, truncated_polynomial_algebra, variable
 from adjointalg.selftest import CHECKS, DEFAULT_SEED, run_checks
 
 CHECK_NAMES = [name for name, _, _ in CHECKS]
@@ -52,3 +52,10 @@ def test_a_check_that_raises_is_a_failed_result(monkeypatch):
     (result,) = run_checks(names=[name], seed=3)
     assert not result.ok
     assert result.detail == "raised RuntimeError: crashed at seed 3"
+
+
+def test_the_construction_check_reports_the_torsion_relations_it_found(monkeypatch):
+    """At cap 8 only the three relations of degree 8 exist: the check fails and its detail says so."""
+    monkeypatch.setattr(selftest, "run_construction", lambda p, cap, max_elements: run_construction(p, 8, max_elements))
+    ok, detail = selftest.check_construction_pipeline()
+    assert not ok and "; J 3@8;" in detail

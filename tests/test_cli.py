@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -17,8 +18,11 @@ from adjointalg import (
 from adjointalg.cli import main
 
 
-def run_cli(capsys, *argv):
+def run_cli(capsys, *argv, seconds=None):
+    """Run the CLI in-process; given ``seconds``, it must also answer within that many."""
+    start = time.perf_counter()
     code = main(list(argv))
+    assert seconds is None or time.perf_counter() - start < seconds
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -53,7 +57,7 @@ def test_gs_check_invalid_tau_is_usage_error(capsys):
 
 
 def test_gs_check_tau_with_zero_denominator_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "gs-check", "--tau", "1/0")
+    code, out, err = run_cli(capsys, "gs-check", "--tau", "1/0", seconds=20)
     assert (code, out) == (2, "")
     assert err == "error: --tau 1/0 has a zero denominator\n"
 
@@ -73,7 +77,7 @@ def test_gs_check_refuses_a_value_past_the_largest_float(capsys, tmp_path):
     """f(3/4) of 10^400 words at degree 2 is about 5.6e399, which float() cannot hold."""
     path = tmp_path / "census.json"
     path.write_text('{"counts": {"2": 1' + "0" * 400 + "}}")
-    code, out, err = run_cli(capsys, "gs-check", "--census-file", str(path))
+    code, out, err = run_cli(capsys, "gs-check", "--census-file", str(path), seconds=20)
     assert (code, out) == (2, "")
     assert err == (
         "error: census degree 2 at tau 3/4: |f(tau)| is past the largest float, so no decimal prints\n"
@@ -101,7 +105,9 @@ def test_factor_exact_json(capsys):
 
 def test_factor_over_a_prime_past_the_trial_division_range(capsys):
     """p = 2^61 - 1 is decided by the Miller-Rabin test, not by 2^30 trial divisions."""
-    code, out, _ = run_cli(capsys, "factor", "--p", str(2**61 - 1), "--a", "x + y", "--cap", "4")
+    code, out, _ = run_cli(
+        capsys, "factor", "--p", str(2**61 - 1), "--a", "x + y", "--cap", "4", seconds=20
+    )
     assert code == 0
     assert json.loads(out)["factors"] == ["x + y"]
 
@@ -132,7 +138,7 @@ def run_gs_check_at_digit_limit(capsys, tmp_path, census, digits):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(digits)
     try:
-        return run_cli(capsys, "gs-check", "--census-file", str(path))
+        return run_cli(capsys, "gs-check", "--census-file", str(path), seconds=5)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -343,6 +349,12 @@ def test_hilbert_missing_file_is_usage_error(capsys, tmp_path):
         ),
         pytest.param(
             ["gs-check", "--census-file"],
+            {"counts": {"8": 3, "08": 15}},
+            "census field 'counts' must map integer degrees to integers, got key '08'",
+            id="census-degree-spelled-twice",
+        ),
+        pytest.param(
+            ["gs-check", "--census-file"],
             {"tails": [{"kind": "geometric", "growth": -100, "step": 1}]},
             "geometric tail field 'growth' must be an integer >= 1, got -100",
             id="census-negative-growth",
@@ -400,7 +412,7 @@ def test_hilbert_missing_file_is_usage_error(capsys, tmp_path):
 def test_malformed_input_file_is_a_usage_error(capsys, tmp_path, argv, document, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(document))
-    code, out, err = run_cli(capsys, *argv, str(path))
+    code, out, err = run_cli(capsys, *argv, str(path), seconds=20)
     assert (code, out) == (2, "")
     assert err.count("\n") == 1
     assert err.startswith(f"error: {message}")
@@ -427,7 +439,7 @@ def test_a_bad_modulus_or_cap_is_refused_before_any_work(capsys, monkeypatch, ar
 
     # The refusal comes before any construction work.
     monkeypatch.setattr(construction, "torsion_exponent", broken)
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv, seconds=20)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
@@ -481,7 +493,7 @@ def test_commutative_groups_past_the_table_ceiling_are_answered(capsys):
 
 
 def test_nonabelian_group_past_the_table_ceiling_is_a_usage_error(capsys):
-    code, out, err = run_cli(capsys, "width", "--family", "ut", "--p", "2", "--n", "6")
+    code, out, err = run_cli(capsys, "width", "--family", "ut", "--p", "2", "--n", "6", seconds=20)
     assert code == 2
     assert out == ""
     assert err.startswith("error: group order 32768 exceeds the limit 4096")
@@ -527,7 +539,7 @@ def test_width_the_witness_misses_is_a_usage_error_with_its_bracket(capsys, tmp_
     alg = direct_sum(truncated_polynomial_algebra(3, 5), strictly_upper_triangular_algebra(3, 3))
     path = tmp_path / "poly5-ut3.json"
     path.write_text(json.dumps(alg.to_json_dict()))
-    code, out, err = run_cli(capsys, "width", "--algebra-file", str(path))
+    code, out, err = run_cli(capsys, "width", "--algebra-file", str(path), seconds=20)
     assert code == 2
     assert out == ""
     assert err.startswith("error: cyclic width of a group of order 2187 is in [5, 6]: ")
@@ -570,7 +582,7 @@ def test_csv_outside_hilbert_is_refused_before_the_handler_runs(capsys, monkeypa
         raise AssertionError("the handler ran")
 
     monkeypatch.setattr(cli, handler, broken)
-    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    code, out, err = run_cli(capsys, *argv, "--format", "csv", seconds=20)
     assert (code, out) == (2, "")
     assert err == f"error: csv output is not available for '{argv[0]}'\n"
 

@@ -665,6 +665,8 @@ INTEGER_ARGUMENTS = {
     "cyclic_width": ("limit", lambda v: cyclic_width(AdjointGroup(_ALGEBRA), v), 1, None, 4),
     "index_exponent_check": ("width", lambda v: index_exponent_check(_ALGEBRA, v), 1, None, 2),
     "FiniteNilAlgebra.circle_pow": ("exponent", lambda v: _ALGEBRA.circle_pow((1, 2, 0), v), None, None, -2),
+    "row_space at p = 2": ("ncols", lambda v: row_space(v, 2).ncols, 1, None, 3),
+    "row_space at p = 3": ("ncols", lambda v: row_space(v, 3).ncols, 1, None, 3),
 }
 
 

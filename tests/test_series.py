@@ -169,6 +169,8 @@ def test_json_round_trips():
         ({"tails": [{"kind": "geometric", "growth": 2, "step": 7.0}]}, "geometric tail field 'step'"),
         ({"tails": [{"kind": "one_per_degree", "start": "14"}]}, "one_per_degree tail field 'start'"),
         ({"counts": {"x": 1}}, "census field 'counts' must map integer degrees to integers"),
+        ({"counts": {"1_0": 1}}, "census field 'counts' must map integer degrees to integers, got key '1_0'"),
+        ({"counts": {" 4 ": 1}}, "census field 'counts' must map integer degrees to integers, got key ' 4 '"),
     ],
 )
 def test_census_json_of_another_shape_names_the_field(data, message):
