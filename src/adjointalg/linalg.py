@@ -49,6 +49,7 @@ its moduli with :func:`check_modulus`, which holds its one primality test,
 
 from __future__ import annotations
 
+import functools
 import operator
 
 import numpy as np
@@ -69,12 +70,14 @@ _MODP_COORD_BYTES = 64
 #: Ceiling on the bytes a grown F_2 engine may hold.  Its rows are bignums.
 #: The r rows of the engine it grows from, which it keeps and which serve as
 #: the x copies, take ncols / 8 bytes each, their y copies 2 * ncols / 8, and
-#: the byte and spread buffers of the k rows new since the last growth
-#: 3 * ncols / 8 more each.  The y copies are built only when used, yet they
-#: are all counted, since reads of every row build them all.  On top come
-#: _GF2_COORD_BYTES per coordinate of the degree being built: the bool array
-#: of :func:`index_mask`, one byte per coordinate, and its packed copies.
-#: ``hilbert --p 2 --cap 19`` peaks at about 650 MB, and degree 20 is refused.
+#: the k rows new since the last growth 3 * ncols / 8 more each, for their
+#: right multiples N x and N y: two rows of up to 2 * ncols bits, stored when
+#: independent (0.88 of the term at degree 19).  The y copies are built only
+#: when used, yet they are all counted, since reads of every row build them
+#: all.  On top come _GF2_COORD_BYTES per coordinate of the degree being
+#: built: the bool array of :func:`index_mask`, one byte per coordinate, and
+#: its packed copies.  ``hilbert --p 2 --cap 19`` peaks at about 500 MB, and
+#: degree 20 is refused.
 MAX_GF2_BLOCK_BYTES = 1 << 31
 _GF2_COORD_BYTES = 2
 
@@ -182,8 +185,11 @@ def mask_indices(mask):
     return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
 
-#: Byte b with bit i moved to bit 2i, as little-endian 16 bits.
-_SPREAD = np.array([sum((b >> i & 1) << 2 * i for i in range(8)) for b in range(256)], dtype="<u2")
+@functools.cache
+def _spread_table():
+    """Each half-word with bit i moved to bit 2i, as little-endian 32 bits; built on first use."""
+    byte = np.array([sum((b >> i & 1) << 2 * i for i in range(8)) for b in range(256)], dtype="<u4")
+    return (byte[:, None] << 16 | byte).ravel()
 
 
 class Gf2RowSpace:
@@ -228,8 +234,11 @@ class Gf2RowSpace:
     def _insert(self, row):
         """Reduce one row; if anything is left, store it at its pivot and return True."""
         rows, mask = self._rows, self._mask
+        top = row.bit_length()
         while row:
             b = row.bit_length() - 1
+            if b >= top:
+                raise AssertionError(f"the row at pivot {top} left bit {b} set")
             other = rows.get(b)
             if other is None:
                 if not mask >> b & 1:
@@ -240,6 +249,7 @@ class Gf2RowSpace:
                     return True
                 other = self._row(b)
             row ^= other
+            top = b
         return False
 
     def encode(self, indices, coeffs):
@@ -258,11 +268,11 @@ class Gf2RowSpace:
         _check_block(n, block, _GF2_COORD_BYTES, MAX_GF2_BLOCK_BYTES)
         space = Gf2RowSpace(2 * n)
         space._below, space._mask, space.rank = self, self._mask | self._mask << n, 2 * self.rank
-        # Spread the new rows' bytes in one lookup; a y multiple is the x one shifted by 1.
-        new = b"".join(r.to_bytes(width, "little") for r in self._new)
-        spread = _SPREAD[np.frombuffer(new, dtype=np.uint8)].tobytes()
-        for top in range(0, len(spread), 2 * width):
-            row = int.from_bytes(spread[top:top + 2 * width], "little")
+        # Spread each new row's own half-words; a y multiple is the x one shifted by 1.
+        table = _spread_table()
+        for r in self._new:
+            half = np.frombuffer(r.to_bytes((r.bit_length() + 15) // 16 * 2, "little"), dtype="<u2")
+            row = int.from_bytes(table.take(half), "little")
             space.add(row)
             space.add(row << 1)
         return space
@@ -270,12 +280,17 @@ class Gf2RowSpace:
     def reduce(self, v):
         """The unique representative of v modulo the span with no pivot coordinate set."""
         rows, mask = self._rows, self._mask
-        # Each XOR clears the highest pivot set and changes only lower bits.
+        # Each XOR clears the highest pivot set and changes only lower bits,
+        # so the pivots fall; a row whose top bit is not its pivot fails here.
         hit = v & mask
+        top = hit.bit_length()
         while hit:
             b = hit.bit_length() - 1
+            if b >= top:
+                raise AssertionError(f"the row at pivot {top} left bit {b} set")
             v ^= rows.get(b) or self._row(b)
             hit = v & mask
+            top = b
         return v
 
     def contains(self, v):

@@ -357,10 +357,10 @@ def test_resource_guard_refuses_a_component_before_allocating_it(monkeypatch):
         below = ideal.component_basis(4)
         r, n = below.rank, below.ncols
         k = r - 2 * ideal.component_basis(3).rank  # rows new since degree 4 was grown
-        # GF(2): the r rows of n bits kept below, their y copies of 2n bits, byte
-        # and spread buffers of 3n bits for each of the k new rows, and 2 bytes
-        # per coordinate; mod p: the doubled 2r x 2(n - r) float32 block and 64
-        # bytes per coordinate.
+        # GF(2): the r rows of n bits kept below, their y copies of 2n bits, 3n
+        # bits for the stored right multiples of each of the k new rows, and 2
+        # bytes per coordinate; mod p: the doubled 2r x 2(n - r) float32 block
+        # and 64 bytes per coordinate.
         block = 3 * r * n // 8 + 3 * k * n // 8 + 2 * 2 * n if p == 2 else 4 * r * (n - r) * 4 + 64 * 2 * n
         assert k > 0
         assert block > 0

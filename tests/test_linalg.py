@@ -1,7 +1,11 @@
 """Row-echelon engines: ranks, membership, reduced forms, and cross-engine agreement."""
 
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -459,17 +463,80 @@ def _grow_twice(engines, first, extra, p, export):
 
 
 @pytest.mark.parametrize("export", [False, True])
-@pytest.mark.parametrize("ncols", [1, 4, 8, 12, 16, 256, 512])
+@pytest.mark.parametrize("ncols", [1, 4, 8, 12, 16, 17, 24, 40, 256, 512])
 def test_gf2_grown_matches_the_dense_engine_and_the_naive_span(ncols, export):
-    """Row widths cross byte boundaries; the second growth reads only the rows added after the first."""
+    """Rows cross byte and half-word boundaries; the second growth reads only the rows added after the first."""
     rng = random.Random(ncols)
     count = min(ncols, 4)
-    first = [rng.getrandbits(ncols) | 1 << rng.randrange(ncols) for _ in range(count)]
-    first = [bits_to_vec(r, ncols) for r in first + [first[0] ^ first[-1]]]  # the last is dependent
+    rows = [rng.getrandbits(ncols) | 1 << rng.randrange(ncols) for _ in range(count)]
+    # Added first, so their top bits stay pivots: one at the last coordinate,
+    # one whose bit_length is 1 past a multiple of 16.
+    edge = (ncols - 1) // 16 * 16
+    first = [rng.getrandbits(ncols) | 1 << ncols - 1, rng.getrandbits(edge) | 1 << edge]
+    first = [bits_to_vec(r, ncols) for r in first + rows + [rows[0] ^ rows[-1]]]  # the last is dependent
     extra = [bits_to_vec(rng.getrandbits(2 * ncols) & rng.getrandbits(2 * ncols), 2 * ncols) for _ in range(3)]
     levels = _grow_twice([Gf2RowSpace(ncols), ModpRowSpace(ncols, 2)], first, extra, 2, export)
     for (gf2, dense), expected in levels:
         assert gf2 == dense == expected
+
+
+def test_gf2_spread_table_moves_bit_i_to_bit_2i():
+    """Every half-word, against the per-bit formula."""
+    half = np.arange(1 << 16, dtype=np.uint64)
+    table = linalg._spread_table()
+    assert table.dtype == np.dtype("<u4")
+    assert np.array_equal(table, sum((half >> i & 1) << 2 * i for i in range(16)))
+
+
+#: The upper left copy shifted by n - 1 instead of n: its top bit is not its pivot.
+_SHIFTED_COPY = """
+def _row(self, b):
+    row = self._rows.get(b)
+    if row is None:
+        below, n = self._below, self._below.ncols
+        row = self._rows[b] = below._row(b - n) << n - 1 if b >= n else below._row(b)
+    return row
+
+linalg.Gf2RowSpace._row = _row
+"""
+
+
+@pytest.mark.parametrize(
+    "script,code,last",
+    [
+        (
+            _SHIFTED_COPY + "quotient_dimensions(GradedIdeal(2, 6, [parse_poly('xy + yx', 2, 6)]))",
+            1,
+            r"AssertionError: the row at pivot (\d+) left bit \1 set",
+        ),
+        (
+            _SHIFTED_COPY + "raise SystemExit(main(['hilbert', '--p', '2', '--cap', '12']))",
+            3,
+            r"internal error: the row at pivot (\d+) left bit \1 set",
+        ),
+        (
+            "space = Gf2RowSpace(4)\nspace.add(0b1000)\nspace._rows[3] = 0b100\nspace.reduce(0b1000)",
+            1,
+            r"AssertionError: the row at pivot 3 left bit 3 set",
+        ),
+    ],
+    ids=["shifted-copy", "shifted-copy-cli", "reduce"],
+)
+def test_gf2_row_whose_top_bit_is_not_its_pivot_fails_instead_of_hanging(script, code, last):
+    """In a child process with a timeout, so a reduction that never ends fails the test."""
+    src = str(Path(linalg.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    head = "from adjointalg import GradedIdeal, Gf2RowSpace, linalg, parse_poly, quotient_dimensions\n"
+    head += "from adjointalg.cli import main\n"
+    run = subprocess.run(
+        [sys.executable, "-c", head + script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert run.returncode == code
+    assert re.fullmatch(last, run.stderr.splitlines()[-1])
 
 
 @settings(max_examples=40, deadline=None)
