@@ -34,11 +34,7 @@ MIN_RELATION_DEGREE = 14
 
 def torsion_exponent(p):
     """Smallest alpha >= 1 with p^alpha >= 7; a p that is not prime is refused."""
-    p = linalg.check_modulus(p)
-    alpha = 1
-    while p**alpha < 7:
-        alpha += 1
-    return alpha
+    return linalg.ceil_log(linalg.check_modulus(p), 7)
 
 
 def projective_class_count(p, d):

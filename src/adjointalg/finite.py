@@ -438,10 +438,7 @@ def _circle_pow_rows(algebra, a, k):
     needs no inverse, and k = p gives zero once p reaches the class.  The
     bits of k are read from the top, so nothing is squared past it.
     """
-    q = 1
-    while q < algebra.nilpotency_class:
-        q *= algebra.p
-    k %= q
+    k %= algebra.p ** linalg.ceil_log(algebra.p, algebra.nilpotency_class)
     if not k:
         return np.zeros_like(a)
     acc = a
@@ -597,7 +594,7 @@ def _width_bound(algebra):
         rows = np.concatenate([_left(algebra, basis), basis @ table % p], axis=None)
     bound = max(1, k - _echelon(np.concatenate([basis, algebra._pth_powers]), p).rank)
     for n in range(1, algebra.nilpotency_class):
-        t = next(t for t in range(1, n + 1) if p**t > n)  # p^t, the least power >= n + 1
+        t = linalg.ceil_log(p, n + 1)
         bound = max(bound, -(-(k - algebra.power_space(n + 1).rank) // t))
     return bound
 

@@ -44,7 +44,8 @@ arrays of one entry per coordinate, pass the engine's ceiling with a
 :class:`ResourceLimitError`.  The package reads every integer argument,
 its range and every coefficient of a term dict with :func:`as_integer`, and
 its moduli with :func:`check_modulus`, which holds its one primality test,
-:func:`is_prime`.
+:func:`is_prime`; :func:`ceil_log` is its one rule for the least power of p
+at or above a bound.
 """
 
 from __future__ import annotations
@@ -134,6 +135,14 @@ def as_integer(value, name, least=None, most=None):
     if least is not None and value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
     return value
+
+
+def ceil_log(p, m):
+    """The least t >= 0 with p^t >= m, so that p^t is the least power of p at or above m."""
+    t, q = 0, 1
+    while q < m:
+        t, q = t + 1, q * p
+    return t
 
 
 def check_modulus(p, limit=None):

@@ -199,10 +199,20 @@ def tail_bound_census():
 
 
 def f_eval(census, tau):
-    """Exact value of f(tau) = 1 - 2*tau + sum r_n tau^n at a rational tau in (0, 1)."""
+    """Exact value of f(tau) = 1 - 2*tau + sum r_n tau^n at a rational tau in (0, 1).
+
+    Refused before any term is evaluated, naming the term of highest degree
+    and tau, when :func:`_eval_bits` passes :data:`MAX_EVAL_BITS`.
+    """
     tau = Fraction(tau)
     if not 0 < tau < 1:
         raise ValueError(f"tau must lie strictly between 0 and 1, got {tau}")
+    bits, name = _eval_bits(census, tau)
+    if bits > MAX_EVAL_BITS:
+        raise ValueError(
+            f"{name} at tau {tau}: f(tau) would hold more than {MAX_EVAL_BITS} bits,"
+            " past the evaluation ceiling"
+        )
     total = 1 - 2 * tau
     for n, r in census.counts:
         total += r * tau**n
@@ -212,13 +222,19 @@ def f_eval(census, tau):
 
 
 def witness_search(census, denominator):
-    """Smallest tau = k/denominator in (0, 1) with every tail convergent and f(tau) < 0."""
+    """Smallest tau = k/denominator in (0, 1) with every tail convergent and f(tau) < 0.
+
+    Each tau is evaluated by :func:`f_eval`, so a census past its ceiling is
+    refused before any term, a tail's included, is computed.
+    """
     denominator = as_integer(denominator, "denominator", 2)
     for k in range(1, denominator):
         tau = Fraction(k, denominator)
-        if not all(t.convergent_at(tau) for t in census.tails):
+        try:
+            value = f_eval(census, tau)
+        except DivergentTailError:
             continue
-        if f_eval(census, tau) < 0:
+        if value < 0:
             return tau
     return None
 
@@ -277,19 +293,14 @@ def _eval_bits(census, tau):
 def gs_report(census, tau):
     """JSON-ready report of an exact evaluation at tau.
 
-    Refused, naming the term of highest degree and tau: before evaluation
-    when :func:`_eval_bits` passes :data:`MAX_EVAL_BITS`, whatever the
-    interpreter's digit limit, and after it when f(tau) holds an integer
-    past that limit or is past the largest float, so that no decimal prints.
+    Refused, naming the term of highest degree and tau: by :func:`f_eval`
+    before evaluation past its ceiling, whatever the interpreter's digit
+    limit, and after it when f(tau) holds an integer past that limit or is
+    past the largest float, so that no decimal prints.
     """
     tau = Fraction(tau)
-    bits, name = _eval_bits(census, tau)
-    if bits > MAX_EVAL_BITS and 0 < tau < 1:  # f_eval refuses any other tau at once
-        raise ValueError(
-            f"{name} at tau {tau}: f(tau) would hold more than {MAX_EVAL_BITS} bits,"
-            " past the evaluation ceiling"
-        )
     value = f_eval(census, tau)
+    name = _eval_bits(census, tau)[1]
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
         raise ValueError(

@@ -1,4 +1,4 @@
-"""Row-echelon engines: ranks, membership, reduced forms, and cross-engine agreement."""
+"""Row-echelon engines: one contract suite over every p, engine-specific paths, and the integer readers."""
 
 import os
 import random
@@ -45,8 +45,31 @@ from adjointalg.linalg import MAX_MODULUS
 from adjointalg.oracle import rref_mod_p
 
 
-def bits_to_vec(r, ncols):
-    return [(r >> i) & 1 for i in range(ncols)]
+#: The moduli of the engine contract suite: the F_2 engine, two small odd
+#: primes and the largest prime the dense engine takes.
+PRIMES = (2, 3, 5, 16777213)
+
+
+def to_row(v, space):
+    """A dense list as a row of the engine: for F_2 an int with bit i at coordinate i, else an int64 array."""
+    if isinstance(space, Gf2RowSpace):
+        return sum((int(c) & 1) << i for i, c in enumerate(v))
+    return np.array(v, dtype=np.int64)
+
+
+def to_list(row, ncols):
+    """An engine row as a list of its ncols residues; the inverse of :func:`to_row`."""
+    return [row >> i & 1 for i in range(ncols)] if isinstance(row, int) else [int(c) for c in row]
+
+
+def _random_rows(rng, p, ncols, count):
+    """Dense rows over F_p, each zero above a random coordinate, so that the pivots spread."""
+    tops = rng.choices(range(1, ncols + 1), k=count)
+    return [[rng.randrange(p) if j < top else 0 for j in range(ncols)] for top in tops]
+
+
+def _row_lists(p, ncols, max_rows):
+    return st.lists(st.lists(st.integers(0, p - 1), min_size=ncols, max_size=ncols), max_size=max_rows)
 
 
 def reduce_by(basis, v, p):
@@ -55,10 +78,6 @@ def reduce_by(basis, v, p):
         c = v[max(i for i, x in enumerate(row) if x)]
         v = [(a - c * b) % p for a, b in zip(v, row)]
     return v
-
-
-def vec_to_bits(v):
-    return sum(int(c) << i for i, c in enumerate(v) if int(c) % 2)
 
 
 def test_dispatcher_picks_engine_by_prime():
@@ -76,35 +95,34 @@ def test_a_composite_modulus_is_refused_when_the_engine_is_built(p):
 
 
 def test_empty_spaces():
-    for space in (Gf2RowSpace(6), ModpRowSpace(6, 3)):
-        assert space.rank == 0
-        assert space.pivots == []
-        assert space.rows() == []
-        assert space.row_vectors() == []
-    assert Gf2RowSpace(6).reduce(0b101) == 0b101
-    assert list(ModpRowSpace(6, 3).reduce([1, 2, 0, 0, 0, 1])) == [1, 2, 0, 0, 0, 1]
+    for p in PRIMES:
+        space = row_space(6, p)
+        assert (space.rank, space.pivots, space.rows(), space.row_vectors()) == (0, [], [], [])
+        assert to_list(space.reduce(to_row([1, 1, 0, 0, 0, 1], space)), 6) == [1, 1, 0, 0, 0, 1]
 
 
-def test_gf2_rank_and_membership():
-    space = Gf2RowSpace(4)
-    assert space.add(0b0011) is True
-    assert space.add(0b0110) is True
-    assert space.add(0b0101) is False  # XOR of the first two
+@pytest.mark.parametrize("p", PRIMES)
+def test_rank_and_membership(p):
+    space = row_space(4, p)
+    u, w = [1, 1, 0, 0], [0, 1, 1, 0]
+    difference = [(a - b) % p for a, b in zip(u, w)]  # u + w at p = 2
+    assert [space.add(to_row(r, space)) for r in (u, w, difference)] == [True, True, False]
     assert space.rank == 2
-    assert space.contains(0b0101)
-    assert space.contains(0)
-    assert not space.contains(0b1000)
-    assert not space.contains(0b0111)
+    assert space.contains(to_row(difference, space))
+    assert space.contains(to_row([0, 0, 0, 0], space))
+    assert not space.contains(to_row([0, 0, 0, 1], space))
+    assert not space.contains(to_row([1, 1, 1, 0], space))
 
 
 def test_both_engines_add_a_list_of_rows():
-    gf2, dense = Gf2RowSpace(4), ModpRowSpace(4, 2)
-    assert gf2.add([0b0011, 0b0110, 0b0101]) is True
-    assert dense.add([bits_to_vec(r, 4) for r in (0b0011, 0b0110, 0b0101)]) is True
-    assert gf2.rank == dense.rank == 2
-    assert gf2.add([0b0101, 0b1000]) is True  # only the last row is new
-    assert gf2.add([0b1101]) is False
-    assert gf2.rank == 3
+    for p in PRIMES:
+        space = row_space(4, p)
+        u, w = [1, 1, 0, 0], [0, 1, 1, 0]
+        difference = [(a - b) % p for a, b in zip(u, w)]
+        # Only the last row of the second list is new, and the third list's row is in the span.
+        batches = [u, w, difference], [difference, [0, 0, 0, 1]], [difference[:3] + [1]]
+        assert [space.add([to_row(r, space) for r in rows]) for rows in batches] == [True, True, False]
+        assert space.rank == 3
 
 
 def test_gf2_add_of_a_list_is_one_call_of_add(monkeypatch):
@@ -122,107 +140,64 @@ def test_gf2_add_of_a_list_is_one_call_of_add(monkeypatch):
     assert (len(calls), space.rank) == (1, 2)
 
 
-def test_modp_rank_and_membership():
-    space = ModpRowSpace(3, 5)
-    assert space.add([1, 2, 0]) is True
-    assert space.add([0, 1, 1]) is True
-    assert space.add([2, 2, 3]) is False  # 2*(first) + 3*(second) mod 5
-    assert space.rank == 2
-    assert space.contains([2, 2, 3])
-    assert space.contains([0, 0, 0])
-    assert not space.contains([0, 0, 1])
-
-
-def test_modp_pivots_are_normalized():
-    space = ModpRowSpace(4, 7)
-    space.add([0, 3, 0, 0])
-    space.add([2, 0, 0, 5])
-    for row in space.rows():
-        pivot = int(np.nonzero(row)[0][-1])
-        assert int(row[pivot]) == 1
-
-
-def _random_gf2_rows(seed, ncols, count):
-    rng = random.Random(seed)
-    return [rng.getrandbits(ncols) for _ in range(count)]
-
-
-@pytest.mark.parametrize("seed", [1, 7, 23])
-def test_gf2_reduced_rows_have_single_pivot_per_column(seed):
+@pytest.mark.parametrize("p", PRIMES)
+def test_exported_rows_are_reduced_and_span_the_same_space(p):
+    """Each row is 1 at its pivot, which is its top nonzero coordinate, and 0 at every other pivot."""
     ncols = 20
-    space = Gf2RowSpace(ncols)
-    for r in _random_gf2_rows(seed, ncols, 14):
-        space.add(r)
-    reduced = space.rows()
-    pivots = space.pivots
-    assert len(reduced) == len(pivots) == space.rank
-    for b, row in zip(pivots, reduced):
-        assert row.bit_length() - 1 == b
-        for other_b, other in zip(pivots, reduced):
-            if other_b != b:
-                assert not (other >> b) & 1
-    # exporting is idempotent and does not disturb the span
-    assert space.rows() == reduced
-    again = Gf2RowSpace(ncols)
-    for row in reduced:
-        assert again.add(row) is True
-    for r in _random_gf2_rows(seed, ncols, 14):
-        assert space.contains(r) == again.contains(r)
-        assert space.reduce(r) == again.reduce(r)
+    for seed in (1, 7, 23):
+        rng, space, again = random.Random(seed), row_space(ncols, p), row_space(ncols, p)
+        rows = _random_rows(rng, p, ncols, 14)
+        for r in rows:
+            space.add(to_row(r, space))
+        reduced, pivots = [to_list(r, ncols) for r in space.rows()], space.pivots
+        assert len(reduced) == len(pivots) == space.rank
+        for b, row in zip(pivots, reduced):
+            assert row[b] == 1 and max(j for j, c in enumerate(row) if c) == b
+            assert [row[other] for other in pivots if other != b] == [0] * (len(pivots) - 1)
+        # Exporting is idempotent, and the exported rows span the same space.
+        assert [to_list(r, ncols) for r in space.rows()] == reduced
+        assert [again.add(to_row(r, again)) for r in reduced] == [True] * len(reduced)
+        for r in rows + _random_rows(rng, p, ncols, 14):
+            v = to_row(r, space)
+            assert space.contains(v) == again.contains(v)
+            assert to_list(space.reduce(v), ncols) == to_list(again.reduce(v), ncols)
 
 
-@pytest.mark.parametrize("seed", [3, 11])
-def test_modp_reduced_rows_have_single_pivot_per_column(seed):
-    rng = np.random.default_rng(seed)
-    space = ModpRowSpace(12, 3)
-    for row in rng.integers(0, 3, size=(9, 12)):
-        space.add(row)
-    reduced = space.rows()
-    pivots = space.pivots
-    for b, row in zip(pivots, reduced):
-        assert int(row[b]) == 1
-        assert int(np.nonzero(row)[0][-1]) == b
-        for other_b, other in zip(pivots, reduced):
-            if other_b != b:
-                assert int(other[b]) == 0
-
-
-def test_gf2_reduce_is_coset_invariant():
-    rng = random.Random(99)
-    space = Gf2RowSpace(16)
-    added = []
-    for _ in range(10):
-        r = rng.getrandbits(16)
-        if space.add(r):
-            added.append(r)
-    for _ in range(50):
-        v = rng.getrandbits(16)
-        shift = 0
+@pytest.mark.parametrize("p", PRIMES)
+def test_reduce_is_coset_invariant(p):
+    """reduce(v) is the same on all of v + span, and v minus it lies in the span."""
+    rng, ncols = random.Random(p), 16
+    space = row_space(ncols, p)
+    added = [r for r in _random_rows(rng, p, ncols, 10) if space.add(to_row(r, space))]
+    for v in _random_rows(rng, p, ncols, 50):
+        moved = v
         for r in added:
-            if rng.random() < 0.5:
-                shift ^= r
-        assert space.reduce(v ^ shift) == space.reduce(v)
-        # v minus its residue lies in the span
-        assert space.contains(v ^ space.reduce(v))
+            c = rng.randrange(p)
+            moved = [(a + c * b) % p for a, b in zip(moved, r)]
+        residue = to_list(space.reduce(to_row(v, space)), ncols)
+        assert to_list(space.reduce(to_row(moved, space)), ncols) == residue
+        assert space.contains(to_row([(a - b) % p for a, b in zip(v, residue)], space))
 
 
-def test_modp_reduce_is_coset_invariant():
-    rng = np.random.default_rng(5)
-    space = ModpRowSpace(10, 5)
-    added = []
-    for row in rng.integers(0, 5, size=(7, 10)):
-        if space.add(row):
-            added.append(np.array(row) % 5)
-    for _ in range(40):
-        v = rng.integers(0, 5, size=10)
-        shift = np.zeros(10, dtype=np.int64)
-        for r in added:
-            shift = shift + int(rng.integers(0, 5)) * r
-        lhs = space.reduce((v + shift) % 5)
-        rhs = space.reduce(v)
-        assert np.array_equal(lhs, rhs)
-        # v minus its residue lies in the span
-        assert space.contains((v - rhs) % 5)
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_span_combinations_never_grow_rank_and_reduce_is_idempotent(p, data):
+    ncols = data.draw(st.integers(1, 12))
+    rows = data.draw(_row_lists(p, ncols, 14))
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=len(rows), max_size=len(rows)))
+    vs = data.draw(_row_lists(p, ncols, 4))
+    space = row_space(ncols, p)
+    for r in rows:
+        space.add(to_row(r, space))
+    rank = space.rank
+    combo = [sum(c * r[j] for c, r in zip(coeffs, rows)) % p for j in range(ncols)]
+    assert space.add(to_row(combo, space)) is False
+    assert space.rank == rank
+    assert all(space.contains(to_row(r, space)) for r in rows)
+    for v in vs:
+        once = space.reduce(to_row(v, space))
+        assert to_list(space.reduce(once), ncols) == to_list(once, ncols)
 
 
 def test_modp_float_input_is_reduced_exactly():
@@ -246,58 +221,6 @@ def test_modp_reduce_matrix_matches_rowwise_reduce():
     for i in range(m.shape[0]):
         assert np.array_equal(batch[i], space.reduce(m[i]))
 
-
-@pytest.mark.parametrize("seed", [2, 13, 404])
-def test_engines_agree_at_p_equals_two(seed):
-    """The bitset engine and the dense engine build the same echelon space."""
-    ncols = 24
-    bitspace = Gf2RowSpace(ncols)
-    dense = ModpRowSpace(ncols, 2)
-    for r in _random_gf2_rows(seed, ncols, 40):
-        grew_bits = bitspace.add(r)
-        grew_dense = dense.add(bits_to_vec(r, ncols))
-        assert grew_bits == grew_dense
-        assert bitspace.rank == dense.rank
-    assert bitspace.pivots == dense.pivots
-    assert bitspace.row_vectors() == dense.row_vectors()
-    rng = random.Random(seed + 1)
-    for _ in range(30):
-        v = rng.getrandbits(ncols)
-        assert bits_to_vec(bitspace.reduce(v), ncols) == list(
-            int(c) for c in dense.reduce(bits_to_vec(v, ncols))
-        )
-        assert bitspace.contains(v) == dense.contains(bits_to_vec(v, ncols))
-
-
-@settings(max_examples=60)
-@given(st.lists(st.integers(min_value=0, max_value=2**12 - 1), max_size=16))
-def test_gf2_span_combinations_never_grow_rank(rows):
-    space = Gf2RowSpace(12)
-    for r in rows:
-        space.add(r)
-    rank = space.rank
-    combo = 0
-    for r in rows:
-        combo ^= r
-    assert space.add(combo) is False
-    assert space.rank == rank
-
-
-@settings(max_examples=40)
-@given(
-    st.lists(
-        st.lists(st.integers(min_value=0, max_value=4), min_size=8, max_size=8),
-        max_size=10,
-    )
-)
-def test_modp_reduce_is_idempotent(rows):
-    space = ModpRowSpace(8, 5)
-    for r in rows:
-        space.add(r)
-    for r in rows:
-        once = space.reduce(r)
-        assert np.array_equal(space.reduce(once), once)
-        assert space.contains(r)
 
 
 def test_modp_refuses_moduli_outside_the_exact_range():
@@ -355,10 +278,6 @@ def test_modp_sliced_products_and_blocks_match_the_oracle(p, monkeypatch):
     assert space.reduce_matrix(m).tolist() == [reduce_by(basis, v, p) for v in m]
 
 
-def _row_lists(p, ncols, max_rows):
-    return st.lists(st.lists(st.integers(0, p - 1), min_size=ncols, max_size=ncols), max_size=max_rows)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_modp_batch_add_matches_rowwise_add_and_the_oracle(data):
@@ -384,16 +303,6 @@ def test_modp_batch_add_matches_rowwise_add_and_the_oracle(data):
     assert batched._piv.tolist() == rowwise._piv.tolist()
     assert np.array_equal(batched._coef, rowwise._coef)
 
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=2**10 - 1), max_size=20), st.integers(0, 2**10 - 1))
-def test_engines_agree_at_p_equals_two_on_random_rows(rows, v):
-    bitspace, dense = Gf2RowSpace(10), ModpRowSpace(10, 2)
-    for r in rows:
-        assert bitspace.add(r) == dense.add(bits_to_vec(r, 10))
-    assert bitspace.pivots == dense.pivots
-    assert bitspace.row_vectors() == dense.row_vectors()
-    assert bits_to_vec(bitspace.reduce(v), 10) == dense.reduce(bits_to_vec(v, 10)).tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -439,14 +348,10 @@ def _naive_grown(left, right, ncols):
 
 def _grow_twice(engines, first, extra, p, export):
     """Grow fresh engines, add more rows, grow again; yield each level's rows and the oracle's."""
-
-    def add(space, r):
-        space.add(vec_to_bits(r) if isinstance(space, Gf2RowSpace) else r)
-
     ncols = len(first[0])
     for space in engines:
         for r in first:
-            add(space, r)
+            space.add(to_row(r, space))
     spanning, multiples = _naive_grown(first, first, ncols)
     if export:
         for space in engines:
@@ -455,7 +360,7 @@ def _grow_twice(engines, first, extra, p, export):
     yield [space.row_vectors() for space in engines], rref_mod_p(spanning, p)
     for space in engines:
         for r in extra:
-            add(space, r)
+            space.add(to_row(r, space))
         if export:
             space.rows()
     spanning, _ = _naive_grown(spanning + extra, multiples + extra, 2 * ncols)
@@ -473,8 +378,8 @@ def test_gf2_grown_matches_the_dense_engine_and_the_naive_span(ncols, export):
     # one whose bit_length is 1 past a multiple of 16.
     edge = (ncols - 1) // 16 * 16
     first = [rng.getrandbits(ncols) | 1 << ncols - 1, rng.getrandbits(edge) | 1 << edge]
-    first = [bits_to_vec(r, ncols) for r in first + rows + [rows[0] ^ rows[-1]]]  # the last is dependent
-    extra = [bits_to_vec(rng.getrandbits(2 * ncols) & rng.getrandbits(2 * ncols), 2 * ncols) for _ in range(3)]
+    first = [to_list(r, ncols) for r in first + rows + [rows[0] ^ rows[-1]]]  # the last is dependent
+    extra = [to_list(rng.getrandbits(2 * ncols) & rng.getrandbits(2 * ncols), 2 * ncols) for _ in range(3)]
     levels = _grow_twice([Gf2RowSpace(ncols), ModpRowSpace(ncols, 2)], first, extra, 2, export)
     for (gf2, dense), expected in levels:
         assert gf2 == dense == expected
@@ -542,7 +447,7 @@ def test_gf2_row_whose_top_bit_is_not_its_pivot_fails_instead_of_hanging(script,
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_modp_grown_matches_the_naive_span(data):
-    p = data.draw(st.sampled_from([3, 5]))
+    p = data.draw(st.sampled_from(PRIMES[1:]))
     ncols = data.draw(st.integers(1, 8))
     first = data.draw(_row_lists(p, ncols, 5).filter(bool))
     extra = data.draw(_row_lists(p, 2 * ncols, 3))
@@ -567,15 +472,11 @@ def _same_state(a, b):
     )
 
 
-def _plain(row):
-    return row if isinstance(row, int) else row.tolist()
-
-
 def _answers(space, v):
     """Everything a read gives, in plain Python values; reduce and contains come before rows()."""
     return (
-        space.rank, list(space.pivots), _plain(space.reduce(v)), space.contains(v),
-        [_plain(r) for r in space.rows()], space.row_vectors(),
+        space.rank, list(space.pivots), to_list(space.reduce(v), space.ncols), space.contains(v),
+        [to_list(r, space.ncols) for r in space.rows()], space.row_vectors(),
     )
 
 
@@ -596,22 +497,21 @@ def test_reads_never_change_an_engine(data):
     the row of the engine below at the same pivot, shifted by that engine's
     width when the pivot is in the upper half.
     """
-    p = data.draw(st.sampled_from([2, 3, 5]))
+    p = data.draw(st.sampled_from(PRIMES))
     ncols = data.draw(st.integers(1, 6))
     levels = data.draw(st.integers(1, 2))
     first = data.draw(_row_lists(p, ncols, 5))
     v = data.draw(st.lists(st.integers(0, p - 1), min_size=ncols << levels, max_size=ncols << levels))
     space = row_space(ncols, p)
-    encode = vec_to_bits if p == 2 else np.array
     for r in first:
-        space.add(encode(r))
+        space.add(to_row(r, space))
     for _ in range(levels):
         space = space.grown()
         for r in data.draw(_row_lists(p, space.ncols, 3)):
-            space.add(encode(r))
+            space.add(to_row(r, space))
     before = [_state(s) for s in _chain(space)]
     # The second round of reads runs after the first has built every left copy.
-    assert _answers(space, encode(v)) == _answers(space, encode(v))
+    assert _answers(space, to_row(v, space)) == _answers(space, to_row(v, space))
     after = [_state(s) for s in _chain(space)]
     for engine, old, new in zip(_chain(space), before, after):
         if p == 2:
@@ -625,53 +525,40 @@ def test_reads_never_change_an_engine(data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.one_of(st.none(), st.integers(min_value=0)), max_size=30))
-def test_gf2_mask_holds_exactly_the_pivots(steps):
-    """None grows the engines; an integer is added as a row, cut to the current width.
-
-    The mask is compared with the pivots of the dense engine fed the same steps.
-    """
-    space, dense = Gf2RowSpace(2), ModpRowSpace(2, 2)
-    for step in steps:
-        if step is None:
-            if space.ncols < 1 << 8:
-                space, dense = space.grown(), dense.grown()
-        else:
-            row = step % (1 << space.ncols)
-            space.add(row)
-            dense.add(bits_to_vec(row, dense.ncols))
-        assert space._mask == linalg.index_mask(np.array(dense.pivots, dtype=np.int64))
-        assert space.rank == dense.rank
-
-
-@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_gf2_left_copies_built_on_first_use_match_the_eager_engine(data):
-    """Chains of 1-4 growths with adds and reads interleaved, against the eager dense engine.
+    """Chains of 0-4 growths with adds and reads interleaved, against the eager dense engine.
 
-    Reads between the adds build some left copies before more rows go in, so
-    ``add`` meets both built and unbuilt copies.
+    Level 0 compares the two engines fed the same rows; its width reaches 24,
+    so rows cross byte boundaries.  Reads between the adds build some left
+    copies before more rows go in, so ``add`` meets both built and unbuilt
+    copies.  After every add and read the pivot mask holds exactly the dense pivots.
     """
-    ncols = data.draw(st.integers(1, 4))
+    ncols = data.draw(st.integers(1, 24))
     space, dense = Gf2RowSpace(ncols), ModpRowSpace(ncols, 2)
+
+    def same_pivots():
+        assert (space.rank, space.pivots) == (dense.rank, dense.pivots)
+        assert space._mask == linalg.index_mask(np.array(dense.pivots, dtype=np.int64))
 
     def agree():
         width = space.ncols
-        assert space.rank == dense.rank
-        assert space.pivots == dense.pivots
+        same_pivots()
         assert space.row_vectors() == dense.row_vectors()
         for v in data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=3)):
-            assert bits_to_vec(space.reduce(v), width) == dense.reduce(bits_to_vec(v, width)).tolist()
+            assert to_list(space.reduce(v), width) == dense.reduce(to_list(v, width)).tolist()
+            assert space.contains(v) == dense.contains(to_list(v, width))
 
-    for level in range(data.draw(st.integers(1, 4)) + 1):
+    for level in range(data.draw(st.integers(0, 4)) + 1):
         if level:
             space, dense = space.grown(), dense.grown()
-        steps = st.lists(st.one_of(st.none(), st.integers(0, (1 << space.ncols) - 1)), max_size=6)
+        steps = st.lists(st.one_of(st.none(), st.integers(0, (1 << space.ncols) - 1)), max_size=8)
         for step in data.draw(steps):
             if step is None:
                 agree()
             else:
-                assert space.add(step) == dense.add(bits_to_vec(step, space.ncols))
+                assert space.add(step) == dense.add(to_list(step, space.ncols))
+                same_pivots()
         agree()
 
 
@@ -760,6 +647,13 @@ def test_every_integer_argument_is_refused_by_name(entry, value, message):
 def test_a_numpy_integer_argument_gives_the_python_int_answer(entry):
     _, call, _, _, value = INTEGER_ARGUMENTS[entry]
     assert call(np.int64(value)) == call(value)
+
+
+def test_ceil_log_gives_the_least_power_at_or_above_a_bound():
+    for p in (2, 3, 5, 7):
+        for m in range(1, 130):
+            t = linalg.ceil_log(p, m)
+            assert p**t >= m and (t == 0 or p ** (t - 1) < m)
 
 
 def test_numpy_coefficients_are_stored_as_python_ints():

@@ -2,6 +2,7 @@
 
 import re
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -131,6 +132,22 @@ def test_witness_search():
     # every grid point diverges for a fast tail: skipped, not an error
     fast = GeneratorCensus(tails=(GeometricTail(256, 2),))
     assert witness_search(fast, 4) is None
+
+
+@pytest.mark.parametrize(
+    "census,name",
+    [
+        (GeneratorCensus({3000000: 1}), "census degree 3000000"),
+        (GeneratorCensus(tails=(GeometricTail(2, 3000000),)), "geometric tail field 'step' 3000000"),
+    ],
+)
+def test_witness_search_refuses_a_census_past_the_evaluation_ceiling(census, name):
+    """Its taus used to be evaluated unguarded: the count took seconds to reach 4/7."""
+    message = f"{name} at tau 1/7: f(tau) would hold more than 262144 bits, past the evaluation ceiling"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        witness_search(census, 7)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_gs_recursion_check():
