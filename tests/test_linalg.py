@@ -140,27 +140,42 @@ def test_gf2_add_of_a_list_is_one_call_of_add(monkeypatch):
     assert (len(calls), space.rank) == (1, 2)
 
 
-@pytest.mark.parametrize("p", PRIMES)
-def test_exported_rows_are_reduced_and_span_the_same_space(p):
+def _check_exported_rows(p, seed):
     """Each row is 1 at its pivot, which is its top nonzero coordinate, and 0 at every other pivot."""
     ncols = 20
+    rng, space, again = random.Random(seed), row_space(ncols, p), row_space(ncols, p)
+    rows = _random_rows(rng, p, ncols, 14)
+    for r in rows:
+        space.add(to_row(r, space))
+    reduced, pivots = [to_list(r, ncols) for r in space.rows()], space.pivots
+    assert len(reduced) == len(pivots) == space.rank
+    for b, row in zip(pivots, reduced):
+        assert row[b] == 1 and max(j for j, c in enumerate(row) if c) == b
+        assert [row[other] for other in pivots if other != b] == [0] * (len(pivots) - 1)
+    # Exporting is idempotent, and the exported rows span the same space.
+    assert [to_list(r, ncols) for r in space.rows()] == reduced
+    assert [again.add(to_row(r, again)) for r in reduced] == [True] * len(reduced)
+    for r in rows + _random_rows(rng, p, ncols, 14):
+        v = to_row(r, space)
+        assert space.contains(v) == again.contains(v)
+        assert to_list(space.reduce(v), ncols) == to_list(again.reduce(v), ncols)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 23])
+def test_gf2_reduced_rows_have_single_pivot_per_column(seed):
+    _check_exported_rows(2, seed)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_modp_reduced_rows_have_single_pivot_per_column(seed):
+    _check_exported_rows(3, seed)
+
+
+@pytest.mark.parametrize("p", PRIMES[2:])
+def test_exported_rows_are_reduced_and_span_the_same_space(p):
+    """The same check as the two tests above, at the primes they leave out."""
     for seed in (1, 7, 23):
-        rng, space, again = random.Random(seed), row_space(ncols, p), row_space(ncols, p)
-        rows = _random_rows(rng, p, ncols, 14)
-        for r in rows:
-            space.add(to_row(r, space))
-        reduced, pivots = [to_list(r, ncols) for r in space.rows()], space.pivots
-        assert len(reduced) == len(pivots) == space.rank
-        for b, row in zip(pivots, reduced):
-            assert row[b] == 1 and max(j for j, c in enumerate(row) if c) == b
-            assert [row[other] for other in pivots if other != b] == [0] * (len(pivots) - 1)
-        # Exporting is idempotent, and the exported rows span the same space.
-        assert [to_list(r, ncols) for r in space.rows()] == reduced
-        assert [again.add(to_row(r, again)) for r in reduced] == [True] * len(reduced)
-        for r in rows + _random_rows(rng, p, ncols, 14):
-            v = to_row(r, space)
-            assert space.contains(v) == again.contains(v)
-            assert to_list(space.reduce(v), ncols) == to_list(again.reduce(v), ncols)
+        _check_exported_rows(p, seed)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -221,6 +236,20 @@ def test_modp_reduce_matrix_matches_rowwise_reduce():
     for i in range(m.shape[0]):
         assert np.array_equal(batch[i], space.reduce(m[i]))
 
+
+@pytest.mark.parametrize("seed", [2, 13, 404])
+def test_engines_agree_at_p_equals_two(seed):
+    """The bitset engine and the dense engine build the same echelon space."""
+    ncols, rng = 24, random.Random(seed)
+    bitspace, dense = Gf2RowSpace(ncols), ModpRowSpace(ncols, 2)
+    for r in _random_rows(rng, 2, ncols, 40):
+        assert bitspace.add(to_row(r, bitspace)) == dense.add(r)
+        assert bitspace.rank == dense.rank
+    assert bitspace.pivots == dense.pivots
+    assert bitspace.row_vectors() == dense.row_vectors()
+    for v in _random_rows(rng, 2, ncols, 30):
+        assert to_list(bitspace.reduce(to_row(v, bitspace)), ncols) == to_list(dense.reduce(v), ncols)
+        assert bitspace.contains(to_row(v, bitspace)) == dense.contains(v)
 
 
 def test_modp_refuses_moduli_outside_the_exact_range():
@@ -303,6 +332,16 @@ def test_modp_batch_add_matches_rowwise_add_and_the_oracle(data):
     assert batched._piv.tolist() == rowwise._piv.tolist()
     assert np.array_equal(batched._coef, rowwise._coef)
 
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**10 - 1), max_size=20), st.integers(0, 2**10 - 1))
+def test_engines_agree_at_p_equals_two_on_random_rows(rows, v):
+    bitspace, dense = Gf2RowSpace(10), ModpRowSpace(10, 2)
+    for r in rows:
+        assert bitspace.add(r) == dense.add(to_list(r, 10))
+    assert bitspace.pivots == dense.pivots
+    assert bitspace.row_vectors() == dense.row_vectors()
+    assert to_list(bitspace.reduce(v), 10) == dense.reduce(to_list(v, 10)).tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -522,6 +561,27 @@ def test_reads_never_change_an_engine(data):
                 n = below.ncols
                 assert new_rows[b] == (below._rows[b - n] << n if b >= n else below._rows[b])
         assert _same_state(new, old)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.integers(min_value=0)), max_size=30))
+def test_gf2_mask_holds_exactly_the_pivots(steps):
+    """None grows the engines; an integer is added as a row, cut to the current width.
+
+    The mask is compared with the pivots of the dense engine fed the same steps,
+    through growths up to width 256, past the four of the left-copy test below.
+    """
+    space, dense = Gf2RowSpace(2), ModpRowSpace(2, 2)
+    for step in steps:
+        if step is None:
+            if space.ncols < 1 << 8:
+                space, dense = space.grown(), dense.grown()
+        else:
+            row = step % (1 << space.ncols)
+            space.add(row)
+            dense.add(to_list(row, dense.ncols))
+        assert space._mask == linalg.index_mask(np.array(dense.pivots, dtype=np.int64))
+        assert space.rank == dense.rank
 
 
 @settings(max_examples=60, deadline=None)
