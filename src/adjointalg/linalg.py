@@ -4,9 +4,10 @@ Two implementations share one interface, and both key each basis row by
 its pivot, the highest nonzero coordinate.  :class:`Gf2RowSpace` packs
 each row into a single Python integer, coordinate i living at bit i, so
 row reduction is bignum XOR (the kernel for the large degree components
-over F_2); it keeps a forward echelon basis and the bitmask of its pivots,
-reduces a vector by walking that mask, and exports each row reduced below
-its pivot.  :class:`ModpRowSpace` always holds its span in reduced
+over F_2); it keeps a forward echelon basis and one flag per coordinate
+that marks its pivots, reduces a vector from its top bit down, looking
+each top bit up in the flags, and exports each row reduced below its
+pivot.  :class:`ModpRowSpace` always holds its span in reduced
 row-echelon form, stored compactly as the pivot columns, the free columns
 and the rank x free block of coefficients.  Reducing a batch of rows
 against it is one matrix product on the free block; a batch is inserted in
@@ -18,8 +19,8 @@ float64 BLAS calls, split along the inner dimension so that every partial
 sum stays an exact integer below 2^53; both are exact for p up to 2^24.
 Only ``add`` and ``grown()`` change an engine's span.  Reads (``reduce``,
 ``contains``, ``pivots``, ``rows`` and ``row_vectors``) never change its span
-or any answer; an F_2 read may store a left copy it built, equal to the copy
-it stands for.
+or any answer; an F_2 read may store a whole row it built, equal to the row
+it stands for, and the pivot mask it packed from the flags.
 
 ``encode(indices, coeffs)`` builds a row in an engine's format, which ``add``
 and ``reduce`` take, from nonzero residues at distinct coordinates, and
@@ -30,10 +31,12 @@ the result spans x V + y V + N x + N y in 2 * ncols coordinates, N being the
 rows added since this engine was grown (all rows of a fresh engine).  The
 left multiples are two copies of the basis, the second shifted by ncols:
 their pivots are disjoint, so they need no elimination.  The F_2 engine
-copies nothing: it keeps the engine it grew from and builds the copy at a
-pivot the first time ``add``, ``reduce`` or ``rows`` needs it.  Rows the
-engine below gains later do not reach it: its pivot mask is fixed when it
-is grown, and no stored row ever changes.  A right factor
+copies nothing: it keeps the engine it grew from and splits each vector it
+reduces at that engine's width, so a left copy is the row below XORed into
+one half, with no shift; a whole copy is built only when the engine above
+or ``rows`` asks for it.  Rows the engine below gains later do not reach
+it: its pivot flags are fixed when it is grown, and no stored row ever
+changes.  A right factor
 sends index j to 2j (x) or 2j + 1 (y); :class:`ModpRowSpace` adds the right
 multiples in the sparse form of ``add``, whose ``columns`` and ``leads`` go
 together.  Rows stay in insertion order, and a row only ever changes by
@@ -72,13 +75,13 @@ _MODP_COORD_BYTES = 64
 #: The r rows of the engine it grows from, which it keeps and which serve as
 #: the x copies, take ncols / 8 bytes each, their y copies 2 * ncols / 8, and
 #: the k rows new since the last growth 3 * ncols / 8 more each, for their
-#: right multiples N x and N y: two rows of up to 2 * ncols bits, stored when
-#: independent (0.88 of the term at degree 19).  The y copies are built only
-#: when used, yet they are all counted, since reads of every row build them
-#: all.  On top come _GF2_COORD_BYTES per coordinate of the degree being
-#: built: the bool array of :func:`index_mask`, one byte per coordinate, and
-#: its packed copies.  ``hilbert --p 2 --cap 19`` peaks at about 500 MB, and
-#: degree 20 is refused.
+#: right multiples N x and N y: two rows of up to 2 * ncols bits, stored as
+#: their halves when independent (0.88 of the term at degree 19).  A whole y
+#: copy is built only for the engine above or ``rows()``, yet they are all
+#: counted, since ``rows()`` builds them all.  On top come _GF2_COORD_BYTES
+#: per coordinate of the degree being built: the pivot flags and the bool
+#: array of :func:`index_mask`, one byte per coordinate each.
+#: ``hilbert --p 2 --cap 19`` peaks at about 260 MB, and degree 20 is refused.
 MAX_GF2_BLOCK_BYTES = 1 << 31
 _GF2_COORD_BYTES = 2
 
@@ -201,38 +204,94 @@ def _spread_table():
     return (byte[:, None] << 16 | byte).ravel()
 
 
+#: bytes.translate table from a coordinate's flag to the flag of its two copies one degree up.
+_INHERIT = bytes([0, 1, 1]) + bytes(253)
+
+
 class Gf2RowSpace:
     """Row space over F_2 with integers as rows (bit i = coordinate i).
 
-    ``_mask`` has a bit at each pivot; :meth:`add` and :meth:`grown` keep it
-    current.  Reduction walks it: the highest pivot set in v picks the next
-    row to XOR in.  ``_rows`` maps a pivot to its row.  A grown engine keeps
-    the engine below as ``_below`` and holds its left copies only once they
-    are used: :meth:`_row` builds the copy at a pivot missing from ``_rows``
-    and stores it.  ``_new`` lists the rows :meth:`add` found, in order.
+    ``_flags`` holds one byte per coordinate: 0 for no pivot, 1 for a pivot
+    inherited from the engine below at :meth:`grown`, 2 for a row added at
+    this degree.  A grown engine keeps the engine below as ``_below``, of
+    width n, and splits each vector it reduces into a high half (coordinates
+    n and up, shifted down by n) and a low half, ``_low`` being the mask of
+    the low half (n is 0 for a fresh engine).  An inherited pivot b is the
+    row of the engine below at b - n or b, XORed into the half b lies in; a
+    row added here is stored in ``_halves`` as its two halves, keyed by its
+    pivot in the order the rows were found.  :meth:`_row` builds a whole row
+    only when the engine above or :meth:`rows` asks for one, and keeps it in
+    ``_rows``.  ``_mask`` has a bit at each pivot; it is built from the flags
+    on its first read after an add.
     """
 
     p = 2
 
     def __init__(self, ncols):
         self.ncols = as_integer(ncols, "ncols", 1)
+        self._flags = bytearray(self.ncols)
+        self._halves = {}
         self._rows = {}
-        self._mask = 0
+        self._low = 0
         self.rank = 0
-        self._new = []
         self._below = None
 
     @property
     def pivots(self):
         return mask_indices(self._mask).tolist()
 
+    @functools.cached_property
+    def _mask(self):
+        """A bit at each pivot, packed from the flags on the first read after an add."""
+        return index_mask(np.flatnonzero(np.frombuffer(self._flags, dtype=np.uint8)))
+
     def _row(self, b):
-        """The row at pivot b; a left copy is built from the engine below and stored."""
+        """The whole row at pivot b, built on first use and kept."""
         row = self._rows.get(b)
         if row is None:
-            below, n = self._below, self._below.ncols
-            row = self._rows[b] = below._row(b - n) << n if b >= n else below._row(b)
+            n = self._low.bit_length()
+            if self._flags[b] == 2:
+                high, low = self._halves[b]
+                row = high << n | low
+            elif b >= n:
+                row = self._below._row(b - n) << n
+            else:
+                row = self._below._row(b)
+            self._rows[b] = row
         return row
+
+    def _walk(self, high, low, top):
+        """Clear pivots off the top of the vector with the given halves, top first.
+
+        Returns the halves and the top coordinate of what is left once that
+        coordinate is no pivot, or -1 once both halves are 0.  Each top
+        coordinate must lie below ``top``, which then falls to it: an XOR
+        clears the pivot at the top and changes only lower bits, so a row
+        whose top bit is not its pivot fails here.
+        """
+        flags, halves, below, n = self._flags, self._halves, self._below, self._low.bit_length()
+        built = below._rows if below else None
+        while True:
+            if high:
+                b = high.bit_length() - 1 + n
+            elif low:
+                b = low.bit_length() - 1
+            else:
+                return 0, 0, -1
+            if b >= top:
+                raise AssertionError(f"the row at pivot {top} left bit {b} set")
+            flag = flags[b]
+            if flag == 2:
+                row_high, row_low = halves[b]
+                high ^= row_high
+                low ^= row_low
+            elif not flag:
+                return high, low, b
+            elif b >= n:
+                high ^= built.get(b - n) or below._row(b - n)
+            else:
+                low ^= built.get(b) or below._row(b)
+            top = b
 
     def add(self, row):
         """Insert one row, or each row of a list; returns True if the span grew."""
@@ -241,25 +300,15 @@ class Gf2RowSpace:
         return self._insert(row)
 
     def _insert(self, row):
-        """Reduce one row; if anything is left, store it at its pivot and return True."""
-        rows, mask = self._rows, self._mask
-        top = row.bit_length()
-        while row:
-            b = row.bit_length() - 1
-            if b >= top:
-                raise AssertionError(f"the row at pivot {top} left bit {b} set")
-            other = rows.get(b)
-            if other is None:
-                if not mask >> b & 1:
-                    rows[b] = row
-                    self._mask = mask | 1 << b
-                    self.rank += 1
-                    self._new.append(row)
-                    return True
-                other = self._row(b)
-            row ^= other
-            top = b
-        return False
+        """Reduce one row; if anything is left, store its halves at its pivot and return True."""
+        high, low, b = self._walk(row >> self._low.bit_length(), row & self._low, row.bit_length())
+        if b < 0:
+            return False
+        self._halves[b] = high, low
+        self._flags[b] = 2
+        self.rank += 1
+        vars(self).pop("_mask", None)
+        return True
 
     def encode(self, indices, coeffs):
         """The row with bits at the given coordinates: every nonzero residue mod 2 is 1."""
@@ -273,13 +322,16 @@ class Gf2RowSpace:
     def grown(self):
         """The engine one degree up, x V + y V + N x + N y (see the module docstring)."""
         n, width = self.ncols, (self.ncols + 7) // 8
-        block = self.rank * 3 * n // 8 + len(self._new) * 3 * width
+        block = self.rank * 3 * n // 8 + len(self._halves) * 3 * width
         _check_block(n, block, _GF2_COORD_BYTES, MAX_GF2_BLOCK_BYTES)
         space = Gf2RowSpace(2 * n)
-        space._below, space._mask, space.rank = self, self._mask | self._mask << n, 2 * self.rank
+        space._below, space._low, space.rank = self, (1 << n) - 1, 2 * self.rank
+        inherited = self._flags.translate(_INHERIT)
+        space._flags = inherited + inherited
         # Spread each new row's own half-words; a y multiple is the x one shifted by 1.
-        table = _spread_table()
-        for r in self._new:
+        table, m = _spread_table(), self._low.bit_length()
+        for high, low in self._halves.values():
+            r = high << m | low
             half = np.frombuffer(r.to_bytes((r.bit_length() + 15) // 16 * 2, "little"), dtype="<u2")
             row = int.from_bytes(table.take(half), "little")
             space.add(row)
@@ -288,19 +340,29 @@ class Gf2RowSpace:
 
     def reduce(self, v):
         """The unique representative of v modulo the span with no pivot coordinate set."""
-        rows, mask = self._rows, self._mask
-        # Each XOR clears the highest pivot set and changes only lower bits,
-        # so the pivots fall; a row whose top bit is not its pivot fails here.
-        hit = v & mask
-        top = hit.bit_length()
-        while hit:
-            b = hit.bit_length() - 1
-            if b >= top:
-                raise AssertionError(f"the row at pivot {top} left bit {b} set")
-            v ^= rows.get(b) or self._row(b)
-            hit = v & mask
-            top = b
-        return v
+        n = self._low.bit_length()
+        high, low, top = v >> n, v & self._low, v.bit_length()
+        kept_high = kept_low = 0
+        high_mask = None
+        while True:
+            high, low, b = self._walk(high, low, top)
+            if b < 0:
+                return kept_high << n | kept_low
+            # No pivot at b: the bits of its half above the next pivot stay as they are.
+            if b >= n:
+                if high_mask is None:
+                    high_mask = self._mask >> n
+                cut = (high & high_mask).bit_length()
+                aside = high >> cut << cut
+                kept_high ^= aside
+                high ^= aside
+                top = n + cut
+            else:
+                cut = (low & self._mask).bit_length()
+                aside = low >> cut << cut
+                kept_low ^= aside
+                low ^= aside
+                top = cut
 
     def contains(self, v):
         return self.reduce(v) == 0

@@ -149,6 +149,7 @@ def _check_exported_rows(p, seed):
         space.add(to_row(r, space))
     reduced, pivots = [to_list(r, ncols) for r in space.rows()], space.pivots
     assert len(reduced) == len(pivots) == space.rank
+    assert reduced == rref_mod_p(rows, p)
     for b, row in zip(pivots, reduced):
         assert row[b] == 1 and max(j for j, c in enumerate(row) if c) == b
         assert [row[other] for other in pivots if other != b] == [0] * (len(pivots) - 1)
@@ -432,13 +433,20 @@ def test_gf2_spread_table_moves_bit_i_to_bit_2i():
     assert np.array_equal(table, sum((half >> i & 1) << 2 * i for i in range(16)))
 
 
-#: The upper left copy shifted by n - 1 instead of n: its top bit is not its pivot.
+#: The whole upper left copy shifted by n - 1 instead of n: its top bit is not its pivot.
 _SHIFTED_COPY = """
 def _row(self, b):
     row = self._rows.get(b)
     if row is None:
-        below, n = self._below, self._below.ncols
-        row = self._rows[b] = below._row(b - n) << n - 1 if b >= n else below._row(b)
+        n = self._low.bit_length()
+        if self._flags[b] == 2:
+            high, low = self._halves[b]
+            row = high << n | low
+        elif b >= n:
+            row = self._below._row(b - n) << n - 1
+        else:
+            row = self._below._row(b)
+        self._rows[b] = row
     return row
 
 linalg.Gf2RowSpace._row = _row
@@ -454,20 +462,26 @@ linalg.Gf2RowSpace._row = _row
             r"AssertionError: the row at pivot (\d+) left bit \1 set",
         ),
         (
-            _SHIFTED_COPY + "raise SystemExit(main(['hilbert', '--p', '2', '--cap', '12']))",
+            _SHIFTED_COPY + "raise SystemExit(main(['hilbert', '--p', '2', '--cap', '6', '--ideal-file', 'xy.json']))",
             3,
             r"internal error: the row at pivot (\d+) left bit \1 set",
         ),
         (
-            "space = Gf2RowSpace(4)\nspace.add(0b1000)\nspace._rows[3] = 0b100\nspace.reduce(0b1000)",
+            "space = Gf2RowSpace(4)\nspace.add(0b1000)\nspace._halves[3] = 0b100, 0\nspace.reduce(0b1000)",
             1,
             r"AssertionError: the row at pivot 3 left bit 3 set",
         ),
     ],
     ids=["shifted-copy", "shifted-copy-cli", "reduce"],
 )
-def test_gf2_row_whose_top_bit_is_not_its_pivot_fails_instead_of_hanging(script, code, last):
-    """In a child process with a timeout, so a reduction that never ends fails the test."""
+def test_gf2_row_whose_top_bit_is_not_its_pivot_fails_instead_of_hanging(script, code, last, tmp_path):
+    """In a child process with a timeout, so a reduction that never ends fails the test.
+
+    The CLI case reads the ideal of xy + yx from a file: a whole upper left
+    copy is built only for the walk of the engine above, which the CLI's
+    default construction ideal does not reach at small caps.
+    """
+    (tmp_path / "xy.json").write_text('[[2, "xy + yx"]]')
     src = str(Path(linalg.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     head = "from adjointalg import GradedIdeal, Gf2RowSpace, linalg, parse_poly, quotient_dimensions\n"
@@ -475,6 +489,7 @@ def test_gf2_row_whose_top_bit_is_not_its_pivot_fails_instead_of_hanging(script,
     run = subprocess.run(
         [sys.executable, "-c", head + script],
         env=dict(os.environ, PYTHONPATH=path),
+        cwd=tmp_path,
         capture_output=True,
         text=True,
         timeout=30,
@@ -500,7 +515,7 @@ def test_modp_grown_matches_the_naive_span(data):
 
 def _state(space):
     """A copy of every stored attribute of an engine."""
-    return {k: v.copy() if isinstance(v, (dict, list, np.ndarray)) else v for k, v in vars(space).items()}
+    return {k: v.copy() if isinstance(v, (dict, list, bytearray, np.ndarray)) else v for k, v in vars(space).items()}
 
 
 def _same_state(a, b):
@@ -519,6 +534,16 @@ def _answers(space, v):
     )
 
 
+def _whole_row(engine, b):
+    """The whole row at pivot b from the halves stored at b, or from the engine below."""
+    n = engine._low.bit_length()
+    if engine._flags[b] == 2:
+        high, low = engine._halves[b]
+        return high << n | low
+    below = engine._below
+    return below._rows[b - n] << n if b >= n else below._rows[b]
+
+
 def _chain(space):
     """The engine and every F_2 engine it was grown from, top first."""
     while space is not None:
@@ -529,12 +554,13 @@ def _chain(space):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_reads_never_change_an_engine(data):
-    """Reads keep an engine's span and answers; an F_2 read may only store left copies.
+    """Reads keep an engine's span and answers; an F_2 read may only store whole rows and its mask.
 
-    Every attribute is compared exactly, except the F_2 ``_rows``: its old
-    entries must stay, and each new one must be the left copy it stands for,
-    the row of the engine below at the same pivot, shifted by that engine's
-    width when the pivot is in the upper half.
+    Every attribute is compared exactly, except two of the F_2 engine.  The
+    mask ``_mask`` is derived from the flags on a read.  In ``_rows`` the old
+    entries must stay, and each new one must be the whole row it stands for:
+    the two stored halves joined, or the row of the engine below at the same
+    pivot, shifted by that engine's width when the pivot is in the upper half.
     """
     p = data.draw(st.sampled_from(PRIMES))
     ncols = data.draw(st.integers(1, 6))
@@ -554,12 +580,12 @@ def test_reads_never_change_an_engine(data):
     after = [_state(s) for s in _chain(space)]
     for engine, old, new in zip(_chain(space), before, after):
         if p == 2:
+            old.pop("_mask", None)
+            new.pop("_mask", None)
             old_rows, new_rows = old.pop("_rows"), new.pop("_rows")
             assert all(new_rows[b] == r for b, r in old_rows.items())
-            below = engine._below
             for b in new_rows.keys() - old_rows.keys():
-                n = below.ncols
-                assert new_rows[b] == (below._rows[b - n] << n if b >= n else below._rows[b])
+                assert new_rows[b] == _whole_row(engine, b)
         assert _same_state(new, old)
 
 
@@ -635,11 +661,12 @@ def test_gf2_rows_added_below_after_growth_do_not_reach_the_grown_engine():
 
 
 def test_gf2_top_component_stores_fewer_rows_than_its_rank():
-    """The Hilbert table reads only ranks, so most left copies of the top degree are never built."""
+    """The Hilbert table reads only ranks, so the top degree builds no whole row and keeps only its own rows."""
     ideal = combined_ideal(run_construction(2, 16, 100))
     quotient_dimensions(ideal)
     top = ideal.component_basis(16)
-    assert len(top._rows) < top.rank
+    assert top._rows == {}
+    assert len(top._halves) < top.rank
 
 
 _X = TruncatedPoly(3, 6, {"x": 1})

@@ -18,7 +18,7 @@ from adjointalg import direct_sum, strictly_upper_triangular_algebra, truncated_
 from adjointalg.cli import main
 
 SHA256 = {
-    # Both echelon engines at small caps, at p = 2, cap 18 (about 180 MB), and at p = 3,
+    # Both echelon engines at small caps, at p = 2, cap 18 (about 100 MB), and at p = 3,
     # cap 14, where every block of right multiples goes through linalg.echelon.
     "hilbert --p 2 --cap 12 --format csv": "747a449b3cecb1a4b00a5aa748e0bb8164e21ebcf3fb9e47c3774585fa186f53",
     "hilbert --p 3 --cap 10 --format csv": "3f2eb9325d76113a84ccacf146730f719b4dcdc88e31cf78c76a082e75c1b0d2",
