@@ -348,7 +348,8 @@ class Gf2RowSpace:
             high, low, b = self._walk(high, low, top)
             if b < 0:
                 return kept_high << n | kept_low
-            # No pivot at b: the bits of its half above the next pivot stay as they are.
+            # No pivot at b: the bits of its half above the next pivot stay as
+            # they are.  They include b, so the walk goes on below it.
             if b >= n:
                 if high_mask is None:
                     high_mask = self._mask >> n
@@ -356,13 +357,12 @@ class Gf2RowSpace:
                 aside = high >> cut << cut
                 kept_high ^= aside
                 high ^= aside
-                top = n + cut
             else:
                 cut = (low & self._mask).bit_length()
                 aside = low >> cut << cut
                 kept_low ^= aside
                 low ^= aside
-                top = cut
+            top = b
 
     def contains(self, v):
         return self.reduce(v) == 0
