@@ -38,7 +38,8 @@ def torsion_exponent(p):
 
 
 def projective_class_count(p, d):
-    """Number of lines through nonzero homogeneous elements of degree d: (p^(2^d)-1)/(p-1)."""
+    """Number of lines through nonzero homogeneous elements of degree d >= 1: (p^(2^d)-1)/(p-1)."""
+    p, d = linalg.check_modulus(p), linalg.as_integer(d, "degree", 1)
     return (p ** (1 << d) - 1) // (p - 1)
 
 

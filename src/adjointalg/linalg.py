@@ -4,12 +4,12 @@ Two implementations share one interface, and both key each basis row by
 its pivot, the highest nonzero coordinate.  :class:`Gf2RowSpace` packs
 each row into a single Python integer, coordinate i living at bit i, so
 row reduction is bignum XOR (the kernel for the large degree components
-over F_2); it keeps a forward echelon basis and one flag per coordinate
-that marks its pivots, reduces a vector from its top bit down, looking
-each top bit up in the flags, and exports each row reduced below its
-pivot.  :class:`ModpRowSpace` always holds its span in reduced
-row-echelon form, stored compactly as the pivot columns, the free columns
-and the rank x free block of coefficients.  Reducing a batch of rows
+over F_2); it keeps a forward echelon basis and one flag per coordinate,
+1 at a pivot, reduces a vector from its top bit down, looking each top
+bit up in the flags, and exports each row reduced below its pivot.
+:class:`ModpRowSpace` always holds its span in reduced row-echelon form,
+stored compactly as the pivot columns, the free columns and the
+rank x free block of coefficients.  Reducing a batch of rows
 against it is one matrix product on the free block; a batch is inserted in
 blocks of rows, each reduced that way, eliminated by :func:`echelon` (the
 one Gauss-Jordan routine, which :mod:`adjointalg.finite` shares), and
@@ -20,7 +20,8 @@ sum stays an exact integer below 2^53; both are exact for p up to 2^24.
 Only ``add`` and ``grown()`` change an engine's span.  Reads (``reduce``,
 ``contains``, ``pivots``, ``rows`` and ``row_vectors``) never change its span
 or any answer; an F_2 read may store a whole row it built, equal to the row
-it stands for, and the pivot mask it packed from the flags.
+it stands for.  ``add`` and ``reduce`` refuse a row wider than the engine
+with a ValueError before they change anything.
 
 ``encode(indices, coeffs)`` builds a row in an engine's format, which ``add``
 and ``reduce`` take, from nonzero residues at distinct coordinates, and
@@ -182,6 +183,12 @@ def _check_block(ncols, block, coord_bytes, limit):
         )
 
 
+def _check_width(width, ncols):
+    """Refuse a row of the given width, its bit length over F_2 and its entries otherwise, past ncols."""
+    if width > ncols:
+        raise ValueError(f"row of width {width} does not fit the engine's {ncols} columns")
+
+
 def index_mask(indices):
     """The F_2 row with bits at the given indices, as one integer."""
     if not len(indices):
@@ -204,25 +211,20 @@ def _spread_table():
     return (byte[:, None] << 16 | byte).ravel()
 
 
-#: bytes.translate table from a coordinate's flag to the flag of its two copies one degree up.
-_INHERIT = bytes([0, 1, 1]) + bytes(253)
-
-
 class Gf2RowSpace:
     """Row space over F_2 with integers as rows (bit i = coordinate i).
 
-    ``_flags`` holds one byte per coordinate: 0 for no pivot, 1 for a pivot
-    inherited from the engine below at :meth:`grown`, 2 for a row added at
-    this degree.  A grown engine keeps the engine below as ``_below``, of
-    width n, and splits each vector it reduces into a high half (coordinates
-    n and up, shifted down by n) and a low half, ``_low`` being the mask of
-    the low half (n is 0 for a fresh engine).  An inherited pivot b is the
-    row of the engine below at b - n or b, XORed into the half b lies in; a
-    row added here is stored in ``_halves`` as its two halves, keyed by its
-    pivot in the order the rows were found.  :meth:`_row` builds a whole row
-    only when the engine above or :meth:`rows` asks for one, and keeps it in
-    ``_rows``.  ``_mask`` has a bit at each pivot; it is built from the flags
-    on its first read after an add.
+    ``_flags`` is the engine's one record of its pivots: one byte per
+    coordinate, 1 at a pivot and 0 elsewhere.  A grown engine keeps the
+    engine below as ``_below``, of width n, and splits each vector it
+    reduces into a high half (coordinates n and up, shifted down by n) and a
+    low half, ``_low`` being the mask of the low half (n is 0 for a fresh
+    engine).  A row added here is stored in ``_halves`` as its two halves,
+    keyed by its pivot in the order the rows were found.  Any other pivot b
+    was inherited at :meth:`grown`: it is the row of the engine below at
+    b - n or b, XORed into the half b lies in.  :meth:`_row` builds a whole
+    row only when the engine above or :meth:`rows` asks for one, and keeps it
+    in ``_rows``.
     """
 
     p = 2
@@ -238,19 +240,14 @@ class Gf2RowSpace:
 
     @property
     def pivots(self):
-        return mask_indices(self._mask).tolist()
-
-    @functools.cached_property
-    def _mask(self):
-        """A bit at each pivot, packed from the flags on the first read after an add."""
-        return index_mask(np.flatnonzero(np.frombuffer(self._flags, dtype=np.uint8)))
+        return np.flatnonzero(np.frombuffer(self._flags, dtype=np.uint8)).tolist()
 
     def _row(self, b):
         """The whole row at pivot b, built on first use and kept."""
         row = self._rows.get(b)
         if row is None:
             n = self._low.bit_length()
-            if self._flags[b] == 2:
+            if b in self._halves:
                 high, low = self._halves[b]
                 row = high << n | low
             elif b >= n:
@@ -260,43 +257,54 @@ class Gf2RowSpace:
             self._rows[b] = row
         return row
 
-    def _walk(self, high, low, top):
+    def _walk(self, high, low, top, kept=None):
         """Clear pivots off the top of the vector with the given halves, top first.
 
-        Returns the halves and the top coordinate of what is left once that
-        coordinate is no pivot, or -1 once both halves are 0.  Each top
-        coordinate must lie below ``top``, which then falls to it: an XOR
-        clears the pivot at the top and changes only lower bits, so a row
-        whose top bit is not its pivot fails here.
+        Without ``kept``, returns the halves and the top coordinate of what
+        is left once that coordinate is no pivot.  With ``kept``, the halves
+        set aside so far, a top coordinate that is no pivot sets aside the
+        bits of its half down to the next pivot, and the walk goes on.  Once
+        both halves are 0 it returns the kept halves (0 without) and -1.
+        Each top coordinate must lie below ``top``, which then falls to it:
+        an XOR clears the pivot at the top and changes only lower bits, so a
+        row whose top bit is not its pivot fails here.
         """
         flags, halves, below, n = self._flags, self._halves, self._below, self._low.bit_length()
         built = below._rows if below else None
-        while True:
-            if high:
-                b = high.bit_length() - 1 + n
-            elif low:
-                b = low.bit_length() - 1
-            else:
-                return 0, 0, -1
+        kept_high, kept_low = kept or (0, 0)
+        while high or low:
+            b = high.bit_length() - 1 + n if high else low.bit_length() - 1
             if b >= top:
                 raise AssertionError(f"the row at pivot {top} left bit {b} set")
-            flag = flags[b]
-            if flag == 2:
-                row_high, row_low = halves[b]
-                high ^= row_high
-                low ^= row_low
-            elif not flag:
+            if flags[b]:
+                row = halves.get(b)
+                if row:
+                    high ^= row[0]
+                    low ^= row[1]
+                elif b >= n:
+                    high ^= built.get(b - n) or below._row(b - n)
+                else:
+                    low ^= built.get(b) or below._row(b)
+            elif kept is None:
                 return high, low, b
             elif b >= n:
-                high ^= built.get(b - n) or below._row(b - n)
+                # One past the next pivot of the high half, or its start n if it has none.
+                cut = (flags.rfind(1, n, b) + 1 or n) - n
+                aside = high >> cut << cut
+                kept_high, high = kept_high ^ aside, high ^ aside
             else:
-                low ^= built.get(b) or below._row(b)
+                cut = flags.rfind(1, 0, b) + 1
+                aside = low >> cut << cut
+                kept_low, low = kept_low ^ aside, low ^ aside
             top = b
+        return kept_high, kept_low, -1
 
     def add(self, row):
         """Insert one row, or each row of a list; returns True if the span grew."""
         if isinstance(row, list):
+            _check_width(max((r.bit_length() for r in row), default=0), self.ncols)
             return any([self._insert(r) for r in row])
+        _check_width(row.bit_length(), self.ncols)
         return self._insert(row)
 
     def _insert(self, row):
@@ -305,9 +313,8 @@ class Gf2RowSpace:
         if b < 0:
             return False
         self._halves[b] = high, low
-        self._flags[b] = 2
+        self._flags[b] = 1
         self.rank += 1
-        vars(self).pop("_mask", None)
         return True
 
     def encode(self, indices, coeffs):
@@ -326,8 +333,7 @@ class Gf2RowSpace:
         _check_block(n, block, _GF2_COORD_BYTES, MAX_GF2_BLOCK_BYTES)
         space = Gf2RowSpace(2 * n)
         space._below, space._low, space.rank = self, (1 << n) - 1, 2 * self.rank
-        inherited = self._flags.translate(_INHERIT)
-        space._flags = inherited + inherited
+        space._flags = self._flags + self._flags
         # Spread each new row's own half-words; a y multiple is the x one shifted by 1.
         table, m = _spread_table(), self._low.bit_length()
         for high, low in self._halves.values():
@@ -340,29 +346,10 @@ class Gf2RowSpace:
 
     def reduce(self, v):
         """The unique representative of v modulo the span with no pivot coordinate set."""
+        _check_width(v.bit_length(), self.ncols)
         n = self._low.bit_length()
-        high, low, top = v >> n, v & self._low, v.bit_length()
-        kept_high = kept_low = 0
-        high_mask = None
-        while True:
-            high, low, b = self._walk(high, low, top)
-            if b < 0:
-                return kept_high << n | kept_low
-            # No pivot at b: the bits of its half above the next pivot stay as
-            # they are.  They include b, so the walk goes on below it.
-            if b >= n:
-                if high_mask is None:
-                    high_mask = self._mask >> n
-                cut = (high & high_mask).bit_length()
-                aside = high >> cut << cut
-                kept_high ^= aside
-                high ^= aside
-            else:
-                cut = (low & self._mask).bit_length()
-                aside = low >> cut << cut
-                kept_low ^= aside
-                low ^= aside
-            top = b
+        high, low, _ = self._walk(v >> n, v & self._low, v.bit_length(), (0, 0))
+        return high << n | low
 
     def contains(self, v):
         return self.reduce(v) == 0
@@ -561,6 +548,8 @@ class ModpRowSpace:
         rows = np.asarray(rows)
         if rows.ndim == 1:
             rows = rows[None, :]
+        if columns is None:
+            _check_width(rows.shape[1], self.ncols)
         height = _part_rows(self._free.size)
         for top in range(0, rows.shape[0], height):
             block = _residues(rows[top:top + height], p)
@@ -600,6 +589,7 @@ class ModpRowSpace:
 
     def reduce_matrix(self, m):
         """Reduce every row of a matrix against the span at once."""
+        _check_width(np.shape(m)[-1], self.ncols)
         return self._dense(self._residual(_residues(m, self.p)))
 
     def rows(self):

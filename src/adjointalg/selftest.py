@@ -314,6 +314,8 @@ def run_checks(names=None, seed=DEFAULT_SEED):
         start = time.perf_counter()
         try:
             ok, detail = fn(seed=seed)
+        except AssertionError:  # a broken internal invariant is a bug, not a failed property
+            raise
         except Exception as exc:  # a crash is a failure, not an abort
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         seconds = time.perf_counter() - start

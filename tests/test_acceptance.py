@@ -9,6 +9,7 @@ import re
 import pytest
 
 from adjointalg import run_construction, selftest, truncated_polynomial_algebra, variable
+from adjointalg.cli import main
 from adjointalg.selftest import CHECKS, DEFAULT_SEED, run_checks
 
 CHECK_NAMES = [name for name, _, _ in CHECKS]
@@ -52,6 +53,19 @@ def test_a_check_that_raises_is_a_failed_result(monkeypatch):
     (result,) = run_checks(names=[name], seed=3)
     assert not result.ok
     assert result.detail == "raised RuntimeError: crashed at seed 3"
+
+
+def test_a_check_that_breaks_an_invariant_exits_3(monkeypatch, capsys):
+    """An AssertionError leaves run_checks, so selftest reports an internal error, not a failed check."""
+
+    def broken(seed):
+        raise AssertionError("the row at pivot 3 left bit 3 set")
+
+    monkeypatch.setattr(selftest, "CHECKS", [(name, broken, budget) for name, _, budget in CHECKS])
+    assert main(["selftest", "--format", "text"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: the row at pivot 3 left bit 3 set\n"
 
 
 def test_the_construction_check_reports_the_torsion_relations_it_found(monkeypatch):

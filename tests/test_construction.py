@@ -55,6 +55,7 @@ def test_torsion_exponent():
         ("build_j_generators(1, 8)", "p must be prime, got 1"),
         ("build_j_generators(4, 8)", "p must be prime, got 4"),
         ("build_j_generators(2, 0)", "degree cap must be at least 1, got 0"),
+        ("projective_class_count(4, 1)", "p must be prime, got 4"),
     ],
 )
 def test_torsion_generators_refuse_a_bad_modulus(call, message):
@@ -62,7 +63,7 @@ def test_torsion_generators_refuse_a_bad_modulus(call, message):
     src = str(Path(construction.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    script = f"from adjointalg import build_j_generators, torsion_exponent\n{call}"
+    script = f"from adjointalg import build_j_generators, projective_class_count, torsion_exponent\n{call}"
     run = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )

@@ -1,10 +1,12 @@
 """Row-echelon engines: one contract suite over every p, engine-specific paths, and the integer readers."""
 
+import inspect
 import os
 import random
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 from unittest import mock
 
@@ -30,6 +32,7 @@ from adjointalg import (
     index_exponent_check,
     linalg,
     manifest,
+    projective_class_count,
     projective_class_reps,
     quotient_algebra,
     quotient_dimensions,
@@ -123,6 +126,22 @@ def test_both_engines_add_a_list_of_rows():
         batches = [u, w, difference], [difference, [0, 0, 0, 1]], [difference[:3] + [1]]
         assert [space.add([to_row(r, space) for r in rows]) for rows in batches] == [True, True, False]
         assert space.rank == 3
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_a_row_wider_than_the_engine_is_refused(p):
+    """add and reduce refuse a row with a coordinate past ncols before they change anything.
+
+    A list whose first row fits is refused whole: over F_2 that row is not added.
+    """
+    space = row_space(4, p)
+    space.add(to_row([1, 0, 0, 0], space))
+    wide = to_row([1, 0, 1, 0, 1], space)
+    calls = space.add, space.reduce, space.contains, lambda r: space.add([to_row([0, 1, 0, 0, 0], space), r])
+    for call in calls:
+        with pytest.raises(ValueError, match="^row of width 5 does not fit the engine's 4 columns$"):
+            call(wide)
+    assert (space.rank, space.pivots) == (1, [0])
 
 
 def test_gf2_add_of_a_list_is_one_call_of_add(monkeypatch):
@@ -433,24 +452,19 @@ def test_gf2_spread_table_moves_bit_i_to_bit_2i():
     assert np.array_equal(table, sum((half >> i & 1) << 2 * i for i in range(16)))
 
 
-#: The whole upper left copy shifted by n - 1 instead of n: its top bit is not its pivot.
-_SHIFTED_COPY = """
-def _row(self, b):
-    row = self._rows.get(b)
-    if row is None:
-        n = self._low.bit_length()
-        if self._flags[b] == 2:
-            high, low = self._halves[b]
-            row = high << n | low
-        elif b >= n:
-            row = self._below._row(b - n) << n - 1
-        else:
-            row = self._below._row(b)
-        self._rows[b] = row
-    return row
+def _shifted_copy():
+    """``Gf2RowSpace._row`` with its whole upper left copy shifted by n - 1 instead of n, as a script.
 
-linalg.Gf2RowSpace._row = _row
-"""
+    The copy's top bit is then not its pivot.  The script is built from the
+    source of ``_row`` by one exact replacement, so it follows ``_row``.
+    """
+    old, new = "self._below._row(b - n) << n\n", "self._below._row(b - n) << n - 1\n"
+    source = textwrap.dedent(inspect.getsource(Gf2RowSpace._row))
+    assert source.count(old) == 1
+    return source.replace(old, new) + "\nlinalg.Gf2RowSpace._row = _row\n"
+
+
+_SHIFTED_COPY = _shifted_copy()
 
 
 @pytest.mark.parametrize(
@@ -537,7 +551,7 @@ def _answers(space, v):
 def _whole_row(engine, b):
     """The whole row at pivot b from the halves stored at b, or from the engine below."""
     n = engine._low.bit_length()
-    if engine._flags[b] == 2:
+    if b in engine._halves:
         high, low = engine._halves[b]
         return high << n | low
     below = engine._below
@@ -554,11 +568,10 @@ def _chain(space):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_reads_never_change_an_engine(data):
-    """Reads keep an engine's span and answers; an F_2 read may only store whole rows and its mask.
+    """Reads keep an engine's span and answers; an F_2 read may only store whole rows.
 
-    Every attribute is compared exactly, except two of the F_2 engine.  The
-    mask ``_mask`` is derived from the flags on a read.  In ``_rows`` the old
-    entries must stay, and each new one must be the whole row it stands for:
+    Every attribute is compared exactly, except ``_rows`` of the F_2 engine:
+    its old entries must stay, and each new one must be the whole row it stands for:
     the two stored halves joined, or the row of the engine below at the same
     pivot, shifted by that engine's width when the pivot is in the upper half.
     """
@@ -580,8 +593,6 @@ def test_reads_never_change_an_engine(data):
     after = [_state(s) for s in _chain(space)]
     for engine, old, new in zip(_chain(space), before, after):
         if p == 2:
-            old.pop("_mask", None)
-            new.pop("_mask", None)
             old_rows, new_rows = old.pop("_rows"), new.pop("_rows")
             assert all(new_rows[b] == r for b, r in old_rows.items())
             for b in new_rows.keys() - old_rows.keys():
@@ -589,13 +600,22 @@ def test_reads_never_change_an_engine(data):
         assert _same_state(new, old)
 
 
+def _pivot_flags(space):
+    """The F_2 engine's flags for the pivots of an engine: one byte per coordinate, 1 at a pivot."""
+    flags = bytearray(space.ncols)
+    for b in space.pivots:
+        flags[b] = 1
+    return flags
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.one_of(st.none(), st.integers(min_value=0)), max_size=30))
-def test_gf2_mask_holds_exactly_the_pivots(steps):
+def test_gf2_flags_hold_exactly_the_pivots(steps):
     """None grows the engines; an integer is added as a row, cut to the current width.
 
-    The mask is compared with the pivots of the dense engine fed the same steps,
-    through growths up to width 256, past the four of the left-copy test below.
+    The flags are compared with the pivots of the dense engine fed the same
+    steps, through growths up to width 256, past the four of the left-copy
+    test below; every row stored as halves is at a flagged pivot.
     """
     space, dense = Gf2RowSpace(2), ModpRowSpace(2, 2)
     for step in steps:
@@ -606,7 +626,8 @@ def test_gf2_mask_holds_exactly_the_pivots(steps):
             row = step % (1 << space.ncols)
             space.add(row)
             dense.add(to_list(row, dense.ncols))
-        assert space._mask == linalg.index_mask(np.array(dense.pivots, dtype=np.int64))
+        assert space._flags == _pivot_flags(dense)
+        assert all(space._flags[b] for b in space._halves)
         assert space.rank == dense.rank
 
 
@@ -618,14 +639,14 @@ def test_gf2_left_copies_built_on_first_use_match_the_eager_engine(data):
     Level 0 compares the two engines fed the same rows; its width reaches 24,
     so rows cross byte boundaries.  Reads between the adds build some left
     copies before more rows go in, so ``add`` meets both built and unbuilt
-    copies.  After every add and read the pivot mask holds exactly the dense pivots.
+    copies.  After every add and read the pivot flags hold exactly the dense pivots.
     """
     ncols = data.draw(st.integers(1, 24))
     space, dense = Gf2RowSpace(ncols), ModpRowSpace(ncols, 2)
 
     def same_pivots():
         assert (space.rank, space.pivots) == (dense.rank, dense.pivots)
-        assert space._mask == linalg.index_mask(np.array(dense.pivots, dtype=np.int64))
+        assert space._flags == _pivot_flags(dense)
 
     def agree():
         width = space.ncols
@@ -646,6 +667,21 @@ def test_gf2_left_copies_built_on_first_use_match_the_eager_engine(data):
                 assert space.add(step) == dense.add(to_list(step, space.ncols))
                 same_pivots()
         agree()
+
+
+def test_gf2_reduce_sets_aside_upper_bits_below_the_lowest_upper_pivot():
+    """Bits 8 and 9 lie in the upper half under its lowest pivot, 10, and above the lower pivots 2, 4 and 5.
+
+    So they stay as they are, however far the lower half's pivots reach.
+    """
+    space, dense = Gf2RowSpace(8), ModpRowSpace(8, 2)
+    space.add(0b100)
+    dense.add(to_list(0b100, 8))
+    space, dense = space.grown(), dense.grown()
+    assert space.pivots == dense.pivots == [2, 4, 5, 10]
+    v = 1 << 10 | 1 << 9 | 1 << 8 | 1 << 5 | 1 << 3
+    assert space.reduce(v) == 1 << 9 | 1 << 8 | 1 << 3
+    assert to_list(space.reduce(v), 16) == dense.reduce(to_list(v, 16)).tolist()
 
 
 def test_gf2_rows_added_below_after_growth_do_not_reach_the_grown_engine():
@@ -690,6 +726,8 @@ INTEGER_ARGUMENTS = {
     "run_construction": ("max_elements", lambda v: manifest(run_construction(2, 4, v)), 0, None, 2),
     "enumerate_aplus": ("index", lambda v: enumerate_aplus(2, v, 4), 1, None, 3),
     "projective_class_reps": ("degree", lambda v: list(projective_class_reps(2, v, 3)), 1, 3, 1),
+    "projective_class_count": ("degree", lambda v: projective_class_count(2, v), 1, None, 2),
+    "projective_class_count p": ("p", lambda v: projective_class_count(v, 2), None, None, 3),
     "witness_search": ("denominator", lambda v: witness_search(GeneratorCensus({2: 2}), v), 2, None, 4),
     "GeneratorCensus": ("relation count at degree 3", lambda v: GeneratorCensus({3: v}), 0, None, 2),
     "power_space": ("power index", lambda v: _ALGEBRA.power_space(v).basis.tolist(), 1, None, 2),
