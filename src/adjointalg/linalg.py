@@ -291,11 +291,13 @@ class Gf2RowSpace:
                 # One past the next pivot of the high half, or its start n if it has none.
                 cut = (flags.rfind(1, n, b) + 1 or n) - n
                 aside = high >> cut << cut
-                kept_high, high = kept_high ^ aside, high ^ aside
+                kept_high ^= aside
+                high ^= aside
             else:
                 cut = flags.rfind(1, 0, b) + 1
                 aside = low >> cut << cut
-                kept_low, low = kept_low ^ aside, low ^ aside
+                kept_low ^= aside
+                low ^= aside
             top = b
         return kept_high, kept_low, -1
 
