@@ -1,18 +1,54 @@
 """Command-line front end.
 
-One executable, `adjointalg`, with a subcommand per capability.  Outputs
-are deterministic: the same invocation always writes byte-identical
-payloads to stdout (or --out), with timing on stderr only.  Exit codes:
-0 on success, 1 when a checked property fails to hold, 2 on usage errors,
-3 when an internal invariant check fails (a bug, reported as one
-``internal error:`` line on stderr).  Only ``hilbert`` writes CSV; ``--format
-csv`` on any other subcommand is refused before its work starts.  A
-construction whose torsion generators would pass the memory ceiling
-(``linalg.MAX_GF2_BLOCK_BYTES``) exits 2 before it builds them, a ``gs-check``
-whose f(tau) would pass the evaluation ceiling (``series.MAX_EVAL_BITS``)
-before it is evaluated, and so does an ``--out`` file that cannot be written.
-A ``width`` that no witness draw closes at its lower bound also exits 2, with
-the bracket it does know on stderr and nothing on stdout.
+One executable, `adjointalg`, with a subcommand per capability.  Every
+subcommand takes ``--format json|csv|text`` and ``--out FILE``, and only the
+other flags it reads: ``--p`` (default 2) on factor, construct, hilbert,
+torsion, exponent and width, ``--cap`` (default 16) on factor, construct,
+hilbert and torsion, and ``--seed`` on selftest alone.  Outputs are
+deterministic: the same invocation always writes byte-identical payloads to
+stdout (or --out), with timing on stderr only.
+
+Exit codes: 0 on success, 1 when a checked property fails to hold, 2 on
+usage errors (an unknown flag among them), 3 when an internal invariant
+check fails (a bug, reported as one ``internal error:`` line on stderr).
+So ``selftest`` exits 1 when a check fails or raises, and 3 when a check
+breaks an internal invariant (an AssertionError), which stops the run.
+
+A usage error is one ``error:`` line on stderr.  Every ValueError the
+library raises is one, a ``ResourceLimitError`` (a refusal past a memory
+ceiling) among them, and so is an OSError; in particular:
+- ``--format csv`` on any subcommand but ``hilbert``, refused before its
+  work starts;
+- an ``--ideal-file``, ``--census-file`` or ``--algebra-file`` that is not
+  JSON or has the wrong shape (a missing field, a field of the wrong type,
+  a census tail field that is not a positive integer, a census tail with
+  relations at degree 1, a ``true`` among a table's integers, an ideal
+  generator of another degree than the one stated); for a wrong shape the
+  line names the field or the generator;
+- a ``--tau`` with a zero denominator, or one that is not a number or has
+  more digits than Python reads (the line names ``--tau``);
+- a ``p`` that is not prime or a ``--cap`` below 1, before any work, also
+  when the construction builds no generator; ``factor`` checks both before
+  it parses ``--a``.  Primality is exact below psi_13 (``linalg.is_prime``),
+  and a larger ``p`` is refused;
+- a ``gs-check`` whose f(tau) would pass the evaluation ceiling
+  (``series.MAX_EVAL_BITS``), refused unevaluated whatever the interpreter's
+  digit limit, even with none (``PYTHONINTMAXSTRDIGITS=0``): a count at
+  degree 30 000 000 or a geometric tail of step 30 000 000 exits in well
+  under a second.  So is an f(tau) that holds an integer past Python's limit
+  on printing one (4300 digits by default), naming the census degree or
+  tail field of highest degree and tau, and one past the largest float,
+  which has no decimal to print;
+- an ideal whose next degree would pass its engine's memory ceiling; both
+  engines' guards count the arrays of one entry per coordinate, so even an
+  odd-p ideal with one generator of degree 30 is refused at degree 22;
+- a construction whose torsion generators would pass the memory ceiling
+  (``linalg.MAX_GF2_BLOCK_BYTES``), before it builds them: ``construct --p 5
+  --cap 25`` and ``hilbert --p 2 --cap 24`` exit 2, while ``construct --p 3
+  --cap 18`` and ``--p 7 --cap 14`` still answer;
+- a ``width`` that no witness draw closes at its lower bound, with the
+  bracket it does know on stderr and nothing on stdout;
+- an ``--out`` file that cannot be written.
 """
 
 from __future__ import annotations

@@ -91,17 +91,33 @@ def enumerate_aplus(p, index, cap):
 
 @dataclass(frozen=True)
 class ConstructionState:
-    """Everything a construction run produced, enough to rebuild its ideals."""
+    """Everything a construction run produced, enough to rebuild its ideals.
+
+    It stores only what the run decided; ``alpha``, ``processed`` and
+    ``cap_too_small`` are read off those fields, so none can disagree with them.
+    """
 
     p: int
     cap: int
     max_elements: int
-    alpha: int
-    processed: int
     i_generators: tuple
     j_generators: tuple
     traces: tuple
-    cap_too_small: bool = False
+
+    @property
+    def alpha(self):
+        """The torsion exponent of p: q = p^alpha is the least power of p at or above 7."""
+        return torsion_exponent(self.p)
+
+    @property
+    def processed(self):
+        """The number of elements factored, one trace each."""
+        return len(self.traces)
+
+    @property
+    def cap_too_small(self):
+        """True when no degree up to the cap can hold an I-generator."""
+        return self.cap < MIN_RELATION_DEGREE
 
 
 def build_j_generators(p, cap):
@@ -144,7 +160,6 @@ def run_construction(p, cap, max_elements):
     """
     p, cap = check_context(p, cap)
     max_elements = linalg.as_integer(max_elements, "max_elements", 0)
-    alpha = torsion_exponent(p)
     j_gens = tuple(build_j_generators(p, cap))
     stream = element_stream(p, cap)
     i_gens = []
@@ -160,12 +175,7 @@ def run_construction(p, cap, max_elements):
                 )
             i_gens.append((d, part))
             threshold = d + 1
-    return ConstructionState(
-        p, cap, max_elements, alpha,
-        processed=len(traces),
-        i_generators=tuple(i_gens), j_generators=j_gens, traces=tuple(traces),
-        cap_too_small=cap < MIN_RELATION_DEGREE,
-    )
+    return ConstructionState(p, cap, max_elements, tuple(i_gens), j_gens, tuple(traces))
 
 
 def combined_ideal(state):

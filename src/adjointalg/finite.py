@@ -554,7 +554,12 @@ def cyclic_width(group, limit=8):
     drawn product of L maximal cyclic subgroups covers the group
     (``_witness``).  When none does, it is a ValueError naming the order,
     L and the least m up to the limit at which a draw covers the group, or
-    saying that none does.
+    saying that none does.  With ut(p, n) the strictly upper-triangular
+    n x n matrices over F_p and poly(p, n) the algebra x F_p[x] / (x^n),
+    ut(3, 3) + poly(3, 3) (order 243) has width 5 and ut(3, 3) + ut(3, 3)
+    (order 729) width 6, and ut(2, 5) (order 1024) and ut(3, 4) (order 729)
+    have width 5, where the exponent alone gave L = 4 and 3.
+    poly(3, 5) + ut(3, 3) (order 2187) is refused with the bracket [5, 6].
     """
     limit = linalg.as_integer(limit, "limit", 1)
     algebra = group.algebra

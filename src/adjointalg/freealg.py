@@ -258,7 +258,7 @@ class TruncatedPoly:
     of a view the element holds is a plain slot read.
     """
 
-    __slots__ = ("p", "cap", "_born", "_slices", "_ranks", "_hash")
+    __slots__ = ("p", "cap", "_born", "_slices", "_ranks")
 
     def __init__(self, p, cap, terms=()):
         p, cap = check_context(p, cap)
@@ -279,7 +279,6 @@ class TruncatedPoly:
         self.p = p
         self.cap = cap
         self._born = self._slices = {d: part for d, part in slices.items() if part}
-        self._hash = None
 
     @classmethod
     def _from_view(cls, p, cap, view):
@@ -295,7 +294,6 @@ class TruncatedPoly:
             self._ranks = view
         else:
             self._slices = view
-        self._hash = None
         return self
 
     def __getattr__(self, name):
@@ -429,9 +427,7 @@ class TruncatedPoly:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.p, self.cap, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.p, self.cap, frozenset(self.terms.items())))
 
     def __str__(self):
         from .text import format_poly

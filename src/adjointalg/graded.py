@@ -99,11 +99,14 @@ class GradedIdeal:
 
 @dataclass(frozen=True)
 class HilbertTable:
-    """Dimensions of the quotient algebra, one per degree from 1 to cap."""
+    """Dimensions of the quotient algebra, one per degree from 1 to cap, the length of dims."""
 
     p: int
-    cap: int
     dims: tuple
+
+    @property
+    def cap(self):
+        return len(self.dims)
 
     def dimension(self, n):
         return self.dims[as_integer(n, "degree", 1, self.cap) - 1]
@@ -133,7 +136,7 @@ def quotient_dimensions(ideal):
     dims = []
     for n in range(1, ideal.cap + 1):
         dims.append((1 << n) - ideal.component_basis(n).rank)
-    return HilbertTable(ideal.p, ideal.cap, tuple(dims))
+    return HilbertTable(ideal.p, tuple(dims))
 
 
 def normal_form(a, ideal):

@@ -21,7 +21,9 @@ Only ``add`` and ``grown()`` change an engine's span.  Reads (``reduce``,
 ``contains``, ``pivots``, ``rows`` and ``row_vectors``) never change its span
 or any answer; an F_2 read may store a whole row it built, equal to the row
 it stands for.  ``add`` and ``reduce`` refuse a row wider than the engine
-with a ValueError before they change anything.
+with a ValueError before they change anything, and the F_2 engine reads
+each row with :func:`as_integer` first, so a numpy integer converts and a
+negative row or a bool is refused by name.
 
 ``encode(indices, coeffs)`` builds a row in an engine's format, which ``add``
 and ``reduce`` take, from nonzero residues at distinct coordinates, and
@@ -35,7 +37,8 @@ their pivots are disjoint, so they need no elimination.  The F_2 engine
 copies nothing: it keeps the engine it grew from and splits each vector it
 reduces at that engine's width, so a left copy is the row below XORed into
 one half, with no shift; a whole copy is built only when the engine above
-or ``rows`` asks for it.  Rows the engine below gains later do not reach
+or ``rows`` asks for it, so the top degree of a Hilbert table, which reads
+only ranks, builds none.  Rows the engine below gains later do not reach
 it: its pivot flags are fixed when it is grown, and no stored row ever
 changes.  A right factor
 sends index j to 2j (x) or 2j + 1 (y); :class:`ModpRowSpace` adds the right
@@ -304,8 +307,10 @@ class Gf2RowSpace:
     def add(self, row):
         """Insert one row, or each row of a list; returns True if the span grew."""
         if isinstance(row, list):
+            row = [as_integer(r, "row", 0) for r in row]
             _check_width(max((r.bit_length() for r in row), default=0), self.ncols)
             return any([self._insert(r) for r in row])
+        row = as_integer(row, "row", 0)
         _check_width(row.bit_length(), self.ncols)
         return self._insert(row)
 
@@ -348,6 +353,7 @@ class Gf2RowSpace:
 
     def reduce(self, v):
         """The unique representative of v modulo the span with no pivot coordinate set."""
+        v = as_integer(v, "row", 0)
         _check_width(v.bit_length(), self.ncols)
         n = self._low.bit_length()
         high, low, _ = self._walk(v >> n, v & self._low, v.bit_length(), (0, 0))

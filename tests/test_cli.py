@@ -11,6 +11,7 @@ from adjointalg import (
     cli,
     construction,
     direct_sum,
+    finite,
     linalg,
     strictly_upper_triangular_algebra,
     truncated_polynomial_algebra,
@@ -470,6 +471,17 @@ def test_exponent_families(capsys):
     code, out, _ = run_cli(capsys, "exponent", "--family", "ut", "--n", "3")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_an_exponent_past_the_linear_bound_is_critical_and_exits_1(capsys, monkeypatch):
+    """A quotient exponent past p(n + 1) would falsify the bound: CRITICAL in the report, exit 1."""
+    monkeypatch.setattr(finite.FiniteNilAlgebra, "quotient_exponents", property(lambda self: [2, 8, 4, 4]))
+    report = finite.exp_bound_check(truncated_polynomial_algebra(2, 4))
+    assert [r["ok"] for r in report["rows"]] == [True, False, True]
+    assert (report["ok"], report["severity"], report["sharpest_ratio"]) == (False, "CRITICAL", "4/3")
+    code, out, _ = run_cli(capsys, "exponent", "--family", "poly", "--n", "4", "--format", "text")
+    assert code == 1
+    assert "n=2: exponent 8 vs bound 6 (VIOLATION)" in out.splitlines()
 
 
 def test_width_text_output(capsys):

@@ -143,6 +143,18 @@ def test_equality_and_hash_include_context():
     assert a == b and hash(a) == hash(b)
     assert a != TruncatedPoly(2, 6, {"x": 1})
     assert a != TruncatedPoly(3, 5, {"x": 1})
+    # A product holds only ranks; it hashes as the equal element built from terms.
+    square = a * b
+    assert square == TruncatedPoly(2, 5, {"xx": 1}) and hash(square) == hash(TruncatedPoly(2, 5, {"xx": 1}))
+
+
+def test_arithmetic_with_a_non_polynomial_is_refused():
+    """Sums, differences and products take only elements (and integer scalars); == is False."""
+    a = parse_poly("x + y", 2, 3)
+    for op in (lambda: a + 1, lambda: a - 1, lambda: a * 1.5):
+        with pytest.raises(TypeError):
+            op()
+    assert (a == "x") is False
 
 
 def test_product_examples():

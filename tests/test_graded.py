@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjointalg import (
+    GeneratorCensus,
     GradedIdeal,
     HilbertTable,
     ModpRowSpace,
@@ -17,6 +18,7 @@ from adjointalg import (
     format_poly,
     generators_to_json,
     graded,
+    gs_recursion_check,
     homogeneous_part,
     ideal_from_json,
     linalg,
@@ -226,8 +228,12 @@ def test_hilbert_table_accessors_and_csv():
 
 
 def test_hilbert_table_is_plain_data():
-    table = HilbertTable(2, 2, (2, 3))
+    table = HilbertTable(2, (2, 3))
     assert table.ideal_rank(2) == 1
+    # The cap is read off the dims, so no table can list more or fewer degrees than it holds.
+    assert table.cap == 2
+    assert table.to_csv() == "n,dim,ideal_rank\n1,2,0\n2,3,1\n"
+    assert gs_recursion_check(table, GeneratorCensus({2: 1})) == (True, None)
 
 
 def test_generators_json_round_trip():

@@ -151,12 +151,12 @@ def test_witness_search_refuses_a_census_past_the_evaluation_ceiling(census, nam
 
 
 def test_gs_recursion_check():
-    free = HilbertTable(2, 5, (2, 4, 8, 16, 32))
+    free = HilbertTable(2, (2, 4, 8, 16, 32))
     assert gs_recursion_check(free, GeneratorCensus()) == (True, None)
-    dented = HilbertTable(2, 4, (2, 4, 8, 15))
+    dented = HilbertTable(2, (2, 4, 8, 15))
     assert gs_recursion_check(dented, GeneratorCensus()) == (False, 4)
     # one degree-2 relation: the commutator quotient meets the bound with equality
-    commutator = HilbertTable(2, 3, (2, 3, 4))
+    commutator = HilbertTable(2, (2, 3, 4))
     assert gs_recursion_check(commutator, GeneratorCensus({2: 1})) == (True, None)
     with pytest.raises(ValueError, match="beyond"):
         gs_recursion_check(dented, GeneratorCensus({5: 1}))
